@@ -193,6 +193,8 @@ def _signal_from_angle(angle_deg: float) -> Polarization:
 def _cmd_gate_verify(args, file_cfg) -> int:
     seed = int(_merge(args, file_cfg, "seed", 0))
     trials = int(_merge(args, file_cfg, "trials", 20))
+    if trials < 1:
+        raise CliError(EXIT_RANGE, f"trials must be at least 1, got {trials}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     cfg = DeviceConfig()
     worst_infid = 0.0
@@ -257,12 +259,10 @@ def _cmd_fig2(args, file_cfg) -> int:
         duration_wv=float(_merge(args, file_cfg, "duration_wv", 1000.0)),
         seed=int(_merge(args, file_cfg, "seed", 0)),
     )
-    workers = int(_merge(args, file_cfg, "workers", 1))
     out = _resolve_out(_merge(args, file_cfg, "out"), "fig2.csv")
     result = run_fig2(
         plan, _signal_from_angle(angle),
-        ImperfectionParams(visibility=visibility, depol=depol),
-        k_grid, workers=workers,
+        ImperfectionParams(visibility=visibility, depol=depol), k_grid,
     )
     from .counting import _meta_path_for, format_fig2_csv
 
@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--postselected-rate", dest="postselected_rate", type=float)
             p.add_argument("--duration-k", dest="duration_k", type=float)
             p.add_argument("--duration-wv", dest="duration_wv", type=float)
-            p.add_argument("--workers", type=int, help="parallel grid workers")
+            p.add_argument("--workers", type=int,
+                           help="accepted and ignored: the grid runs serially")
         if out:
             p.add_argument("--out", help=f"output path (default under ${OUT_DIR_ENV} or .)")
 

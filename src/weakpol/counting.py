@@ -10,14 +10,15 @@ reported as a flag rather than a number.
 
 Randomness uses the counter-based Philox generator with one stream per
 (grid point, run type), all derived from the master seed, so tables are
-reproducible bit for bit regardless of how many workers executed them.
+reproducible bit for bit. The sweep runs serially: a thread pool over
+grid points was measured slower than the plain loop, so the ``workers``
+argument of :func:`run_fig2` is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -50,10 +51,10 @@ class RunPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.unpostselected_rate < 0 or self.postselected_rate < 0:
-            raise ValueError("rates must be non-negative")
-        if self.duration_k < 0 or self.duration_wv < 0:
-            raise ValueError("durations must be non-negative")
+        for name in ("unpostselected_rate", "postselected_rate", "duration_k", "duration_wv"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass
@@ -202,9 +203,10 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
 
     Each grid point draws its calibration counts (diagonal input, no
     postselection) and its postselected meter counts from independent
-    substreams of the master seed, so the table is identical for any
-    worker count. Rows where an estimator has nothing to work with are
-    flagged ``no_data`` instead of carrying sentinel numbers.
+    substreams of the master seed, so the table depends on the seed
+    alone. ``workers`` is accepted for compatibility and ignored: the
+    points run serially. Rows where an estimator has nothing to work
+    with are flagged ``no_data`` instead of carrying sentinel numbers.
     """
     k_grid = [float(k) for k in k_grid]
     if not k_grid:
@@ -244,12 +246,7 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
         row.unbounded = wv_est.unbounded_above
         return row
 
-    indices = range(len(k_grid))
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_point, indices))
-    else:
-        rows = [one_point(i) for i in indices]
+    rows = [one_point(i) for i in range(len(k_grid))]
 
     metadata = {
         "seed": plan.seed,

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .device import DeviceConfig, coincidence_operator, transfer_matrix
 from .errors import (
@@ -83,10 +82,6 @@ class ImperfectionParams:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
         if not 0.0 <= self.depol <= 1.0:
             raise ValueError(f"depol must lie in [0, 1], got {self.depol}")
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.visibility == 1.0 and self.depol == 0.0
 
 
 class TwoQubitChannel:
@@ -390,9 +385,22 @@ def read_chi_csv(path) -> ChiMatrix:
 # Fitting and inversion
 # ---------------------------------------------------------------------------
 
-def _model_p_post(visibility, psi, meter, cfg, post):
-    channel = imperfect_channel(meter, ImperfectionParams(visibility=visibility), cfg)
-    return channel_postselected_probs(channel, psi, meter, post)[2]
+def _signal_effects(channel: TwoQubitChannel, meter: MeterSetting, post: Polarization):
+    """Signal effects (R_H, R_V, R_success) of the channel at one meter setting.
+
+    The joint events (post and meter H, post and meter V, success) occur
+    with probability psi^dag R psi for a signal psi, where R is the
+    Heisenberg-picture effect sum_k k^dag Pi k compressed by (I (x) |m>)
+    onto the meter preparation |m>.
+    """
+    blocks = np.array(channel.kraus) @ np.kron(np.eye(2), meter.ket()[:, None])
+    effects = []
+    for meter_ket in np.eye(2):
+        amps = np.kron(post.ket().conj(), meter_ket) @ blocks
+        effects.append(amps.conj().T @ amps)
+    flat = blocks.reshape(-1, 2)
+    effects.append(flat.conj().T @ flat)
+    return tuple(effects)
 
 
 def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
@@ -400,16 +408,30 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
                    post: Polarization | None = None) -> ImperfectionParams:
     """Visibility whose model postselection probability hits the target.
 
-    The model probability decreases monotonically from the fully
-    decohered value at v = 0 to the coherent value at v = 1, so a target
-    below the coherent floor (or above the decohered ceiling) is
-    infeasible. Root-finding is bracketed on the actual shape rather than
-    assuming linearity.
+    The channel is linear in v, so with a and s the post-and-success and
+    success weights of ``psi`` at v = 1 and v = 0,
+
+        P(post | success)(v) = (v a1 + (1 - v) a0) / (v s1 + (1 - v) s0),
+
+    a monotone linear-fractional function solved for v in closed form.
+    A target below the model floor (or above the ceiling) set by the two
+    end points raises InfeasibleTargetError, as does an input whose
+    P(post | success) does not depend on v (an H or V input), since then
+    no target fixes the visibility.
     """
     post = post if post is not None else antidiagonal()
-    p_ideal = _model_p_post(1.0, psi, meter, cfg, post)
-    p_mixed = _model_p_post(0.0, psi, meter, cfg, post)
-    lo_val, hi_val = min(p_ideal, p_mixed), max(p_ideal, p_mixed)
+    ket = psi.ket()
+    weights = []
+    for v in (1.0, 0.0):
+        channel = imperfect_channel(meter, ImperfectionParams(visibility=v), cfg)
+        r_h, r_v, r_ok = _signal_effects(channel, meter, post)
+        weights.append([float((ket.conj() @ r @ ket).real) for r in (r_h + r_v, r_ok)])
+    (a1, s1), (a0, s0) = weights
+    lo_val, hi_val = sorted((a1 / s1, a0 / s0))
+    if hi_val - lo_val <= 1e-9:
+        raise InfeasibleTargetError(
+            f"P(post) is {lo_val:.6g} at every visibility: no target fixes v"
+        )
     if target_p_a < lo_val - 1e-9:
         raise InfeasibleTargetError(
             f"target {target_p_a} below the model floor {lo_val:.6g}"
@@ -418,34 +440,8 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
         raise InfeasibleTargetError(
             f"target {target_p_a} above the model ceiling {hi_val:.6g}"
         )
-
-    def f(v):
-        return _model_p_post(v, psi, meter, cfg, post) - target_p_a
-
-    f1 = p_ideal - target_p_a
-    f0 = p_mixed - target_p_a
-    if abs(f1) < 1e-15:
-        return ImperfectionParams(visibility=1.0)
-    if abs(f0) < 1e-15:
-        return ImperfectionParams(visibility=0.0)
-    if f0 * f1 > 0:
-        # same sign at both ends: scan for a bracket over the actual shape
-        grid = np.linspace(0.0, 1.0, 201)
-        vals = [f(v) for v in grid]
-        bracket = None
-        for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-            if fa == 0.0:
-                return ImperfectionParams(visibility=float(a))
-            if fa * fb < 0:
-                bracket = (a, b)
-                break
-        if bracket is None:
-            raise InfeasibleTargetError(f"no visibility reaches target {target_p_a}")
-        lo, hi = bracket
-    else:
-        lo, hi = 0.0, 1.0
-    v_star = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    return ImperfectionParams(visibility=float(v_star))
+    v_star = (target_p_a * s0 - a0) / ((a1 - a0) - target_p_a * (s1 - s0))
+    return ImperfectionParams(visibility=min(max(v_star, 0.0), 1.0))
 
 
 def model_weak_value_curve(params: ImperfectionParams, psi: Polarization, k_grid,
@@ -465,53 +461,61 @@ def model_weak_value_curve(params: ImperfectionParams, psi: Polarization, k_grid
     return out
 
 
+def _harmonics(q: np.ndarray) -> np.ndarray:
+    """(q0, q1, q2) with a^T Re(q) a = q0 + q1 cos 2t + q2 sin 2t, a = (cos t, sin t)."""
+    q = q.real
+    return np.array([(q[0, 0] + q[1, 1]) / 2.0, (q[0, 0] - q[1, 1]) / 2.0, q[0, 1]])
+
+
 def invert_s1(measured_weak_value: float, measured_p_a: float,
               params: ImperfectionParams, meter: MeterSetting,
               cfg: DeviceConfig = DeviceConfig(),
               post: Polarization | None = None) -> float:
     """Expectation of s1 inferred from a measured postselected value.
 
-    For the coherent model the identity (weak value) * P(A) =
-    (|alpha|^2 - |beta|^2)/2 inverts the measurement directly. For the
-    mixed model the relation is inverted numerically over the family of
-    linear input polarizations; the measured postselection probability
-    disambiguates when two preparations share a weak value.
+    The measurement is taken to come from a linear input polarization
+    (cos t, sin t) with t in (-90, 90] degrees, for every model including
+    the coherent one. With (R_H, R_V) the signal effects of the two
+    postselected meter outcomes, the weak value w fixes t through
+
+        a^T Re(R_H - R_V - w K (R_H + R_V)) a = 0,   a = (cos t, sin t),
+
+    which in phi = 2t reads c0 + c1 cos phi + c2 sin phi = 0 and has at
+    most two roots. The root whose model postselection probability lies
+    closest to ``measured_p_a`` wins, and <s1> = cos phi is returned.
+
+    Raises InversionRangeError when no input reproduces the measured
+    value, and when the weak value is the same for every input (as when
+    postselecting on H or V without white noise), so that it carries
+    nothing to invert. The equation may miss by a rounding residual of
+    1e-12 of the postselection weight, so a value at the model's extreme,
+    where the two roots merge, still inverts.
     """
     post = post if post is not None else antidiagonal()
-    if params.is_ideal:
-        return 2.0 * measured_weak_value * measured_p_a
-
     k = meter.strength
     if abs(k) < ZERO_STRENGTH_TOL:
         raise ZeroStrengthError("strength K = 0: inversion undefined")
-    channel = imperfect_channel(meter, params, cfg)
-
-    def model(theta):
-        psi = Polarization(math.cos(theta), math.sin(theta))
-        p_h, p_v, p_post = channel_postselected_probs(channel, psi, meter, post)
-        return (p_h - p_v) / k, p_post
-
-    eps = 1e-9
-    thetas = np.linspace(eps, math.pi / 2 - eps, 4096)
-    # the curve varies fastest near the diagonal input; refine there
-    quarter = math.pi / 4
-    extra = quarter + np.concatenate([-np.geomspace(1e-8, 0.2, 160),
-                                      np.geomspace(1e-8, 0.2, 160)])
-    thetas = np.unique(np.concatenate([thetas, extra[(extra > eps) & (extra < math.pi / 2 - eps)]]))
-
-    f_vals = np.array([model(t)[0] - measured_weak_value for t in thetas])
-    roots = []
-    for a, b, fa, fb in zip(thetas, thetas[1:], f_vals, f_vals[1:]):
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0:
-            roots.append(float(brentq(lambda t: model(t)[0] - measured_weak_value,
-                                      a, b, xtol=1e-14, rtol=8.9e-16)))
-    if f_vals[-1] == 0.0:
-        roots.append(float(thetas[-1]))
-    if not roots:
+    r_h, r_v, r_ok = _signal_effects(imperfect_channel(meter, params, cfg), meter, post)
+    d, s, ok = _harmonics(r_h - r_v), _harmonics(r_h + r_v), _harmonics(r_ok)
+    # d / s is the meter imbalance (a probability difference) as a function
+    # of the input; parallel harmonics mean it is the same for every input
+    if np.linalg.norm(np.cross(d, s)) <= 1e-12 * float(s @ s):
+        raise InversionRangeError(
+            "the postselected value does not depend on the input: nothing to invert"
+        )
+    c0, c1, c2 = (float(x) for x in d - measured_weak_value * k * s)
+    amp = math.hypot(c1, c2)
+    if abs(c0) > amp + 1e-12 * float(np.linalg.norm(s)):
         raise InversionRangeError(
             f"measured value {measured_weak_value} outside the model's range"
         )
-    best = min(roots, key=lambda t: abs(model(t)[1] - measured_p_a))
-    return math.cos(2.0 * best)
+    centre = math.atan2(c2, c1)
+    spread = math.acos(min(1.0, max(-1.0, -c0 / amp)))
+
+    def p_post(phi):
+        u = np.array([1.0, math.cos(phi), math.sin(phi)])
+        return float(s @ u) / float(ok @ u)
+
+    best = min((centre - spread, centre + spread),
+               key=lambda phi: abs(p_post(phi) - measured_p_a))
+    return math.cos(best)

@@ -83,11 +83,6 @@ def circular_right() -> Polarization:
     return Polarization(s, 1j * s)
 
 
-# Postselection states are ordinary polarizations; A and D are the
-# mutually unbiased pair used throughout.
-PostselectState = Polarization
-
-
 def postselect_state(label: str) -> Polarization:
     try:
         return {"A": antidiagonal, "D": diagonal, "H": horizontal, "V": vertical}[label]()

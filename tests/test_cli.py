@@ -34,6 +34,16 @@ def test_gate_verify_passes(capsys):
     assert infid < 1e-10
 
 
+def test_gate_verify_rejects_nonpositive_trials(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("trials: -3\n")
+    for argv in (["--trials", "-3"], ["--trials", "0"], ["--config", str(cfg)]):
+        code, out, err = run_cli(["gate-verify"] + argv, capsys)
+        assert code == EXIT_RANGE
+        assert out == ""  # rejected before any check ran
+        assert "trials" in err
+
+
 def test_weak_value_prints_analytic_value(capsys):
     code, out, _ = run_cli(["weak-value", "--angle", "42", "--K", "0.006"], capsys)
     assert code == EXIT_OK
@@ -135,6 +145,16 @@ def test_malformed_yaml_rejected(tmp_path, capsys):
     cfg.write_text("angle: [unclosed\n")
     code, _, _ = run_cli(["weak-value", "--config", str(cfg)], capsys)
     assert code == EXIT_CONFIG
+
+
+def test_fig2_rejects_non_finite_duration(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["fig2", "--k-grid", "0.5", "--duration-wv", "nan", "--out", str(tmp_path / "x.csv")],
+        capsys,
+    )
+    assert code == EXIT_RANGE
+    assert "duration_wv must be finite" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_fig2_rejects_zero_in_grid(tmp_path, capsys):

@@ -170,6 +170,14 @@ def test_weak_value_sigma_poisson_only():
 
 # --- strength-sweep table ---------------------------------------------------------
 
+@pytest.mark.parametrize("field", ["unpostselected_rate", "postselected_rate",
+                                   "duration_k", "duration_wv"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_run_plan_rejects_non_finite_or_negative(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunPlan(**{field: value})
+
+
 def test_run_fig2_deterministic_and_worker_independent():
     plan = RunPlan(seed=99)
     grid = [0.006, 0.125, 0.5, 1.0]

@@ -186,6 +186,13 @@ def test_fit_below_ideal_floor_is_infeasible():
         fit_visibility(0.001, PSI_42, K_SMALL)  # ideal floor is ~0.00275
 
 
+def test_fit_rejects_input_blind_to_visibility():
+    # P(A) of an H input is 1/2 at every visibility, so v is not identifiable
+    for k in (1.0, 0.5):
+        with pytest.raises(InfeasibleTargetError):
+            fit_visibility(0.5, horizontal(), MeterSetting.from_strength(k))
+
+
 # --- model curve ------------------------------------------------------------------
 
 def test_ideal_curve_matches_analytic_everywhere():
@@ -357,10 +364,11 @@ def test_invert_roundtrip_other_strengths_and_states():
     for k in (0.1, 0.5, 1.0):
         meter = MeterSetting.from_strength(k)
         channel = imperfect_channel(None, params)
-        psi = Polarization.from_degrees(35.0)
-        p_h, p_v, p_a = channel_postselected_probs(channel, psi, meter, antidiagonal())
-        got = invert_s1((p_h - p_v) / k, p_a, params, meter)
-        assert abs(got - math.cos(math.radians(70.0))) < 1e-6
+        for deg in (35.0, -30.0, -60.0):
+            psi = Polarization.from_degrees(deg)
+            p_h, p_v, p_a = channel_postselected_probs(channel, psi, meter, antidiagonal())
+            got = invert_s1((p_h - p_v) / k, p_a, params, meter)
+            assert abs(got - math.cos(math.radians(2.0 * deg))) < 1e-6
 
 
 def test_invert_out_of_range_raises():
@@ -369,6 +377,56 @@ def test_invert_out_of_range_raises():
     params = ImperfectionParams(visibility=0.9)
     with pytest.raises(InversionRangeError):
         invert_s1(1e6, 0.012, params, K_SMALL)
+
+
+def test_invert_horizontal_postselection_is_degenerate():
+    # postselecting on H gives the same value for every input: nothing to invert
+    from weakpol import InversionRangeError
+
+    meter = MeterSetting.from_strength(0.2)
+    psi = Polarization.from_degrees(30.0)
+    for params in (ImperfectionParams(), ImperfectionParams(visibility=0.9)):
+        channel = imperfect_channel(None, params)
+        p_h, p_v, p_h_post = channel_postselected_probs(channel, psi, meter, horizontal())
+        with pytest.raises(InversionRangeError):
+            invert_s1((p_h - p_v) / 0.2, p_h_post, params, meter, post=horizontal())
+
+
+def _real_quadratic_forms(channel, meter):
+    """Meter imbalance and postselection weight as 2x2 forms in (cos t, sin t).
+
+    Taken from the forward channel at the inputs 0, 90 and 45 degrees.
+    """
+    vals = {}
+    for deg in (0.0, 90.0, 45.0):
+        psi = Polarization.from_degrees(deg)
+        prob, _ = channel_output(channel, psi, meter)
+        p_h, p_v, p_a = channel_postselected_probs(channel, psi, meter, antidiagonal())
+        vals[deg] = np.array([p_h - p_v, 1.0]) * prob * p_a
+    q01 = vals[45.0] - (vals[0.0] + vals[90.0]) / 2.0
+    return [np.array([[vals[0.0][i], q01[i]], [q01[i], vals[90.0][i]]]) for i in range(2)]
+
+
+def test_invert_at_the_model_maximum_and_beyond():
+    from weakpol import InversionRangeError
+
+    for params, k in ((ImperfectionParams(), 0.2),
+                      (ImperfectionParams(visibility=0.9, depol=0.02), 0.2),
+                      (ImperfectionParams(visibility=V_FITTED), 0.006)):
+        meter = MeterSetting.from_strength(k)
+        channel = imperfect_channel(None, params)
+        imbalance, weight = _real_quadratic_forms(channel, meter)
+        # the largest weak value sits at the top generalized eigenvector,
+        # where the two roots of the inversion merge
+        vals, vecs = np.linalg.eig(np.linalg.solve(weight, imbalance))
+        top = vecs[:, int(np.argmax(vals.real))].real
+        theta = math.atan2(top[1], top[0])
+        psi = Polarization.from_angle(theta)
+        p_h, p_v, p_a = channel_postselected_probs(channel, psi, meter, antidiagonal())
+        wv_max = (p_h - p_v) / k
+        assert abs(invert_s1(wv_max, p_a, params, meter) - math.cos(2.0 * theta)) < 1e-6
+        with pytest.raises(InversionRangeError):
+            invert_s1(wv_max * 1.001, p_a, params, meter)
 
 
 def test_joint_distribution_matches_gate_for_ideal_params():
