@@ -1,10 +1,11 @@
 """Postselected weak measurements of single-photon polarization.
 
-A Fock-level simulator of a nondeterministic two-photon polarization
-measurement gate, the qubit-level theory it implements (generalized
-measurements, postselected weak values, knowledge), an imperfect-device
-model with process tomography, and Monte Carlo counting experiments with
-the associated error analysis.
+A linear-optics simulator of a nondeterministic two-photon polarization
+measurement gate (with a Fock-level engine as its independent check),
+the qubit-level theory it implements (generalized measurements,
+postselected weak values, knowledge), an imperfect-device model with
+process tomography, and Monte Carlo counting experiments with the
+associated error analysis.
 """
 
 __version__ = "0.1.0"

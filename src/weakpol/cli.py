@@ -2,7 +2,7 @@
 
 Subcommands:
 
-  gate-verify   check the Fock-level gate against its two-qubit contract
+  gate-verify   check the gate operator against its two-qubit contract
   povm          print the induced measurement operators for a strength
   weak-value    print the postselected value for an input angle and strength
   fig2          simulate the counting experiment over a strength grid (CSV)
@@ -26,7 +26,6 @@ may supply any long option; explicit flags win. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -36,7 +35,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .counting import RunPlan, run_fig2
+from .counting import RunPlan, run_fig2, write_fig2_csv, write_with_sidecar
 from .device import DeviceConfig, equivalence_fidelity, run_device
 from .errors import (
     InfeasibleTargetError,
@@ -44,7 +43,12 @@ from .errors import (
     WeakpolError,
     ZeroStrengthError,
 )
-from .imperfection import ImperfectionParams, imperfect_channel, process_tomography
+from .imperfection import (
+    ImperfectionParams,
+    format_chi_csv,
+    imperfect_channel,
+    process_tomography,
+)
 from .weak_values import (
     MeterSetting,
     Polarization,
@@ -162,26 +166,6 @@ def _resolve_out(out: str | None, default_name: str) -> str:
     return os.path.join(base, default_name)
 
 
-def _write_outputs_atomic(files: dict):
-    """Write ``{path: text}`` via temp files and rename all or none."""
-    tmps = {}
-    try:
-        for path, text in files.items():
-            tmp = path + ".tmp"
-            with open(tmp, "w", newline="") as fh:
-                fh.write(text)
-            tmps[path] = tmp
-        for path, tmp in tmps.items():
-            os.replace(tmp, path)
-    except OSError as exc:
-        for tmp in tmps.values():
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-        raise CliError(EXIT_IO, f"cannot write outputs: {exc}")
-
-
 def _signal_from_angle(angle_deg: float) -> Polarization:
     return Polarization.from_degrees(angle_deg)
 
@@ -264,10 +248,7 @@ def _cmd_fig2(args, file_cfg) -> int:
         plan, _signal_from_angle(angle),
         ImperfectionParams(visibility=visibility, depol=depol), k_grid,
     )
-    from .counting import _meta_path_for, format_fig2_csv
-
-    meta_text = json.dumps(result.metadata, indent=2, sort_keys=True) + "\n"
-    _write_outputs_atomic({out: format_fig2_csv(result), _meta_path_for(out): meta_text})
+    write_fig2_csv(result, out)
     print(out)
     return EXIT_OK
 
@@ -275,22 +256,16 @@ def _cmd_fig2(args, file_cfg) -> int:
 def _cmd_tomo(args, file_cfg) -> int:
     visibility = _check_unit("visibility", float(_merge(args, file_cfg, "visibility", 1.0)))
     depol = _check_unit("depol", float(_merge(args, file_cfg, "depol", 0.0)))
-    seed = int(_merge(args, file_cfg, "seed", 0))
     out = _resolve_out(_merge(args, file_cfg, "out"), "chi.csv")
     params = ImperfectionParams(visibility=visibility, depol=depol)
     channel = imperfect_channel(None, params, DeviceConfig())
     chi = process_tomography(channel)
     meta = {
         "model": asdict(params),
-        "seed": seed,
         "chi_trace": chi.trace(),
         "package": {"name": "weakpol", "version": __version__},
     }
-    from .counting import _meta_path_for
-    from .imperfection import format_chi_csv
-
-    meta_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    _write_outputs_atomic({out: format_chi_csv(chi), _meta_path_for(out): meta_text})
+    write_with_sidecar(out, format_chi_csv(chi), meta)
     print(out)
     return EXIT_OK
 
@@ -329,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help=f"output path (default under ${OUT_DIR_ENV} or .)")
 
-    p = sub.add_parser("gate-verify", help="check the Fock gate against its contract")
+    p = sub.add_parser("gate-verify", help="check the gate against its two-qubit contract")
     add_common(p)
     p.add_argument("--trials", type=int, help="random signal states per gamma (default 20)")
     p.set_defaults(func=_cmd_gate_verify)

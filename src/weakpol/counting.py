@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -287,13 +288,35 @@ def format_fig2_csv(result: Fig2Result) -> str:
 
 def write_fig2_csv(result: Fig2Result, path) -> str:
     """Write the table plus a JSON metadata sidecar; returns the sidecar path."""
+    return write_with_sidecar(path, format_fig2_csv(result), result.metadata)
+
+
+def write_with_sidecar(path, text: str, metadata: dict) -> str:
+    """Write ``text`` to ``path`` and ``metadata`` to its JSON sidecar.
+
+    Both go to temp files that are renamed into place only once both are
+    written; on an OSError the temp files are removed and the error is
+    re-raised, so a failed write leaves no partial output. Returns the
+    sidecar path.
+    """
     path = str(path)
-    with open(path, "w", newline="") as fh:
-        fh.write(format_fig2_csv(result))
     meta_path = _meta_path_for(path)
-    with open(meta_path, "w") as fh:
-        json.dump(result.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files = {path: text, meta_path: json.dumps(metadata, indent=2, sort_keys=True) + "\n"}
+    tmps = []
+    try:
+        for target, body in files.items():
+            tmps.append(target + ".tmp")
+            with open(tmps[-1], "w", newline="") as fh:
+                fh.write(body)
+        for target, tmp in zip(files, tmps):
+            os.replace(tmp, target)
+    except OSError:
+        for tmp in tmps:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+        raise
     return meta_path
 
 

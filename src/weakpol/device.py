@@ -26,19 +26,22 @@ to per-qubit phases), not by the particular layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import fock
-from .fock import BeamSplitterSpec, FockState, ModeRegistry, TwoQubitState
+from .fock import PRUNE_TOL, BeamSplitterSpec, FockState, ModeRegistry, TwoQubitState
 from .weak_values import MeterSetting, Polarization
 
 SIGNAL_MODES = ("sH", "sV")
 METER_MODES = ("mH", "mV")
 ANCILLA_MODES = ("lossS", "lossM")
 ALL_MODES = SIGNAL_MODES + METER_MODES + ANCILLA_MODES
+
+# |s, m> -> |m, s> on the kept two-qubit subspace: swaps HV and VH
+_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,16 @@ def input_state(signal: Polarization, meter: MeterSetting, registry: ModeRegistr
 
 
 def run_device(signal: Polarization, meter: MeterSetting, cfg: DeviceConfig = DeviceConfig()) -> TwoQubitState:
-    """Propagate through the network and condition on coincidence."""
-    state = input_state(signal, meter)
-    state = fock.apply_network(state, network_steps(cfg))
-    out, _ = fock.project_coincidence(state, SIGNAL_MODES, METER_MODES)
-    return out
+    """Run the gate on a product input and condition on coincidence.
+
+    A zero coincidence weight gives the flagged empty state, as the
+    Fock-level ``project_coincidence`` does.
+    """
+    amps = coincidence_operator(cfg) @ np.kron(signal.ket(), meter.ket())
+    prob = float(np.sum(np.abs(amps) ** 2))
+    if prob <= PRUNE_TOL**2:
+        return TwoQubitState(np.zeros((2, 2), dtype=complex), 0.0, empty=True)
+    return TwoQubitState(amps / math.sqrt(prob), prob)
 
 
 def device_meter_distribution(state: TwoQubitState):
@@ -117,18 +125,15 @@ def local_phase_fidelity(got: np.ndarray, want: np.ndarray) -> float:
     want = np.asarray(want, dtype=complex).reshape(2, 2)
     t = want.conj() * got
 
-    def overlap(ph):
-        e = np.exp(1j * ph)
-        return abs(t[0, 0] + t[0, 1] * e) + abs(t[1, 0] + t[1, 1] * e)
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 1025)
-    vals = [overlap(p) for p in grid]
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda p: -overlap(p), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-13})
-    best = max(max(vals), -float(res.fun))
+    centre, half_width, best = np.pi, np.pi, 0.0
+    for _ in range(3):
+        # each round zooms onto one grid cell either side of the best point
+        grid = centre + np.linspace(-half_width, half_width, 1025)
+        e = np.exp(1j * grid)
+        vals = np.abs(t[0, 0] + t[0, 1] * e) + np.abs(t[1, 0] + t[1, 1] * e)
+        k = int(np.argmax(vals))
+        centre, best = grid[k], max(best, float(vals[k]))
+        half_width = 2.0 * half_width / 1024
     norm = float(np.sum(np.abs(got) ** 2) * np.sum(np.abs(want) ** 2))
     return best**2 / norm
 
@@ -142,22 +147,40 @@ def transfer_matrix(cfg: DeviceConfig = DeviceConfig()) -> np.ndarray:
     """Single-photon mode-amplitude matrix of the full network.
 
     Column j holds the output amplitudes of one photon injected in mode
-    j; derived by propagating basis photons through the same Fock engine
-    the gate uses, so the conventions cannot drift apart.
+    j. Each splitter is a 2x2 block on its two modes in the ``fock``
+    convention (column a -> (t, -r), column b -> (r, t)); the network is
+    the product of those blocks in propagation order. The Fock engine
+    derives the same matrix independently, and the tests hold the two
+    together.
     """
     reg = device_registry()
-    steps = network_steps(cfg)
-    n = reg.size
-    u = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        occ = [0] * n
-        occ[j] = 1
-        state = FockState(reg, {tuple(occ): 1.0})
-        state = fock.apply_network(state, steps)
-        for occ_out, amp in state.terms.items():
-            i = occ_out.index(1)
-            u[i, j] = amp
+    u = np.eye(reg.size, dtype=complex)
+    for bs in network_steps(cfg):
+        i, j = reg.index(bs.mode_a), reg.index(bs.mode_b)
+        t, r = math.sqrt(bs.eta), math.sqrt(1.0 - bs.eta)
+        # left-multiplying by the embedded block only mixes rows i and j
+        u[[i, j]] = np.array([[t, r], [-r, t]]) @ u[[i, j]]
+    # prune as the Fock engine does, so interference nulls are exact zeros:
+    # a 1e-17 residual would still be a nonzero Poisson mean downstream
+    u[np.abs(u) < PRUNE_TOL] = 0.0
     return u
+
+
+def labeled_kraus(cfg: DeviceConfig = DeviceConfig()):
+    """Direct and exchange parts of the gate operator on the kept subspace.
+
+    The coincidence amplitude of two photons is the 2x2 permanent of the
+    transfer matrix U over their input and output modes. Its direct term
+    (each photon exits on its own side) is U_ss (x) U_mm, and its
+    exchange term (photons swap sides) is (U_sm (x) U_ms) SWAP. With
+    hidden photon labels the two add incoherently; their coherent sum is
+    the gate operator.
+    """
+    u = transfer_matrix(cfg)
+    s_idx, m_idx = (0, 1), (2, 3)
+    direct = np.kron(u[np.ix_(s_idx, s_idx)], u[np.ix_(m_idx, m_idx)])
+    exchange = np.kron(u[np.ix_(s_idx, m_idx)], u[np.ix_(m_idx, s_idx)]) @ _SWAP
+    return direct, exchange
 
 
 def coincidence_operator(cfg: DeviceConfig = DeviceConfig()) -> np.ndarray:
@@ -168,18 +191,8 @@ def coincidence_operator(cfg: DeviceConfig = DeviceConfig()) -> np.ndarray:
     squared column norm is the success probability. For the default
     configuration this is controlled-NOT / 3.
     """
-    reg = device_registry()
-    steps = network_steps(cfg)
-    op = np.zeros((4, 4), dtype=complex)
-    basis = [(1.0, 0.0), (0.0, 1.0)]
-    for col, (s_amp, m_amp) in enumerate((s, m) for s in basis for m in basis):
-        state = fock.vacuum(reg)
-        state = fock.create_photon(state, {"sH": s_amp[0], "sV": s_amp[1]})
-        state = fock.create_photon(state, {"mH": m_amp[0], "mV": m_amp[1]})
-        state = fock.apply_network(state, steps)
-        out, prob = fock.project_coincidence(state, SIGNAL_MODES, METER_MODES)
-        op[:, col] = out.amplitudes.reshape(4) * np.sqrt(prob)
-    return op
+    direct, exchange = labeled_kraus(cfg)
+    return direct + exchange
 
 
 def concurrence(state: TwoQubitState) -> float:

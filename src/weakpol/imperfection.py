@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceConfig, coincidence_operator, transfer_matrix
+from .device import DeviceConfig, labeled_kraus
 from .errors import (
     InfeasibleTargetError,
     InversionRangeError,
@@ -63,11 +63,6 @@ PAULI_LABELS = tuple(
     f"{a}{b}" for a in ("I", "X", "Y", "Z") for b in ("I", "X", "Y", "Z")
 )
 PAULI_2 = tuple(np.kron(p, q) for p in _PAULI_1 for q in _PAULI_1)
-
-_SWAP = np.zeros((4, 4), dtype=complex)
-for _s in range(2):
-    for _m in range(2):
-        _SWAP[2 * _m + _s, 2 * _s + _m] = 1.0
 
 
 @dataclass(frozen=True)
@@ -147,26 +142,6 @@ def channel_postselected_probs(channel, signal, meter, post: Polarization):
     return p[0] / p_post, p[1] / p_post, p_post
 
 
-def labeled_kraus(cfg: DeviceConfig = DeviceConfig()):
-    """Effect operators for distinguishable-photon propagation.
-
-    From the single-photon transfer matrix U, the direct assignment
-    (each photon exits on its own side) contributes U_ss (x) U_mm and the
-    exchanged assignment (photons swap sides) contributes
-    (U_sm (x) U_ms) SWAP; with hidden labels the two add incoherently.
-    Their coherent sum is the ideal gate operator.
-    """
-    u = transfer_matrix(cfg)
-    s_idx, m_idx = (0, 1), (2, 3)
-    u_ss = u[np.ix_(s_idx, s_idx)]
-    u_mm = u[np.ix_(m_idx, m_idx)]
-    u_sm = u[np.ix_(s_idx, m_idx)]
-    u_ms = u[np.ix_(m_idx, s_idx)]
-    direct = np.kron(u_ss, u_mm)
-    exchange = np.kron(u_sm, u_ms) @ _SWAP
-    return direct, exchange
-
-
 def classical_splitter_coincidence(eta: float) -> float:
     """Coincidence probability for two distinguishable photons, one per port.
 
@@ -233,7 +208,8 @@ def imperfect_channel(meter: MeterSetting | None, params: ImperfectionParams,
     """
     if meter is not None and not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting or None")
-    gate = coincidence_operator(cfg)
+    direct, exchange = labeled_kraus(cfg)
+    gate = direct + exchange
     v, p = params.visibility, params.depol
 
     kraus = []
@@ -241,7 +217,6 @@ def imperfect_channel(meter: MeterSetting | None, params: ImperfectionParams,
         kraus.append(math.sqrt(v) * gate)
     if v < 1.0:
         w = math.sqrt((1.0 - v) / 2.0)
-        direct, exchange = labeled_kraus(cfg)
         kraus += [w * direct, w * exchange]
         kraus += [w * (gate @ proj) for proj in _basis_projectors()]
     if p > 0.0:

@@ -1,6 +1,10 @@
 """Command-line interface tests: parsing, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +183,24 @@ def test_tomo_writes_chi_csv(tmp_path, capsys):
     assert np.max(np.abs(chi.matrix - want.matrix)) < 1e-12
     meta = json.loads((tmp_path / "chi.meta.json").read_text())
     assert meta["model"]["visibility"] == 0.9
+
+
+def test_tomo_output_does_not_depend_on_seed(tmp_path, capsys):
+    for seed in ("1", "2"):
+        argv = ["tomo", "--seed", seed, "--out", str(tmp_path / f"{seed}.csv")]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+    for name in ("{}.csv", "{}.meta.json"):
+        assert (tmp_path / name.format(1)).read_bytes() == (tmp_path / name.format(2)).read_bytes()
+
+
+def test_runtime_imports_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    check = ("import weakpol, weakpol.cli; import sys; "
+             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_fig2_unwritable_output_is_io_error(tmp_path, capsys):

@@ -15,7 +15,18 @@ from weakpol import (
     povm_elements,
     run_device,
 )
-from weakpol.device import coincidence_operator, local_phase_fidelity, target_state, transfer_matrix
+from weakpol import fock
+from weakpol.device import (
+    METER_MODES,
+    SIGNAL_MODES,
+    coincidence_operator,
+    device_registry,
+    input_state,
+    local_phase_fidelity,
+    network_steps,
+    target_state,
+    transfer_matrix,
+)
 from weakpol.weak_values import circular_right, diagonal, horizontal, vertical
 
 GAMMA_GRID = (1.0 / math.sqrt(2.0), 0.75, 0.8, 0.9, 1.0)
@@ -170,3 +181,70 @@ def test_coincidence_operator_is_controlled_not_over_three():
     op = coincidence_operator(DeviceConfig())
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     assert np.allclose(op, cnot / 3.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Fock engine as the independent oracle for the transfer-matrix kernel
+# ---------------------------------------------------------------------------
+
+ORACLE_CONFIGS = (
+    DeviceConfig(),
+    DeviceConfig(interfering_eta=0.25, balance_eta=0.4, hadamard_eta=0.6),
+    DeviceConfig(interfering_eta=0.7, balance_eta=0.2, hadamard_eta=0.35),
+)
+
+
+def fock_transfer_matrix(cfg):
+    """Propagate one photon per mode through the Fock engine."""
+    reg = device_registry()
+    u = np.zeros((reg.size, reg.size), dtype=complex)
+    for j in range(reg.size):
+        occ = [0] * reg.size
+        occ[j] = 1
+        state = fock.apply_network(fock.FockState(reg, {tuple(occ): 1.0}), network_steps(cfg))
+        for occ_out, amp in state.terms.items():
+            u[occ_out.index(1), j] = amp
+    return u
+
+
+def fock_run(signal, meter, cfg):
+    state = fock.apply_network(input_state(signal, meter), network_steps(cfg))
+    out, _ = fock.project_coincidence(state, SIGNAL_MODES, METER_MODES)
+    return out
+
+
+def fock_coincidence_operator(cfg):
+    """Two-photon propagation of the four product basis inputs."""
+    op = np.zeros((4, 4), dtype=complex)
+    for col, (s, m) in enumerate((s, m) for s in (horizontal(), vertical())
+                                 for m in (MeterSetting(1.0), MeterSetting(0.0))):
+        out = fock_run(s, m, cfg)
+        op[:, col] = out.amplitudes.reshape(4) * math.sqrt(out.success_prob)
+    return op
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_kernel_matches_fock_oracle(cfg):
+    u, want_u = transfer_matrix(cfg), fock_transfer_matrix(cfg)
+    assert np.max(np.abs(u - want_u)) < 1e-12
+    # interference nulls are exact zeros on both paths, as counting runs rely on
+    assert np.array_equal(u == 0, want_u == 0)
+    assert np.max(np.abs(coincidence_operator(cfg) - fock_coincidence_operator(cfg))) < 1e-12
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        signal = random_signal(rng)
+        meter = MeterSetting(rng.uniform(0.0, 1.0))
+        got, want = run_device(signal, meter, cfg), fock_run(signal, meter, cfg)
+        assert not got.empty and not want.empty
+        assert abs(got.success_prob - want.success_prob) < 1e-12
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+
+
+def test_kernel_and_fock_oracle_flag_zero_coincidence_weight():
+    # no balancing transmission and no interference: an H signal photon is
+    # always lost, so no coincidence is possible
+    cfg = DeviceConfig(interfering_eta=1.0, balance_eta=0.0)
+    for meter in (MeterSetting(1.0), MeterSetting(0.8)):
+        for out in (run_device(horizontal(), meter, cfg), fock_run(horizontal(), meter, cfg)):
+            assert out.empty
+            assert out.success_prob == 0.0
