@@ -176,6 +176,8 @@ def _signal_from_angle(angle_deg: float) -> Polarization:
 
 def _cmd_gate_verify(args, file_cfg) -> int:
     seed = int(_merge(args, file_cfg, "seed", 0))
+    if seed < 0:
+        raise CliError(EXIT_RANGE, f"seed must be non-negative, got {seed}")
     trials = int(_merge(args, file_cfg, "trials", 20))
     if trials < 1:
         raise CliError(EXIT_RANGE, f"trials must be at least 1, got {trials}")

@@ -39,7 +39,7 @@ class Polarization:
 
     def __post_init__(self):
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # written so that NaN fails
             raise ValueError(f"polarization not normalized: |alpha|^2+|beta|^2 = {n}")
 
     @classmethod

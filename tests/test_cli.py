@@ -48,6 +48,16 @@ def test_gate_verify_rejects_nonpositive_trials(tmp_path, capsys):
         assert "trials" in err
 
 
+def test_negative_seed_is_a_range_error(tmp_path, capsys):
+    for argv in (["gate-verify", "--trials", "1", "--seed", "-1"],
+                 ["fig2", "--k-grid", "0.5", "--seed", "-1", "--out", str(tmp_path / "x.csv")]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_RANGE
+        assert out == ""
+        assert "seed must be non-negative" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_weak_value_prints_analytic_value(capsys):
     code, out, _ = run_cli(["weak-value", "--angle", "42", "--K", "0.006"], capsys)
     assert code == EXIT_OK

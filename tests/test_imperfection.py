@@ -28,7 +28,6 @@ from weakpol.imperfection import (
     channel_joint_distribution,
     channel_output,
     channel_postselected_probs,
-    classical_splitter_coincidence,
     labeled_kraus,
 )
 from weakpol.weak_values import antidiagonal, diagonal, horizontal
@@ -50,11 +49,6 @@ def random_product_input(rng):
 
 
 # --- distinguishable propagation ------------------------------------------------
-
-def test_classical_splitter_coincidence_no_interference():
-    assert abs(classical_splitter_coincidence(0.5) - 0.5) < 1e-15
-    assert abs(classical_splitter_coincidence(1.0 / 3.0) - 5.0 / 9.0) < 1e-15
-
 
 def test_labeled_kraus_sum_to_the_coherent_gate():
     from weakpol.device import coincidence_operator
@@ -186,6 +180,12 @@ def test_fit_below_ideal_floor_is_infeasible():
         fit_visibility(0.001, PSI_42, K_SMALL)  # ideal floor is ~0.00275
 
 
+def test_fit_rejects_non_finite_target():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="target_p_a must be finite"):
+            fit_visibility(bad, PSI_42, K_SMALL)
+
+
 def test_fit_rejects_input_blind_to_visibility():
     # P(A) of an H input is 1/2 at every visibility, so v is not identifiable
     for k in (1.0, 0.5):
@@ -310,6 +310,25 @@ def test_tomographic_superoperator_matches_algebraic_one():
         assert np.max(np.abs(chi.superoperator() - channel.superoperator())) < 1e-10
 
 
+def test_stacked_kernel_matches_per_operator_loops():
+    # the loop forms the stacked expressions replaced, kept as the reference
+    rng = np.random.default_rng(82)
+    channel = imperfect_channel(None, ImperfectionParams(visibility=0.9, depol=0.02))
+    rhos = np.array([random_density(rng) for _ in range(3)])
+    for rho, out in zip(rhos, channel.apply(rhos)):
+        want = np.zeros((4, 4), dtype=complex)
+        for k in channel.kraus:
+            want += k @ rho @ k.conj().T
+        assert np.array_equal(channel.apply(rho), want)
+        assert np.array_equal(out, want)
+    want = sum(np.kron(k.conj(), k) for k in channel.kraus)
+    assert np.max(np.abs(channel.superoperator() - want)) < 1e-15
+    chi = process_tomography(channel)
+    want = sum(chi.matrix[m, n] * np.kron(PAULI_2[n].T, PAULI_2[m])
+               for m in range(16) for n in range(16))
+    assert np.max(np.abs(chi.superoperator() - want)) < 1e-15
+
+
 def test_psd_projection_clips_and_keeps_trace():
     rng = np.random.default_rng(80)
     channel = random_channel(rng)
@@ -330,6 +349,42 @@ def test_chi_csv_roundtrip(tmp_path):
     with open(path) as fh:
         first = fh.readline().strip().split(",")
     assert len(first) == 32  # real/imag interleaved
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(",".join(str(x) for x in row) + "\n" for row in rows))
+
+
+def test_read_chi_csv_rejects_malformed_shapes(tmp_path):
+    path = tmp_path / "chi.csv"
+    cases = [
+        ("row 1:", [[0.0] * 64] * 8),  # 8 x 64 values used to reshape into 16 x 16
+        ("row 1:", [[0.0] * 33] * 16),  # an odd count used to drop the last value
+        ("row 16:", [[0.0] * 32] * 15 + [[0.0] * 34]),
+        ("row 4:", [[0.0] * 32] * 3 + [[0.0] * 30] + [[0.0] * 32] * 12),
+        ("row 16:", [[0.0] * 32] * 15),
+        ("row 17:", [[0.0] * 32] * 17),
+    ]
+    for message, rows in cases:
+        _write_rows(path, rows)
+        with pytest.raises(ValueError, match=message):
+            read_chi_csv(path)
+
+
+def test_read_chi_csv_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "chi.csv"
+    _write_rows(path, [["nan"] * 32] * 16)
+    with pytest.raises(ValueError, match="row 1:"):
+        read_chi_csv(path)
+    rows = [[0.0] * 32 for _ in range(16)]
+    rows[5][7] = "inf"
+    _write_rows(path, rows)
+    with pytest.raises(ValueError, match="row 6:"):
+        read_chi_csv(path)
+    rows[5][7] = "x"
+    _write_rows(path, rows)
+    with pytest.raises(ValueError, match="row 6:"):
+        read_chi_csv(path)
 
 
 def test_pauli_basis_is_orthogonal():
@@ -377,6 +432,22 @@ def test_invert_out_of_range_raises():
     params = ImperfectionParams(visibility=0.9)
     with pytest.raises(InversionRangeError):
         invert_s1(1e6, 0.012, params, K_SMALL)
+
+
+def test_invert_rejects_non_finite_measurement():
+    # a NaN P(A) used to pick the first root silently: 0.7687 for a true 0.342
+    params = ImperfectionParams(visibility=0.96)
+    meter = MeterSetting.from_strength(0.5)
+    psi = Polarization.from_degrees(35.0)
+    p_h, p_v, p_a = channel_postselected_probs(
+        imperfect_channel(None, params), psi, meter, antidiagonal()
+    )
+    wv = (p_h - p_v) / 0.5
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="measured_p_a must be finite"):
+            invert_s1(wv, bad, params, meter)
+        with pytest.raises(ValueError, match="measured_weak_value must be finite"):
+            invert_s1(bad, p_a, params, meter)
 
 
 def test_invert_horizontal_postselection_is_degenerate():

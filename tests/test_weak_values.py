@@ -276,3 +276,11 @@ def test_postselect_state_labels():
     assert postselect_state("D").beta == pytest.approx(1.0 / math.sqrt(2.0))
     with pytest.raises(ValueError):
         postselect_state("Q")
+
+
+def test_polarization_rejects_nan_amplitudes():
+    for alpha, beta in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="not normalized"):
+            Polarization(alpha, beta)
+    with pytest.raises(ValueError, match="not normalized"):
+        Polarization.from_degrees(math.nan)
