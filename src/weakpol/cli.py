@@ -32,7 +32,6 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .counting import RunPlan, run_fig2, write_fig2_csv, write_with_sidecar
@@ -97,6 +96,8 @@ _CONFIG_KEYS = {
 
 
 def _load_config(path: str) -> dict:
+    import yaml  # only a --config run pays for the import
+
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)

@@ -8,11 +8,14 @@ an error in K_hat slides the point along a hyperbola, and once the
 1-sigma interval of K_hat reaches zero the upward error is unbounded and
 reported as a flag rather than a number.
 
-Randomness uses the counter-based Philox generator with one stream per
-(grid point, run type), all derived from the master seed, so tables are
-reproducible bit for bit. The sweep runs serially: a thread pool over
-grid points was measured slower than the plain loop, so the ``workers``
-argument of :func:`run_fig2` is accepted and ignored.
+The model probabilities of a whole strength sweep are computed for the
+whole grid at once (see
+:func:`weakpol.imperfection.channel_postselected_grid`); only the counting
+runs point by point. Randomness uses the counter-based Philox generator
+with one stream per (grid point, run type), all derived from the master
+seed, so tables are reproducible bit for bit. The sweep runs serially: a
+thread pool over grid points was measured slower than the plain loop, so
+the ``workers`` argument of :func:`run_fig2` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ from .device import DeviceConfig
 from .errors import ZeroCountsError, ZeroStrengthError
 from .imperfection import (
     ImperfectionParams,
-    channel_joint_distribution,
-    channel_postselected_probs,
+    channel_joint_grid,
+    channel_postselected_grid,
     imperfect_channel,
 )
-from .weak_values import ZERO_STRENGTH_TOL, MeterSetting, Polarization, antidiagonal, diagonal
+from .weak_values import ZERO_STRENGTH_TOL, Polarization, antidiagonal, diagonal
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -194,22 +197,19 @@ class Fig2Result:
     metadata: dict = field(default_factory=dict)
 
 
-def _true_probs_for_point(channel, psi, meter):
-    joint = channel_joint_distribution(channel, diagonal(), meter)
-    p_h, p_v, _ = channel_postselected_probs(channel, psi, meter, antidiagonal())
-    return joint, (p_h, p_v)
-
-
 def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_grid,
              cfg: DeviceConfig = DeviceConfig(), workers: int = 1) -> Fig2Result:
     """Simulate calibration and weak-value runs over a strength grid.
 
-    Each grid point draws its calibration counts (diagonal input, no
-    postselection) and its postselected meter counts from independent
-    substreams of the master seed, so the table depends on the seed
-    alone. ``workers`` is accepted for compatibility and ignored: the
-    points run serially. Rows where an estimator has nothing to work
-    with are flagged ``no_data`` instead of carrying sentinel numbers.
+    The model probabilities come first, for the whole grid at once: the
+    joint distribution of a diagonal input (calibration, no
+    postselection) and the meter probabilities of ``psi`` postselected
+    on A. Each grid point then draws its calibration
+    counts and its postselected meter counts from independent substreams
+    of the master seed, so the table depends on the seed alone.
+    ``workers`` is accepted for compatibility and ignored: the points run
+    serially. Rows where an estimator has nothing to work with are
+    flagged ``no_data`` instead of carrying sentinel numbers.
     """
     k_grid = [float(k) for k in k_grid]
     if not k_grid:
@@ -217,15 +217,14 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
     if any(abs(k) < ZERO_STRENGTH_TOL for k in k_grid):
         raise ZeroStrengthError("strength K = 0 in grid: weak value undefined")
     channel = imperfect_channel(None, params, cfg)
+    joint = channel_joint_grid(channel, diagonal(), k_grid).tolist()
+    cond = channel_postselected_grid(channel, psi, k_grid, antidiagonal()).tolist()
 
     def one_point(i: int) -> Fig2Row:
-        k_true = k_grid[i]
-        meter = MeterSetting.from_strength(k_true)
-        joint, cond = _true_probs_for_point(channel, psi, meter)
-        row = Fig2Row(k_true=k_true)
+        row = Fig2Row(k_true=k_grid[i])
         try:
             cal = sample_counts(
-                dict(zip(("HH", "HV", "VH", "VV"), joint)),
+                dict(zip(("HH", "HV", "VH", "VV"), joint[i])),
                 plan.unpostselected_rate, plan.duration_k,
                 stream_for(plan.seed, i, K_RUN),
             )
@@ -236,7 +235,7 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
         row.k_hat, row.k_sigma = k_est.value, k_est.sigma
         try:
             wv_sample = sample_counts(
-                {"H": cond[0], "V": cond[1]},
+                {"H": cond[i][0], "V": cond[i][1]},
                 plan.postselected_rate, plan.duration_wv,
                 stream_for(plan.seed, i, WV_RUN),
             )

@@ -27,7 +27,11 @@ A channel is one stack of Kraus operators, shape (n, 4, 4); its action,
 superoperator, signal effects and chi matrix are all derived from it.
 A stored superoperator would cancel the rare-postselection interference
 in probabilities rather than amplitudes, which moved the weak value of
-a diagonal input at v = 1, K = 0.006 from 8e-12 to 5e-10.
+a diagonal input at v = 1, K = 0.006 from 8e-12 to 5e-10. Postselected
+statistics over a strength grid come from one amplitude kernel: the
+input |psi> (x) |m(K)> is linear in the meter ket, so the amplitudes of
+every Kraus operator at every strength are one contraction, and each
+probability is a sum of their squared moduli.
 
 Process tomography reconstructs the chi matrix of any such channel by
 linear inversion from the 16 product preparations over {H, V, D, R} per
@@ -136,26 +140,77 @@ def channel_output(channel: TwoQubitChannel, signal: Polarization, meter: MeterS
     return prob, rho / prob
 
 
+def _meter_kets(strengths) -> np.ndarray:
+    """Meter kets (gamma, gammabar) of ``MeterSetting.from_strength``, one row per strength."""
+    k = np.asarray(strengths, dtype=float)
+    outside = ~(np.abs(k) <= 1.0)  # written so that NaN is outside
+    if outside.any():
+        raise ValueError(f"strength must lie in [-1, 1], got {k[outside][0]}")
+    gamma = np.sqrt((1.0 + k) / 2.0)
+    return np.stack([gamma, np.sqrt(np.maximum(0.0, 1.0 - gamma**2))], axis=-1)
+
+
+def _grid_amplitudes(kraus: np.ndarray, signal: Polarization, meter_kets: np.ndarray) -> np.ndarray:
+    """Amplitudes <s,o| k |signal (x) m> for every meter ket m: shape (G, n_kraus, 4).
+
+    The input is linear in the meter ket, so a(m) = gamma A_H signal +
+    gammabar A_V signal with A_x = k (I (x) |x>). Probabilities are sums
+    of |a|^2 over the Kraus axis, so interference cancels in amplitudes.
+    """
+    # contract the signal first: (A_H signal, A_V signal), then one product per meter ket
+    return np.einsum("kosm,s,gm->gko", kraus.reshape(-1, 4, 2, 2), signal.ket(), meter_kets,
+                     optimize=["einsum_path", (0, 1), (0, 1)])
+
+
+def _kraus_weights(amps: np.ndarray) -> np.ndarray:
+    """sum_k |a|^2 over the Kraus axis of an amplitude stack: (G, n, X) -> (G, X)."""
+    re, im = amps.real, amps.imag
+    return np.einsum("gkx,gkx->gx", re, re) + np.einsum("gkx,gkx->gx", im, im)
+
+
+def _success_weights(joint_weights: np.ndarray) -> np.ndarray:
+    """Total weight per grid point; raises where the channel never succeeds."""
+    success = joint_weights.sum(axis=1)
+    if np.any(success <= 1e-300):
+        raise PostselectionImpossibleError("channel output has zero weight")
+    return success
+
+
+def _joint(channel, signal, meter_kets) -> np.ndarray:
+    weights = _kraus_weights(_grid_amplitudes(channel.kraus, signal, meter_kets))
+    return weights / _success_weights(weights)[:, None]
+
+
+def _postselected(channel, signal, meter_kets, post) -> np.ndarray:
+    amps = _grid_amplitudes(channel.kraus, signal, meter_kets)
+    # project the signal output on <post|, one amplitude per meter outcome
+    hits = np.einsum("gksm,s->gkm", amps.reshape(*amps.shape[:2], 2, 2), post.ket().conj())
+    weights = _kraus_weights(hits)
+    p_post = weights.sum(axis=1) / _success_weights(_kraus_weights(amps))
+    if np.any(p_post <= 1e-300):
+        raise PostselectionImpossibleError("postselection probability is zero under the channel")
+    return np.column_stack([weights / weights.sum(axis=1, keepdims=True), p_post])
+
+
+def channel_joint_grid(channel: TwoQubitChannel, signal: Polarization, strengths) -> np.ndarray:
+    """(P_HH, P_HV, P_VH, P_VV) conditioned on success, one row per strength."""
+    return _joint(channel, signal, _meter_kets(strengths))
+
+
+def channel_postselected_grid(channel: TwoQubitChannel, signal: Polarization, strengths,
+                              post: Polarization) -> np.ndarray:
+    """(P(meter H | post), P(meter V | post), P(post | success)), one row per strength."""
+    return _postselected(channel, signal, _meter_kets(strengths), post)
+
+
 def channel_joint_distribution(channel, signal, meter):
     """(P_HH, P_HV, P_VH, P_VV) conditioned on success."""
-    _, rho = channel_output(channel, signal, meter)
-    return tuple(float(rho[i, i].real) for i in range(4))
+    return tuple(_joint(channel, signal, meter.ket()[None])[0].tolist())
 
 
 def channel_postselected_probs(channel, signal, meter, post: Polarization):
     """(P(meter H | post), P(meter V | post), P(post | success))."""
-    _, rho = channel_output(channel, signal, meter)
-    post_ket = post.ket()
-    proj_post = np.outer(post_ket, post_ket.conj())
-    p = []
-    for m in range(2):
-        meter_proj = np.zeros((2, 2), dtype=complex)
-        meter_proj[m, m] = 1.0
-        p.append(float(np.trace(np.kron(proj_post, meter_proj) @ rho).real))
-    p_post = p[0] + p[1]
-    if p_post <= 1e-300:
-        raise PostselectionImpossibleError("postselection probability is zero under the channel")
-    return p[0] / p_post, p[1] / p_post, p_post
+    return tuple(_postselected(channel, signal, meter.ket()[None], post)[0].tolist())
 
 
 @dataclass
@@ -247,10 +302,11 @@ class ChiMatrix:
         return np.einsum("mn,nba,mij->aibj", self.matrix, PAULI_2, PAULI_2).reshape(16, 16)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex).reshape(4, 4)
-        vec = rho.reshape(16, order="F")
-        out = self.superoperator() @ vec
-        return out.reshape(4, 4, order="F")
+        """sum_mn chi_mn P_m rho P_n^dag for one 4x4 matrix, or for each of a stack (..., 4, 4)."""
+        rho = np.asarray(rho, dtype=complex)
+        # contract chi with P_m first: 16 products with rho instead of 256
+        return np.einsum("mn,mij,...jk,nlk->...il", self.matrix, PAULI_2, rho, PAULI_2.conj(),
+                         optimize=["einsum_path", (0, 1), (0, 1), (0, 1)])
 
 
 def process_tomography(channel: TwoQubitChannel, psd_project: bool = False) -> ChiMatrix:
@@ -388,16 +444,11 @@ def model_weak_value_curve(params: ImperfectionParams, psi: Polarization, k_grid
                            post: Polarization | None = None):
     """[(K, predicted postselected value)] for each strength in the grid."""
     post = post if post is not None else antidiagonal()
-    k_grid = list(k_grid)
-    if any(abs(k) < ZERO_STRENGTH_TOL for k in k_grid):
+    k = np.asarray(list(k_grid), dtype=float)
+    if np.any(np.abs(k) < ZERO_STRENGTH_TOL):
         raise ZeroStrengthError("strength K = 0 in grid: weak value unbounded")
-    channel = imperfect_channel(None, params, cfg)
-    out = []
-    for k in k_grid:
-        meter = MeterSetting.from_strength(k)
-        p_h, p_v, _ = channel_postselected_probs(channel, psi, meter, post)
-        out.append((float(k), (p_h - p_v) / k))
-    return out
+    probs = channel_postselected_grid(imperfect_channel(None, params, cfg), psi, k, post)
+    return list(zip(k.tolist(), ((probs[:, 0] - probs[:, 1]) / k).tolist()))
 
 
 def _harmonics(q: np.ndarray) -> np.ndarray:

@@ -213,6 +213,15 @@ def test_runtime_imports_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_yaml_unloaded():
+    # yaml is needed only when --config is given
+    src = Path(__file__).resolve().parent.parent / "src"
+    check = "import weakpol.cli; import sys; assert 'yaml' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_fig2_unwritable_output_is_io_error(tmp_path, capsys):
     from weakpol.cli import EXIT_IO
 

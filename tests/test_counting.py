@@ -18,14 +18,16 @@ from weakpol import (
     ZeroStrengthError,
     estimate_knowledge,
     estimate_weak_value,
+    model_weak_value_curve,
     postselected_probs,
     run_fig2,
     sample_counts,
     weak_value_analytic,
     write_fig2_csv,
 )
-from weakpol.counting import CSV_HEADER, format_fig2_csv, stream_for
-from weakpol.weak_values import antidiagonal
+from weakpol.counting import CSV_HEADER, K_RUN, WV_RUN, format_fig2_csv, stream_for
+from weakpol.imperfection import channel_joint_grid, channel_postselected_grid, imperfect_channel
+from weakpol.weak_values import antidiagonal, diagonal
 
 PSI_42 = Polarization.from_degrees(42.0)
 
@@ -203,6 +205,27 @@ def test_run_fig2_rejects_bad_grids():
         run_fig2(RunPlan(), PSI_42, ImperfectionParams(), [0.0, 0.5])
 
 
+@pytest.mark.parametrize("bad", [1.5, math.nan])
+def test_strength_grid_outside_the_meter_range_rejected(bad):
+    # sqrt((1 + K)/2) of a whole grid at once must not let K = 1.5 through
+    # as a plausible row, nor hand NaN to the Poisson sampler
+    grid = [0.5, bad, 1.0]
+    with pytest.raises(ValueError, match=r"strength must lie in \[-1, 1\]"):
+        run_fig2(RunPlan(), PSI_42, ImperfectionParams(visibility=0.96), grid)
+    with pytest.raises(ValueError, match=r"strength must lie in \[-1, 1\]"):
+        model_weak_value_curve(ImperfectionParams(visibility=0.96), PSI_42, grid)
+
+
+def test_strength_grid_end_points_give_finite_rows():
+    params = ImperfectionParams(visibility=0.96, depol=0.02)
+    result = run_fig2(RunPlan(seed=4), PSI_42, params, [-1.0, 1.0])
+    for row in result.rows:
+        assert not row.no_data
+        assert all(math.isfinite(x) for x in (row.k_hat, row.k_sigma, row.wv, row.wv_sigma))
+    for _, wv in model_weak_value_curve(params, PSI_42, [-1.0, 1.0]):
+        assert math.isfinite(wv)
+
+
 def test_run_fig2_converges_to_the_analytic_curve():
     # crank durations up and require agreement within 3 sigma everywhere;
     # the total error combines the Poisson bar with the strength-induced
@@ -300,6 +323,47 @@ def test_one_sigma_interval_coverage():
             cov_wv += 1
     assert 0.62 <= cov_k / 1000 <= 0.75
     assert 0.62 <= cov_wv / 1000 <= 0.75
+
+
+def test_error_model_calibrated_over_many_runs():
+    # a quoted sigma must match the spread of its estimate over repeated runs,
+    # which no single-run test can show; bands are Z standard errors of the
+    # sample statistic for N_RUNS runs, fixed before looking at the data
+    N_RUNS, Z = 2000, 4.0
+    ONE_SIGMA = math.erf(1.0 / math.sqrt(2.0))
+    spread_band = Z / math.sqrt(2.0 * (N_RUNS - 1))  # relative error of a sample sd
+    coverage_band = Z * math.sqrt(ONE_SIGMA * (1.0 - ONE_SIGMA) / N_RUNS)
+    plan = RunPlan()
+    channel = imperfect_channel(None, ImperfectionParams(visibility=0.96))
+    strengths = [0.006, 0.125, 0.5, 1.0]
+    joint = channel_joint_grid(channel, diagonal(), strengths)
+    cond = channel_postselected_grid(channel, PSI_42, strengths, antidiagonal())
+    for i in range(len(strengths)):
+        cal_probs = dict(zip(("HH", "HV", "VH", "VV"), joint[i]))
+        k_model = joint[i, 0] - joint[i, 1] - joint[i, 2] + joint[i, 3]
+        meter_probs = {"H": cond[i, 0], "V": cond[i, 1]}
+        cal_rng, wv_rng = stream_for(2024, i, K_RUN), stream_for(2024, i, WV_RUN)
+        k_hats, k_sigmas, asyms, asym_sigmas = [], [], [], []
+        for _ in range(N_RUNS):
+            k_est = estimate_knowledge(sample_counts(
+                cal_probs, plan.unpostselected_rate, plan.duration_k, cal_rng))
+            k_hats.append(k_est.value)
+            k_sigmas.append(k_est.sigma)
+            wv_sample = sample_counts(meter_probs, plan.postselected_rate, plan.duration_wv, wv_rng)
+            try:
+                est = estimate_weak_value(wv_sample, k_est)
+            except ZeroStrengthError:
+                # K_hat exactly 0 gives no weak value; the meter counts do not
+                # depend on K_hat, so dropping the run leaves their sample fair
+                continue
+            asyms.append(est.value * k_est.value)
+            asym_sigmas.append(est.sigma * abs(k_est.value))
+        k_hats, k_sigmas = np.array(k_hats), np.array(k_sigmas)
+        assert np.std(k_hats, ddof=1) / np.mean(k_sigmas) == pytest.approx(1.0, abs=spread_band)
+        coverage = np.mean(np.abs(k_hats - k_model) <= k_sigmas)
+        assert coverage == pytest.approx(ONE_SIGMA, abs=coverage_band)
+        assert len(asyms) > 0.95 * N_RUNS
+        assert np.std(asyms, ddof=1) / np.mean(asym_sigmas) == pytest.approx(1.0, abs=spread_band)
 
 
 # --- golden Fig. 2 tables -------------------------------------------------------------

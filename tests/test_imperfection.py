@@ -11,6 +11,7 @@ from weakpol import (
     InfeasibleTargetError,
     MeterSetting,
     Polarization,
+    PostselectionImpossibleError,
     TwoQubitChannel,
     distinguishable_device,
     fit_visibility,
@@ -26,11 +27,13 @@ from weakpol import (
 from weakpol.imperfection import (
     PAULI_2,
     channel_joint_distribution,
+    channel_joint_grid,
     channel_output,
+    channel_postselected_grid,
     channel_postselected_probs,
     labeled_kraus,
 )
-from weakpol.weak_values import antidiagonal, diagonal, horizontal
+from weakpol.weak_values import antidiagonal, diagonal, horizontal, vertical
 
 PSI_42 = Polarization.from_degrees(42.0)
 S1_42 = math.cos(math.radians(84.0))
@@ -227,6 +230,52 @@ def test_diagonal_input_curve_identically_zero():
             assert abs(wv) < 1e-10
 
 
+def test_grid_kernel_matches_per_point_loop():
+    # the per-point density-matrix form the grid kernel replaced, kept as the reference
+    def per_point(channel, signal, meter, post):
+        _, rho = channel_output(channel, signal, meter)
+        proj_post = np.outer(post.ket(), post.ket().conj())
+        meter_probs = [float(np.trace(np.kron(proj_post, np.diag([1.0 - m, m])) @ rho).real)
+                       for m in (0, 1)]
+        p_post = sum(meter_probs)
+        return rho.diagonal().real, [meter_probs[0] / p_post, meter_probs[1] / p_post, p_post]
+
+    rng = np.random.default_rng(83)
+    strengths = [-1.0, -0.6, -0.05, -0.006, 0.001, 0.006, 0.05, 0.125, 0.5, 0.9, 1.0]
+    inputs = [random_product_input(rng)[0] for _ in range(10)]
+    for v, depol in ((1.0, 0.0), (0.96, 0.0), (0.9, 0.02)):
+        channel = imperfect_channel(None, ImperfectionParams(v, depol))
+        for psi in inputs:
+            joint = channel_joint_grid(channel, psi, strengths)
+            for post in (antidiagonal(), diagonal()):
+                cond = channel_postselected_grid(channel, psi, strengths, post)
+                for k, joint_k, cond_k in zip(strengths, joint, cond):
+                    meter = MeterSetting.from_strength(k)
+                    want_joint, want_cond = per_point(channel, psi, meter, post)
+                    assert np.max(np.abs(joint_k - want_joint)) < 1e-14
+                    assert np.max(np.abs(cond_k - want_cond)) < 1e-14
+                    assert np.max(np.abs(np.subtract(
+                        channel_joint_distribution(channel, psi, meter), want_joint))) < 1e-14
+                    assert np.max(np.abs(np.subtract(
+                        channel_postselected_probs(channel, psi, meter, post), want_cond))) < 1e-14
+
+
+def test_zero_weight_anywhere_in_the_grid_raises():
+    # the channel keeps only |H,H>: an H signal never succeeds with a V meter
+    # (K = -1), and its output is never postselected on V
+    keep_hh = TwoQubitChannel(np.diag([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(PostselectionImpossibleError, match="zero weight"):
+        channel_joint_grid(keep_hh, horizontal(), [0.5, -1.0])
+    with pytest.raises(PostselectionImpossibleError, match="zero weight"):
+        channel_postselected_grid(keep_hh, horizontal(), [0.5, -1.0], antidiagonal())
+    with pytest.raises(PostselectionImpossibleError, match="zero weight"):
+        channel_postselected_probs(keep_hh, horizontal(), MeterSetting(0.0), antidiagonal())
+    with pytest.raises(PostselectionImpossibleError, match="postselection probability is zero"):
+        channel_postselected_grid(keep_hh, horizontal(), [0.5, 1.0], vertical())
+    with pytest.raises(PostselectionImpossibleError, match="postselection probability is zero"):
+        channel_postselected_probs(keep_hh, horizontal(), MeterSetting(1.0), vertical())
+
+
 def test_zero_strength_in_grid_rejected():
     from weakpol import ZeroStrengthError
 
@@ -327,6 +376,17 @@ def test_stacked_kernel_matches_per_operator_loops():
     want = sum(chi.matrix[m, n] * np.kron(PAULI_2[n].T, PAULI_2[m])
                for m in range(16) for n in range(16))
     assert np.max(np.abs(chi.superoperator() - want)) < 1e-15
+
+
+def test_chi_apply_matches_superoperator_form():
+    rng = np.random.default_rng(84)
+    chi = process_tomography(imperfect_channel(None, ImperfectionParams(visibility=0.9, depol=0.02)))
+    s = chi.superoperator()
+    rhos = np.array([random_density(rng) for _ in range(6)])
+    want = np.array([(s @ rho.reshape(16, order="F")).reshape(4, 4, order="F") for rho in rhos])
+    assert np.max(np.abs(chi.apply(rhos[0]) - want[0])) < 1e-15
+    assert np.max(np.abs(chi.apply(rhos) - want)) < 1e-15
+    assert np.max(np.abs(chi.apply(rhos.reshape(2, 3, 4, 4)) - want.reshape(2, 3, 4, 4))) < 1e-15
 
 
 def test_psd_projection_clips_and_keeps_trace():
