@@ -78,6 +78,13 @@ class CliError(Exception):
         self.code = code
 
 
+def _config_int(value) -> int:
+    """An integer config value; bools and non-integral numbers are refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 _CONFIG_KEYS = {
     "angle": float,
     "k": float,
@@ -88,10 +95,10 @@ _CONFIG_KEYS = {
     "postselected_rate": float,
     "duration_k": float,
     "duration_wv": float,
-    "seed": int,
+    "seed": _config_int,
     "out": str,
-    "workers": int,
-    "trials": int,
+    "workers": _config_int,
+    "trials": _config_int,
 }
 
 

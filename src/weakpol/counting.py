@@ -12,10 +12,16 @@ The model probabilities of a whole strength sweep are computed for the
 whole grid at once (see
 :func:`weakpol.imperfection.channel_postselected_grid`); only the counting
 runs point by point. Randomness uses the counter-based Philox generator
-with one stream per (grid point, run type), all derived from the master
-seed, so tables are reproducible bit for bit. The sweep runs serially: a
-thread pool over grid points was measured slower than the plain loop, so
-the ``workers`` argument of :func:`run_fig2` is accepted and ignored.
+with one stream per (grid point, run type): the stream of grid point ``i``
+is exactly ``stream_for(seed, i, K_RUN)`` for its calibration run and
+``stream_for(seed, i, WV_RUN)`` for its postselected run, so tables are
+reproducible bit for bit. A Philox stream is fixed by its 128-bit key,
+so :func:`run_fig2` derives the keys of all its streams in one batch
+(numpy's ``SeedSequence`` hash replayed on arrays) and re-keys a single
+generator before each run instead of building a ``SeedSequence`` and a
+``Philox`` per stream. The sweep runs serially: a thread pool over grid
+points was measured slower than the plain loop, so the ``workers``
+argument of :func:`run_fig2` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -59,8 +65,11 @@ class RunPlan:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))  # JSON-safe in the sidecar
 
 
 @dataclass
@@ -106,6 +115,100 @@ def stream_for(master_seed: int, grid_index: int, run_type: int) -> np.random.Ge
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its
+# default pool of four 32-bit words
+_POOL_SIZE = 4
+_INIT_A = np.uint32(0x43B0D7E5)
+_MULT_A = np.uint32(0x931E8875)
+_INIT_B = np.uint32(0x8B51F9DD)
+_MULT_B = np.uint32(0x58F38DED)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_WORD = 2**32
+
+
+def _hashmix(value, hash_const):
+    """One hashmix step; returns the mixed value and the next hash constant."""
+    value = value ^ hash_const
+    hash_const = hash_const * _MULT_A
+    value = value * hash_const
+    return value ^ (value >> _XSHIFT), hash_const
+
+
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _philox_keys(master_seed: int, indices, run_type: int) -> np.ndarray:
+    """Philox keys of ``stream_for(master_seed, i, run_type)`` for every ``i``.
+
+    Row ``j`` equals ``SeedSequence(entropy=master_seed, spawn_key=(i_j,
+    run_type)).generate_state(2, np.uint64)``. The entropy is the seed's
+    32-bit words, zero-padded to the pool size, then one word for the
+    index and one for the run type. The pool fill and the full pool mix
+    depend on the seed alone and run once on scalars; only the rounds that
+    mix in the index, the run-type round and the output hash act on arrays.
+    An index of 2**32 or more would take two words, so it is rejected.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and not (idx.min() >= 0 and idx.max() < _WORD):
+        raise ValueError(f"grid indices must lie in [0, 2**32), got {idx.min()}..{idx.max()}")
+    seed = int(master_seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = [seed % _WORD]
+    while seed >= _WORD:
+        seed //= _WORD
+        words.append(seed % _WORD)
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.uint32(w) for w in words] + [idx.astype(np.uint32), np.uint32(run_type)]
+    with np.errstate(over="ignore"):
+        hash_const = _INIT_A
+        pool = []
+        for word in entropy[:_POOL_SIZE]:
+            value, hash_const = _hashmix(word, hash_const)
+            pool.append(value)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    value, hash_const = _hashmix(pool[src], hash_const)
+                    pool[dst] = _mix(pool[dst], value)
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                value, hash_const = _hashmix(word, hash_const)
+                pool[dst] = _mix(pool[dst], value)
+        hash_const = _INIT_B
+        state = []
+        for word in pool:
+            value = word ^ hash_const
+            hash_const = hash_const * _MULT_B
+            value = value * hash_const
+            state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # little-endian pairs of 32-bit words, as generate_state(2, np.uint64)
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=-1)
+
+
+def _rekey(rng: np.random.Generator, key) -> np.random.Generator:
+    """Put ``rng``'s Philox at the start of the stream with ``key``.
+
+    Counter, output buffer and cached 32-bit half are cleared, as in a
+    newly built ``Philox(key=key)``, so the draws that follow do not
+    depend on what ``rng`` drew before.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def sample_counts(true_probs: dict, rate: float, duration: float, seed) -> CountSample:
     """Independent Poisson counts with means rate * duration * p_i."""
     probs = {k: float(v) for k, v in true_probs.items()}
@@ -114,8 +217,8 @@ def sample_counts(true_probs: dict, rate: float, duration: float, seed) -> Count
     total = sum(probs.values())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"outcome probabilities must sum to 1, got {total}")
-    if rate < 0 or duration < 0:
-        raise ValueError("rate and duration must be non-negative")
+    if not (math.isfinite(rate) and rate >= 0 and math.isfinite(duration) and duration >= 0):
+        raise ValueError("rate and duration must be finite and non-negative")
     rng = make_rng(seed)
     counts = {
         k: int(rng.poisson(rate * duration * max(p, 0.0))) for k, p in probs.items()
@@ -205,8 +308,11 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
     joint distribution of a diagonal input (calibration, no
     postselection) and the meter probabilities of ``psi`` postselected
     on A. Each grid point then draws its calibration
-    counts and its postselected meter counts from independent substreams
-    of the master seed, so the table depends on the seed alone.
+    counts and its postselected meter counts from its two substreams of
+    the master seed, ``stream_for(plan.seed, i, K_RUN)`` and
+    ``stream_for(plan.seed, i, WV_RUN)``, so the table depends on the seed
+    alone. The keys of all those streams are derived in one batch, and one
+    generator is re-keyed for each run.
     ``workers`` is accepted for compatibility and ignored: the points run
     serially. Rows where an estimator has nothing to work with are
     flagged ``no_data`` instead of carrying sentinel numbers.
@@ -219,6 +325,10 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
     channel = imperfect_channel(None, params, cfg)
     joint = channel_joint_grid(channel, diagonal(), k_grid).tolist()
     cond = channel_postselected_grid(channel, psi, k_grid, antidiagonal()).tolist()
+    points = np.arange(len(k_grid))
+    cal_keys = _philox_keys(plan.seed, points, K_RUN).tolist()
+    wv_keys = _philox_keys(plan.seed, points, WV_RUN).tolist()
+    rng = make_rng(plan.seed)
 
     def one_point(i: int) -> Fig2Row:
         row = Fig2Row(k_true=k_grid[i])
@@ -226,7 +336,7 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
             cal = sample_counts(
                 dict(zip(("HH", "HV", "VH", "VV"), joint[i])),
                 plan.unpostselected_rate, plan.duration_k,
-                stream_for(plan.seed, i, K_RUN),
+                _rekey(rng, cal_keys[i]),
             )
             k_est = estimate_knowledge(cal)
         except ZeroCountsError:
@@ -237,7 +347,7 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
             wv_sample = sample_counts(
                 {"H": cond[i][0], "V": cond[i][1]},
                 plan.postselected_rate, plan.duration_wv,
-                stream_for(plan.seed, i, WV_RUN),
+                _rekey(rng, wv_keys[i]),
             )
             wv_est = estimate_weak_value(wv_sample, k_est)
         except (ZeroCountsError, ZeroStrengthError):

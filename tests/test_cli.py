@@ -161,6 +161,34 @@ def test_malformed_yaml_rejected(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("cmd, key, value", [
+    ("fig2", "seed", "1.9"), ("fig2", "seed", "true"),
+    ("fig2", "workers", ".inf"), ("gate-verify", "trials", "2.5"),
+])
+def test_config_file_integer_keys_reject_non_integers(tmp_path, capsys, cmd, key, value):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"{key}: {value}\n")
+    out_path = tmp_path / "x.csv"
+    argv = [cmd, "--config", str(cfg)] + (["--out", str(out_path)] if cmd == "fig2" else [])
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert f"config key {key} has unusable value" in err
+    assert not out_path.exists()
+
+
+def test_config_file_integral_float_seed_accepted(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("seed: 7.0\n")
+    code, _, _ = run_cli(["fig2", "--config", str(cfg), "--k-grid", "0.5",
+                          "--out", str(tmp_path / "a.csv")], capsys)
+    assert code == EXIT_OK
+    code, _, _ = run_cli(["fig2", "--seed", "7", "--k-grid", "0.5",
+                          "--out", str(tmp_path / "b.csv")], capsys)
+    assert code == EXIT_OK
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_fig2_rejects_non_finite_duration(tmp_path, capsys):
     code, _, err = run_cli(
         ["fig2", "--k-grid", "0.5", "--duration-wv", "nan", "--out", str(tmp_path / "x.csv")],

@@ -25,7 +25,15 @@ from weakpol import (
     weak_value_analytic,
     write_fig2_csv,
 )
-from weakpol.counting import CSV_HEADER, K_RUN, WV_RUN, format_fig2_csv, stream_for
+from weakpol.counting import (
+    CSV_HEADER,
+    K_RUN,
+    WV_RUN,
+    _philox_keys,
+    _rekey,
+    format_fig2_csv,
+    stream_for,
+)
 from weakpol.imperfection import channel_joint_grid, channel_postselected_grid, imperfect_channel
 from weakpol.weak_values import antidiagonal, diagonal
 
@@ -69,6 +77,14 @@ def test_sample_counts_validates_distribution():
         sample_counts({"H": 0.4, "V": 0.4}, 1.0, 1.0, 0)
     with pytest.raises(ValueError):
         sample_counts({"H": -0.2, "V": 1.2}, 1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sample_counts_rejects_non_finite_rate_or_duration(bad):
+    probs = {"H": 0.5, "V": 0.5}
+    for rate, duration in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="rate and duration must be finite and non-negative"):
+            sample_counts(probs, rate, duration, 0)
 
 
 # --- knowledge estimator --------------------------------------------------------
@@ -391,3 +407,56 @@ def test_fig2_csv_matches_golden_bytes(name):
 def test_run_plan_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be non-negative"):
         RunPlan(seed=-1)
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 3.0, "3", None])
+def test_run_plan_rejects_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        RunPlan(seed=seed)
+
+
+def test_run_plan_accepts_numpy_integer_seed(tmp_path):
+    plan = RunPlan(seed=np.int64(3))
+    assert plan.seed == 3 and type(plan.seed) is int
+    # the sidecar is JSON, which a numpy integer would break
+    result = run_fig2(plan, PSI_42, ImperfectionParams(), [0.5])
+    meta = json.loads(Path(write_fig2_csv(result, tmp_path / "t.csv")).read_text())
+    assert meta["seed"] == meta["plan"]["seed"] == 3
+
+
+# --- batched stream keys ----------------------------------------------------------------
+
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**70]
+KEY_INDICES = [0, 1, 399, 2**32 - 1]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+@pytest.mark.parametrize("run_type", [K_RUN, WV_RUN])
+def test_philox_keys_match_seed_sequence(seed, run_type):
+    got = _philox_keys(seed, KEY_INDICES, run_type)
+    assert got.shape == (len(KEY_INDICES), 2) and got.dtype == np.uint64
+    for i, key in zip(KEY_INDICES, got):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, run_type))
+        assert key.tolist() == ss.generate_state(2, np.uint64).tolist()
+
+
+@pytest.mark.parametrize("bad", [2**32, -1])
+def test_philox_keys_reject_indices_outside_one_word(bad):
+    with pytest.raises(ValueError, match="grid indices"):
+        _philox_keys(0, [0, bad], K_RUN)
+
+
+def test_rekeyed_generator_draws_like_a_fresh_stream():
+    rng = stream_for(5, 0, K_RUN)
+    for i, run_type in ((3, WV_RUN), (0, K_RUN), (2**32 - 1, WV_RUN)):
+        # leave a part-used Philox block and a cached 32-bit half behind
+        rng.random(3)
+        state = {}
+        while not (state.get("has_uint32") and state["buffer_pos"] < 4):
+            rng.integers(0, 2**16, dtype=np.uint32)
+            state = rng.bit_generator.state
+        _rekey(rng, _philox_keys(5, [i], run_type)[0].tolist())
+        fresh = stream_for(5, i, run_type)
+        for draw in (lambda g: g.integers(0, 2**16, size=3, dtype=np.uint32),
+                     lambda g: g.random(5), lambda g: g.poisson(4460.0, size=4)):
+            assert draw(rng).tolist() == draw(fresh).tolist()
