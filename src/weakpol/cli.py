@@ -273,6 +273,8 @@ def _cmd_tomo(args, file_cfg) -> int:
     meta = {
         "model": asdict(params),
         "chi_trace": chi.trace(),
+        "chi_hermiticity_defect": chi.hermiticity_defect(),
+        "chi_min_eigenvalue": float(chi.eigenvalues()[0]),
         "package": {"name": "weakpol", "version": __version__},
     }
     write_with_sidecar(out, format_chi_csv(chi), meta)

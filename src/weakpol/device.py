@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
+from .errors import ZeroNormError
 from .fock import PRUNE_TOL, BeamSplitterSpec, FockState, ModeRegistry, TwoQubitState
 from .weak_values import MeterSetting, Polarization
 
@@ -40,8 +41,13 @@ METER_MODES = ("mH", "mV")
 ANCILLA_MODES = ("lossS", "lossM")
 ALL_MODES = SIGNAL_MODES + METER_MODES + ANCILLA_MODES
 
-# |s, m> -> |m, s> on the kept two-qubit subspace: swaps HV and VH
-_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+_MODE_INDEX = {label: i for i, label in enumerate(ALL_MODES)}
+
+# offsets of the three zoom rounds of local_phase_fidelity and their phasors;
+# each round spans one cell of the previous round's grid either side of its best point
+_ZOOM_OFFSETS = np.array([np.linspace(-w, w, 1025)
+                          for w in (np.pi, 2 * np.pi / 1024, 4 * np.pi / 1024**2)])
+_ZOOM_PHASORS = np.exp(1j * _ZOOM_OFFSETS)
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,7 @@ def run_device(signal: Polarization, meter: MeterSetting, cfg: DeviceConfig = De
     A zero coincidence weight gives the flagged empty state, as the
     Fock-level ``project_coincidence`` does.
     """
-    amps = coincidence_operator(cfg) @ np.kron(signal.ket(), meter.ket())
+    amps = coincidence_operator(cfg) @ (signal.ket()[:, None] * meter.ket()).reshape(4)
     prob = float(np.sum(np.abs(amps) ** 2))
     if prob <= PRUNE_TOL**2:
         return TwoQubitState(np.zeros((2, 2), dtype=complex), 0.0, empty=True)
@@ -119,23 +125,27 @@ def local_phase_fidelity(got: np.ndarray, want: np.ndarray) -> float:
     For per-qubit phase rotations the overlap splits as
     |X0 + e^{i th} X1| with X_s = t_{s0} + t_{s1} e^{i ph}, so the inner
     maximization is |X0| + |X1| and only the meter phase needs a 1-D
-    search. Conventions differ by exactly such phases; physics does not.
+    search: three rounds of 1025 points, each zooming onto one grid cell
+    either side of the previous best. The offsets of every round are
+    fixed, so a round's phasors are e^{i centre} times stored ones.
+    Conventions differ by exactly such phases; physics does not. A
+    zero-norm argument raises ZeroNormError naming it.
     """
     got = np.asarray(got, dtype=complex).reshape(2, 2)
     want = np.asarray(want, dtype=complex).reshape(2, 2)
+    norms = (float(np.sum(np.abs(got) ** 2)), float(np.sum(np.abs(want) ** 2)))
+    for name, norm in zip(("got", "want"), norms):
+        if norm == 0.0:
+            raise ZeroNormError(f"{name} has zero norm: fidelity undefined")
     t = want.conj() * got
 
-    centre, half_width, best = np.pi, np.pi, 0.0
-    for _ in range(3):
-        # each round zooms onto one grid cell either side of the best point
-        grid = centre + np.linspace(-half_width, half_width, 1025)
-        e = np.exp(1j * grid)
+    centre, best = np.pi, 0.0
+    for offsets, phasors in zip(_ZOOM_OFFSETS, _ZOOM_PHASORS):
+        e = np.exp(1j * centre) * phasors
         vals = np.abs(t[0, 0] + t[0, 1] * e) + np.abs(t[1, 0] + t[1, 1] * e)
         k = int(np.argmax(vals))
-        centre, best = grid[k], max(best, float(vals[k]))
-        half_width = 2.0 * half_width / 1024
-    norm = float(np.sum(np.abs(got) ** 2) * np.sum(np.abs(want) ** 2))
-    return best**2 / norm
+        centre, best = centre + offsets[k], max(best, float(vals[k]))
+    return best**2 / (norms[0] * norms[1])
 
 
 def equivalence_fidelity(state: TwoQubitState, signal: Polarization, meter: MeterSetting) -> float:
@@ -153,17 +163,21 @@ def transfer_matrix(cfg: DeviceConfig = DeviceConfig()) -> np.ndarray:
     derives the same matrix independently, and the tests hold the two
     together.
     """
-    reg = device_registry()
-    u = np.eye(reg.size, dtype=complex)
+    u = np.eye(len(ALL_MODES), dtype=complex)
     for bs in network_steps(cfg):
-        i, j = reg.index(bs.mode_a), reg.index(bs.mode_b)
+        i, j = _MODE_INDEX[bs.mode_a], _MODE_INDEX[bs.mode_b]
         t, r = math.sqrt(bs.eta), math.sqrt(1.0 - bs.eta)
         # left-multiplying by the embedded block only mixes rows i and j
-        u[[i, j]] = np.array([[t, r], [-r, t]]) @ u[[i, j]]
+        u[i], u[j] = t * u[i] + r * u[j], t * u[j] - r * u[i]
     # prune as the Fock engine does, so interference nulls are exact zeros:
     # a 1e-17 residual would still be a nonzero Poisson mean downstream
     u[np.abs(u) < PRUNE_TOL] = 0.0
     return u
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 matrices, by broadcasting."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def labeled_kraus(cfg: DeviceConfig = DeviceConfig()):
@@ -177,9 +191,9 @@ def labeled_kraus(cfg: DeviceConfig = DeviceConfig()):
     the gate operator.
     """
     u = transfer_matrix(cfg)
-    s_idx, m_idx = (0, 1), (2, 3)
-    direct = np.kron(u[np.ix_(s_idx, s_idx)], u[np.ix_(m_idx, m_idx)])
-    exchange = np.kron(u[np.ix_(s_idx, m_idx)], u[np.ix_(m_idx, s_idx)]) @ _SWAP
+    direct = _kron(u[:2, :2], u[2:4, 2:4])
+    # right-multiplying by SWAP (|s, m> -> |m, s>) exchanges the HV and VH columns
+    exchange = _kron(u[:2, 2:4], u[2:4, :2])[:, [0, 2, 1, 3]]
     return direct, exchange
 
 

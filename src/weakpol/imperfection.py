@@ -21,7 +21,11 @@ The first mechanism alone is second order in (gamma - gammabar) and
 cannot move the rare-postselection probability at small strength; the
 second supplies exactly that while preserving the diagonal-input
 symmetry that keeps the weak value of a diagonal signal at zero. Both
-reduce to the ideal gate at v = 1.
+reduce to the ideal gate at v = 1. White noise, rho -> (1-p) rho + p
+tr(rho) I/4 after the mixture, joins the same operator sum: the mixture
+operators scaled by sqrt(1-p), plus (sqrt(p)/2) |i><j| sqrt(M) for i, j
+in 0..3 with M = sum_k k^dag k, so a noisy channel holds 7 + 16 = 23
+operators.
 
 A channel is one stack of Kraus operators, shape (n, 4, 4); its action,
 superoperator, signal effects and chi matrix are all derived from it.
@@ -237,14 +241,6 @@ def distinguishable_device(signal: Polarization, meter: MeterSetting,
     return DistinguishableOutput(rho=rho, success_prob=prob, joint_hv=joint)
 
 
-def _depolarizing_kraus(p: float) -> np.ndarray:
-    """White noise of weight p on two qubits: rho -> (1-p) rho + p tr(rho) I/4."""
-    return np.concatenate([
-        math.sqrt(1.0 - p + p / 16.0) * PAULI_2[:1],
-        math.sqrt(p) / 4.0 * PAULI_2[1:],
-    ])
-
-
 def imperfect_channel(meter: MeterSetting | None, params: ImperfectionParams,
                       cfg: DeviceConfig = DeviceConfig()) -> TwoQubitChannel:
     """Mixture of the coherent gate and its decohered counterparts.
@@ -268,7 +264,13 @@ def imperfect_channel(meter: MeterSetting | None, params: ImperfectionParams,
         parts += [w * np.stack([direct, exchange]), w * (gate @ _UNIT_PROJECTORS)]
     kraus = np.concatenate(parts)
     if p > 0.0:
-        kraus = (_depolarizing_kraus(p)[:, None] @ kraus).reshape(-1, 4, 4)
+        # white noise rho -> (1-p) rho + p tr(rho) I/4 after the mixture: its second
+        # term is sum_ij (p/4) |i><j| sqrt(M) rho sqrt(M) |j><i| with M = sum_k k^dag k
+        vals, vecs = np.linalg.eigh((kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=0))
+        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+        noise = np.eye(4)[:, None, :, None] * root[None, :, None, :]
+        kraus = np.concatenate([math.sqrt(1.0 - p) * kraus,
+                                math.sqrt(p) / 2.0 * noise.reshape(16, 4, 4)])
     return TwoQubitChannel(kraus)
 
 

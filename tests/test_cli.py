@@ -223,6 +223,22 @@ def test_tomo_writes_chi_csv(tmp_path, capsys):
     assert meta["model"]["visibility"] == 0.9
 
 
+def test_tomo_sidecar_records_chi_physicality(tmp_path, capsys):
+    out = tmp_path / "chi.csv"
+    argv = ["tomo", "--visibility", "0.96", "--depol", "0.02", "--out", str(out)]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    from weakpol import read_chi_csv
+
+    chi = read_chi_csv(out)
+    meta = json.loads((tmp_path / "chi.meta.json").read_text())
+    assert meta["chi_hermiticity_defect"] == chi.hermiticity_defect()
+    assert meta["chi_hermiticity_defect"] < 1e-15
+    assert meta["chi_min_eigenvalue"] == min(chi.eigenvalues())
+    # white noise makes chi full rank, so its smallest eigenvalue is positive
+    assert 0.0 < meta["chi_min_eigenvalue"] < 0.02
+
+
 def test_tomo_output_does_not_depend_on_seed(tmp_path, capsys):
     for seed in ("1", "2"):
         argv = ["tomo", "--seed", seed, "--out", str(tmp_path / f"{seed}.csv")]

@@ -9,6 +9,7 @@ from weakpol import (
     DeviceConfig,
     MeterSetting,
     Polarization,
+    ZeroNormError,
     concurrence,
     device_meter_distribution,
     equivalence_fidelity,
@@ -152,6 +153,45 @@ def test_local_phase_fidelity_quotients_per_qubit_phases():
     # and it does not quotient genuine differences
     other = np.array([[1, 0], [0, 0]], dtype=complex)
     assert local_phase_fidelity(other, np.eye(2, dtype=complex) / math.sqrt(2)) < 0.9
+
+
+def test_fidelity_of_a_zero_norm_state_is_a_typed_error():
+    # no balancing transmission: an H signal photon never reaches a coincidence
+    empty = run_device(horizontal(), MeterSetting(1.0), DeviceConfig(balance_eta=0.0))
+    assert empty.empty
+    with pytest.raises(ZeroNormError, match="got"):
+        equivalence_fidelity(empty, horizontal(), MeterSetting(1.0))
+    with pytest.raises(ZeroNormError, match="got"):
+        local_phase_fidelity(np.zeros((2, 2)), np.eye(2) / math.sqrt(2.0))
+    with pytest.raises(ZeroNormError, match="want"):
+        local_phase_fidelity(np.eye(2) / math.sqrt(2.0), np.zeros((2, 2)))
+
+
+def linspace_phase_fidelity(got, want):
+    """Reference: the zoom search with each round's grid and phasors computed afresh."""
+    got = np.asarray(got, dtype=complex).reshape(2, 2)
+    want = np.asarray(want, dtype=complex).reshape(2, 2)
+    t = want.conj() * got
+    centre, half_width, best = np.pi, np.pi, 0.0
+    for _ in range(3):
+        grid = centre + np.linspace(-half_width, half_width, 1025)
+        e = np.exp(1j * grid)
+        vals = np.abs(t[0, 0] + t[0, 1] * e) + np.abs(t[1, 0] + t[1, 1] * e)
+        k = int(np.argmax(vals))
+        centre, best = grid[k], max(best, float(vals[k]))
+        half_width = 2.0 * half_width / 1024
+    return best**2 / float(np.sum(np.abs(got) ** 2) * np.sum(np.abs(want) ** 2))
+
+
+def test_fixed_phasor_search_matches_linspace_search():
+    rng = np.random.default_rng(17)
+    for n in range(1200):
+        got, want = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        if n % 4 == 1:
+            got[rng.integers(2)] = 0.0
+        elif n % 4 == 2:
+            want[rng.integers(2)] = 0.0
+        assert abs(local_phase_fidelity(got, want) - linspace_phase_fidelity(got, want)) < 1e-14
 
 
 def test_meter_negative_strength_is_flagged_not_rejected():

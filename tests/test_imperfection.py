@@ -378,6 +378,45 @@ def test_stacked_kernel_matches_per_operator_loops():
     assert np.max(np.abs(chi.superoperator() - want)) < 1e-15
 
 
+def pauli_white_noise_channel(visibility, depol, cfg=DeviceConfig()):
+    """Reference: white noise as 16 Pauli Kraus operators after each mixture operator."""
+    mixture = imperfect_channel(None, ImperfectionParams(visibility=visibility), cfg).kraus
+    paulis = np.concatenate([
+        math.sqrt(1.0 - depol + depol / 16.0) * PAULI_2[:1],
+        math.sqrt(depol) / 4.0 * PAULI_2[1:],
+    ])
+    return TwoQubitChannel((paulis[:, None] @ mixture).reshape(-1, 4, 4))
+
+
+@pytest.mark.parametrize("visibility, depol, cfg", [
+    (0.96, 0.02, DeviceConfig()),
+    (0.9, 0.02, DeviceConfig()),
+    (0.5, 0.3, DeviceConfig()),
+    (0.0, 1.0, DeviceConfig()),
+    (1.0, 0.5, DeviceConfig()),
+    (0.96, 0.02, DeviceConfig(balance_eta=0.0)),
+    # singular M for which eigh returns a negative rounding eigenvalue (about -1e-18)
+    (0.9, 0.02, DeviceConfig(interfering_eta=0.5, balance_eta=0.0, hadamard_eta=1.0 / 3.0)),
+])
+def test_white_noise_matches_pauli_composition(visibility, depol, cfg):
+    channel = imperfect_channel(None, ImperfectionParams(visibility, depol), cfg)
+    want = pauli_white_noise_channel(visibility, depol, cfg)
+    rng = np.random.default_rng(85)
+    rhos = np.array([random_density(rng) for _ in range(4)])
+    assert np.max(np.abs(channel.apply(rhos) - want.apply(rhos))) < 1e-15
+    assert np.max(np.abs(channel.superoperator() - want.superoperator())) < 1e-15
+    chi, want_chi = process_tomography(channel), process_tomography(want)
+    assert np.max(np.abs(chi.matrix - want_chi.matrix)) < 1e-15
+
+
+def test_white_noise_channel_holds_23_operators():
+    assert len(imperfect_channel(None, ImperfectionParams(0.96, 0.02)).kraus) == 23
+    # without balancing loss sum_k k^dag k is singular: its square root must stay real-valued
+    mixture = imperfect_channel(None, ImperfectionParams(0.96), DeviceConfig(balance_eta=0.0)).kraus
+    effect = (mixture.conj().swapaxes(-1, -2) @ mixture).sum(axis=0)
+    assert np.linalg.matrix_rank(effect, tol=1e-12) == 2
+
+
 def test_chi_apply_matches_superoperator_form():
     rng = np.random.default_rng(84)
     chi = process_tomography(imperfect_channel(None, ImperfectionParams(visibility=0.9, depol=0.02)))
