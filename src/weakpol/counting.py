@@ -8,20 +8,24 @@ an error in K_hat slides the point along a hyperbola, and once the
 1-sigma interval of K_hat reaches zero the upward error is unbounded and
 reported as a flag rather than a number.
 
-The model probabilities of a whole strength sweep are computed for the
-whole grid at once (see
-:func:`weakpol.imperfection.channel_postselected_grid`); only the counting
-runs point by point. Randomness uses the counter-based Philox generator
-with one stream per (grid point, run type): the stream of grid point ``i``
-is exactly ``stream_for(seed, i, K_RUN)`` for its calibration run and
-``stream_for(seed, i, WV_RUN)`` for its postselected run, so tables are
-reproducible bit for bit. A Philox stream is fixed by its 128-bit key,
-so :func:`run_fig2` derives the keys of all its streams in one batch
-(numpy's ``SeedSequence`` hash replayed on arrays) and re-keys a single
-generator before each run instead of building a ``SeedSequence`` and a
-``Philox`` per stream. The sweep runs serially: a thread pool over grid
-points was measured slower than the plain loop, so the ``workers``
-argument of :func:`run_fig2` is accepted and ignored.
+A strength sweep is counted on the whole grid at once. The model
+probabilities come as arrays (see
+:func:`weakpol.imperfection.channel_postselected_grid`) and are validated
+once per grid, the Poisson means are one array expression, and the
+estimators are array expressions whose masks mark the rows with nothing
+to estimate from. Only the draws loop: each run re-keys one Philox
+generator and draws its outcomes with scalar ``poisson`` calls. The
+calibration run of grid point ``i`` is exactly ``stream_for(seed, i,
+K_RUN)`` and its postselected run ``stream_for(seed, i, WV_RUN)``, so
+tables are reproducible bit for bit. A Philox stream is fixed by its
+128-bit key, so :func:`run_fig2` derives the keys of all its streams in
+one batch (numpy's ``SeedSequence`` hash replayed on arrays) instead of
+building a ``SeedSequence`` and a ``Philox`` per stream.
+:func:`sample_counts`, :func:`estimate_knowledge` and
+:func:`estimate_weak_value` are one-row views of the same kernels. The
+sweep runs serially: a thread pool over grid points was measured slower
+than the plain loop, so the ``workers`` argument of :func:`run_fig2` is
+accepted and ignored.
 """
 
 from __future__ import annotations
@@ -209,21 +213,108 @@ def _rekey(rng: np.random.Generator, key) -> np.random.Generator:
     return rng
 
 
-def sample_counts(true_probs: dict, rate: float, duration: float, seed) -> CountSample:
-    """Independent Poisson counts with means rate * duration * p_i."""
-    probs = {k: float(v) for k, v in true_probs.items()}
-    if any(p < -1e-12 for p in probs.values()):
-        raise ValueError(f"negative probability in {probs}")
-    total = sum(probs.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"outcome probabilities must sum to 1, got {total}")
+_CAL_OUTCOMES = ("HH", "HV", "VH", "VV")
+_METER_OUTCOMES = ("H", "V")
+
+
+def _poisson_means(probs, outcomes, rate, duration) -> np.ndarray:
+    """Poisson means ``rate * duration * max(p, 0)`` of a (G, n) probability grid.
+
+    Each row is a distribution over ``outcomes``: finite, no entry below
+    -1e-12 and a sum within 1e-9 of 1. ``rate`` and ``duration`` must be
+    finite and non-negative, and so must their product.
+    """
+    probs = np.asarray(probs, dtype=float)
+    for bad, what in ((~np.isfinite(probs).all(axis=1), "non-finite"),
+                      ((probs < -1e-12).any(axis=1), "negative")):
+        if bad.any():
+            row = dict(zip(outcomes, probs[bad][0].tolist()))
+            raise ValueError(f"{what} probability in {row}")
+    total = probs.sum(axis=1)
+    bad = np.abs(total - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(f"outcome probabilities must sum to 1, got {total[bad][0]}")
     if not (math.isfinite(rate) and rate >= 0 and math.isfinite(duration) and duration >= 0):
         raise ValueError("rate and duration must be finite and non-negative")
-    rng = make_rng(seed)
-    counts = {
-        k: int(rng.poisson(rate * duration * max(p, 0.0))) for k, p in probs.items()
-    }
-    return CountSample(counts=counts, duration=duration)
+    scale = rate * duration
+    if not math.isfinite(scale):
+        raise ValueError(f"rate * duration must be finite, got {rate} * {duration}")
+    return scale * np.maximum(probs, 0.0)
+
+
+def _draw(means: np.ndarray, streams) -> np.ndarray:
+    """Integer Poisson counts: row ``i`` of ``means`` from the ``i``-th generator of ``streams``.
+
+    The outcomes of a row are drawn in order, one scalar ``poisson`` call
+    each: numpy validates an array mean with Python-level reductions, so a
+    vector call costs more than the scalar calls it replaces.
+    """
+    return np.array([[rng.poisson(lam) for lam in row]
+                     for row, rng in zip(means.tolist(), streams)], dtype=np.int64)
+
+
+def _knowledge_columns(counts):
+    """K_hat and its delta-method sigma per row of (G, 4) counts (HH, HV, VH, VV).
+
+    Returns ``(k_hat, k_sigma, empty)``; rows without counts are marked in
+    ``empty`` and hold NaN.
+    """
+    c = np.asarray(counts, dtype=float)
+    n = c[:, 0] + c[:, 1] + c[:, 2] + c[:, 3]
+    empty = n <= 0
+    n[empty] = 1.0
+    k_hat = (c[:, 0] + c[:, 3] - c[:, 1] - c[:, 2]) / n
+    # Python's k**2 (libm pow) and numpy's k*k round apart in the last bit
+    k_sq = np.array([k**2 for k in k_hat.tolist()])
+    sigma = np.sqrt(np.maximum(1.0 - k_sq, 0.0) / n)
+    k_hat[empty] = sigma[empty] = np.nan
+    return k_hat, sigma, empty
+
+
+def _weak_value_columns(counts, k_hat, k_sigma):
+    """Postselected values per row of (G, 2) meter counts (H, V) and strength estimates.
+
+    Returns ``(value, sigma, worst_case, unbounded, empty)``; rows without
+    counts are marked in ``empty``. Those rows and rows with ``k_hat``
+    exactly 0 hold NaN and are never unbounded.
+    """
+    c = np.asarray(counts, dtype=float)
+    n_h, n_v = c[:, 0], c[:, 1]
+    n = n_h + n_v
+    empty = n <= 0
+    valid = ~empty & (k_hat != 0.0)
+    n[empty] = 1.0
+    k = np.where(valid, k_hat, 1.0)
+    asym = (n_h - n_v) / n
+    value = asym / k
+    # n**3 of the integer counts, rounded once as Python rounds it; the
+    # float cube rounds twice, which shows once n**3 passes 2**53
+    cube = np.array([float((h + v) ** 3) for h, v in counts.tolist()])
+    cube[empty] = 1.0
+    sigma = np.sqrt(4.0 * n_h * n_v / cube) / np.abs(k)
+    worst = asym / (k + np.copysign(k_sigma, k))
+    unbounded = valid & (np.abs(k) - k_sigma <= 0.0)
+    value[~valid] = sigma[~valid] = worst[~valid] = np.nan
+    return value, sigma, worst, unbounded, empty
+
+
+def sample_counts(true_probs: dict, rate: float, duration: float, seed) -> CountSample:
+    """Independent Poisson counts with means rate * duration * p_i.
+
+    One row of the grid kernels that :func:`run_fig2` uses, drawn from
+    ``make_rng(seed)``.
+    """
+    outcomes = tuple(true_probs)
+    means = _poisson_means([[true_probs[k] for k in outcomes]], outcomes, rate, duration)
+    counts = _draw(means, [make_rng(seed)])[0].tolist()
+    return CountSample(counts=dict(zip(outcomes, counts)), duration=duration)
+
+
+def _count_row(sample: CountSample, outcomes, run: str) -> np.ndarray:
+    try:
+        return np.array([[sample.counts[k] for k in outcomes]])
+    except KeyError as exc:
+        raise ValueError(f"{run} sample missing outcome {exc}") from None
 
 
 def estimate_knowledge(sample: CountSample) -> Estimate:
@@ -233,15 +324,10 @@ def estimate_knowledge(sample: CountSample) -> Estimate:
     sqrt((1 - K_hat^2)/N) for independent Poisson counts; near zero
     strength this is 1/sqrt(N).
     """
-    try:
-        n_hh, n_hv, n_vh, n_vv = (sample.counts[k] for k in ("HH", "HV", "VH", "VV"))
-    except KeyError as exc:
-        raise ValueError(f"calibration sample missing outcome {exc}") from None
-    n = n_hh + n_hv + n_vh + n_vv
-    if n <= 0:
+    k_hat, sigma, empty = _knowledge_columns(_count_row(sample, _CAL_OUTCOMES, "calibration"))
+    if empty[0]:
         raise ZeroCountsError("no calibration counts recorded")
-    k_hat = (n_hh + n_vv - n_hv - n_vh) / n
-    sigma = math.sqrt(max(1.0 - k_hat**2, 0.0) / n)
+    k_hat, sigma = float(k_hat[0]), float(sigma[0])
     return Estimate(value=k_hat, sigma=sigma, lower=k_hat - sigma, upper=k_hat + sigma)
 
 
@@ -254,28 +340,20 @@ def estimate_weak_value(sample: CountSample, k_est: Estimate) -> Estimate:
     when the 1-sigma strength interval reaches zero, the
     ``unbounded_above`` flag.
     """
-    try:
-        n_h, n_v = sample.counts["H"], sample.counts["V"]
-    except KeyError as exc:
-        raise ValueError(f"weak-value sample missing outcome {exc}") from None
-    n = n_h + n_v
-    if n <= 0:
+    counts = _count_row(sample, _METER_OUTCOMES, "weak-value")
+    value, sigma, worst, unbounded, empty = _weak_value_columns(
+        counts, np.array([k_est.value], dtype=float), np.array([k_est.sigma], dtype=float))
+    if empty[0]:
         raise ZeroCountsError("no postselected counts recorded")
-    k_hat = k_est.value
-    if k_hat == 0.0:  # exact: the estimate is a ratio of integers
+    if k_est.value == 0.0:  # exact: the estimate is a ratio of integers
         raise ZeroStrengthError("estimated strength is exactly zero")
-    asym = (n_h - n_v) / n
-    value = asym / k_hat
-    sigma = math.sqrt(4.0 * n_h * n_v / n**3) / abs(k_hat)
-    k_shifted = k_hat + math.copysign(k_est.sigma, k_hat)
-    worst = asym / k_shifted
-    unbounded = abs(k_hat) - k_est.sigma <= 0.0
+    value, sigma, unbounded = float(value[0]), float(sigma[0]), bool(unbounded[0])
     return Estimate(
         value=value,
         sigma=sigma,
         lower=value - sigma,
         upper=math.inf if unbounded else value + sigma,
-        worst_case=worst,
+        worst_case=float(worst[0]),
         unbounded_above=unbounded,
     )
 
@@ -307,15 +385,18 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
     The model probabilities come first, for the whole grid at once: the
     joint distribution of a diagonal input (calibration, no
     postselection) and the meter probabilities of ``psi`` postselected
-    on A. Each grid point then draws its calibration
-    counts and its postselected meter counts from its two substreams of
-    the master seed, ``stream_for(plan.seed, i, K_RUN)`` and
-    ``stream_for(plan.seed, i, WV_RUN)``, so the table depends on the seed
-    alone. The keys of all those streams are derived in one batch, and one
-    generator is re-keyed for each run.
-    ``workers`` is accepted for compatibility and ignored: the points run
-    serially. Rows where an estimator has nothing to work with are
-    flagged ``no_data`` instead of carrying sentinel numbers.
+    on A. Grid point ``i`` then draws its calibration counts and its
+    postselected meter counts from its two substreams of the master
+    seed, ``stream_for(plan.seed, i, K_RUN)`` and ``stream_for(plan.seed,
+    i, WV_RUN)``, so the table depends on the seed alone. The keys of all
+    those streams are derived in one batch, one generator is re-keyed for
+    each run, and the estimators run on the whole grid.
+    ``workers`` is accepted for compatibility and ignored: the runs are
+    drawn serially. Rows where an estimator has nothing to work with are
+    flagged ``no_data`` instead of carrying sentinel numbers; the
+    metadata's ``no_data_rows`` lists them under the first reason that
+    applies: no calibration counts, no postselected counts, or a
+    strength estimate of exactly 0.
     """
     k_grid = [float(k) for k in k_grid]
     if not k_grid:
@@ -323,42 +404,27 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
     if any(abs(k) < ZERO_STRENGTH_TOL for k in k_grid):
         raise ZeroStrengthError("strength K = 0 in grid: weak value undefined")
     channel = imperfect_channel(None, params, cfg)
-    joint = channel_joint_grid(channel, diagonal(), k_grid).tolist()
-    cond = channel_postselected_grid(channel, psi, k_grid, antidiagonal()).tolist()
+    cal_means = _poisson_means(channel_joint_grid(channel, diagonal(), k_grid), _CAL_OUTCOMES,
+                               plan.unpostselected_rate, plan.duration_k)
+    meter_means = _poisson_means(
+        channel_postselected_grid(channel, psi, k_grid, antidiagonal())[:, :2], _METER_OUTCOMES,
+        plan.postselected_rate, plan.duration_wv)
     points = np.arange(len(k_grid))
-    cal_keys = _philox_keys(plan.seed, points, K_RUN).tolist()
-    wv_keys = _philox_keys(plan.seed, points, WV_RUN).tolist()
     rng = make_rng(plan.seed)
 
-    def one_point(i: int) -> Fig2Row:
-        row = Fig2Row(k_true=k_grid[i])
-        try:
-            cal = sample_counts(
-                dict(zip(("HH", "HV", "VH", "VV"), joint[i])),
-                plan.unpostselected_rate, plan.duration_k,
-                _rekey(rng, cal_keys[i]),
-            )
-            k_est = estimate_knowledge(cal)
-        except ZeroCountsError:
-            row.no_data = True
-            return row
-        row.k_hat, row.k_sigma = k_est.value, k_est.sigma
-        try:
-            wv_sample = sample_counts(
-                {"H": cond[i][0], "V": cond[i][1]},
-                plan.postselected_rate, plan.duration_wv,
-                _rekey(rng, wv_keys[i]),
-            )
-            wv_est = estimate_weak_value(wv_sample, k_est)
-        except (ZeroCountsError, ZeroStrengthError):
-            row.no_data = True
-            return row
-        row.wv, row.wv_sigma = wv_est.value, wv_est.sigma
-        row.wv_worst = wv_est.worst_case
-        row.unbounded = wv_est.unbounded_above
-        return row
+    def streams(run_type):
+        return (_rekey(rng, key) for key in _philox_keys(plan.seed, points, run_type).tolist())
 
-    rows = [one_point(i) for i in range(len(k_grid))]
+    cal = _draw(cal_means, streams(K_RUN))
+    meter = _draw(meter_means, streams(WV_RUN))
+    k_hat, k_sigma, no_cal = _knowledge_columns(cal)
+    wv, wv_sigma, wv_worst, unbounded, no_meter = _weak_value_columns(meter, k_hat, k_sigma)
+    no_meter &= ~no_cal
+    zero_k = (k_hat == 0.0) & ~no_meter
+    no_data = no_cal | no_meter | zero_k
+    rows = [Fig2Row(*fields) for fields in zip(
+        k_grid, k_hat.tolist(), k_sigma.tolist(), wv.tolist(), wv_sigma.tolist(),
+        wv_worst.tolist(), unbounded.tolist(), no_data.tolist())]
 
     metadata = {
         "seed": plan.seed,
@@ -372,15 +438,17 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
         "rng": RNG_ALGORITHM,
         "package": {"name": "weakpol", "version": _pkg_version},
         "numpy_version": np.__version__,
+        "no_data_rows": {
+            "no_calibration_counts": np.flatnonzero(no_cal).tolist(),
+            "no_postselected_counts": np.flatnonzero(no_meter).tolist(),
+            "zero_strength_estimate": np.flatnonzero(zero_k).tolist(),
+        },
     }
     return Fig2Result(rows=rows, metadata=metadata)
 
 
 CSV_HEADER = "K_true,K_hat,K_sigma,wv,wv_sigma,wv_worst,unbounded"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_ROW_FORMAT = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
 
 
 def format_fig2_csv(result: Fig2Result) -> str:
@@ -390,10 +458,8 @@ def format_fig2_csv(result: Fig2Result) -> str:
             flag = "no_data"
         else:
             flag = "true" if r.unbounded else "false"
-        lines.append(",".join([
-            _fmt(r.k_true), _fmt(r.k_hat), _fmt(r.k_sigma),
-            _fmt(r.wv), _fmt(r.wv_sigma), _fmt(r.wv_worst), flag,
-        ]))
+        lines.append(_ROW_FORMAT % (
+            r.k_true, r.k_hat, r.k_sigma, r.wv, r.wv_sigma, r.wv_worst, flag))
     return "\n".join(lines) + "\n"
 
 

@@ -29,7 +29,10 @@ from weakpol.counting import (
     CSV_HEADER,
     K_RUN,
     WV_RUN,
+    Fig2Result,
+    Fig2Row,
     _philox_keys,
+    _poisson_means,
     _rekey,
     format_fig2_csv,
     stream_for,
@@ -460,3 +463,179 @@ def test_rekeyed_generator_draws_like_a_fresh_stream():
         for draw in (lambda g: g.integers(0, 2**16, size=3, dtype=np.uint32),
                      lambda g: g.random(5), lambda g: g.poisson(4460.0, size=4)):
             assert draw(rng).tolist() == draw(fresh).tolist()
+
+
+# --- grid counting kernels against the scalar reference ---------------------------------
+#
+# The per-run code that the grid kernels replaced, kept as the reference:
+# plain Python on one run at a time, drawn from a fresh ``stream_for``
+# generator per run.
+
+def ref_sample_counts(true_probs, rate, duration, rng):
+    probs = {k: float(v) for k, v in true_probs.items()}
+    if any(p < -1e-12 for p in probs.values()):
+        raise ValueError(f"negative probability in {probs}")
+    total = sum(probs.values())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"outcome probabilities must sum to 1, got {total}")
+    return {k: int(rng.poisson(rate * duration * max(p, 0.0))) for k, p in probs.items()}
+
+
+def ref_estimate_knowledge(counts):
+    n_hh, n_hv, n_vh, n_vv = (counts[k] for k in ("HH", "HV", "VH", "VV"))
+    n = n_hh + n_hv + n_vh + n_vv
+    if n <= 0:
+        raise ZeroCountsError("no calibration counts recorded")
+    k_hat = (n_hh + n_vv - n_hv - n_vh) / n
+    return k_hat, math.sqrt(max(1.0 - k_hat**2, 0.0) / n)
+
+
+def ref_estimate_weak_value(counts, k_hat, k_sigma):
+    n_h, n_v = counts["H"], counts["V"]
+    n = n_h + n_v
+    if n <= 0:
+        raise ZeroCountsError("no postselected counts recorded")
+    if k_hat == 0.0:
+        raise ZeroStrengthError("estimated strength is exactly zero")
+    asym = (n_h - n_v) / n
+    sigma = math.sqrt(4.0 * n_h * n_v / n**3) / abs(k_hat)
+    worst = asym / (k_hat + math.copysign(k_sigma, k_hat))
+    return asym / k_hat, sigma, worst, abs(k_hat) - k_sigma <= 0.0
+
+
+def ref_fig2(plan, params, grid):
+    """(rows, no_data reasons, largest meter count) as the per-run code made them."""
+    channel = imperfect_channel(None, params)
+    joint = channel_joint_grid(channel, diagonal(), grid).tolist()
+    cond = channel_postselected_grid(channel, PSI_42, grid, antidiagonal()).tolist()
+    rows, reasons, max_meter = [], {}, 0
+    for i, k_true in enumerate(grid):
+        row = [k_true] + [math.nan] * 5 + [False, True]
+        try:
+            cal = ref_sample_counts(dict(zip(("HH", "HV", "VH", "VV"), joint[i])),
+                                    plan.unpostselected_rate, plan.duration_k,
+                                    stream_for(plan.seed, i, K_RUN))
+            k_hat, k_sigma = ref_estimate_knowledge(cal)
+            row[1:3] = k_hat, k_sigma
+            meter = ref_sample_counts({"H": cond[i][0], "V": cond[i][1]},
+                                      plan.postselected_rate, plan.duration_wv,
+                                      stream_for(plan.seed, i, WV_RUN))
+            max_meter = max(max_meter, *meter.values())
+            row[3:7] = ref_estimate_weak_value(meter, k_hat, k_sigma)
+            row[7] = False
+        except ZeroCountsError as exc:
+            reasons[i] = ("no_calibration_counts" if "calibration" in str(exc)
+                          else "no_postselected_counts")
+        except ZeroStrengthError:
+            reasons[i] = "zero_strength_estimate"
+        rows.append(row)
+    return rows, reasons, max_meter
+
+
+def bitwise(row):
+    """A row's fields with every float as its exact bits (NaN, -0.0 and all)."""
+    return tuple(x.hex() if isinstance(x, float) else x for x in row)
+
+
+DENSE_GRID = [float(k) for k in np.geomspace(1e-3, 1.0, 400)]
+EQUIVALENCE_PLANS = {
+    "default": {},
+    # counts beyond 2**17, so n**3 passes 2**53 and rounds once or twice
+    "high_rate": dict(duration_k=1e6, postselected_rate=1e5),
+    # every row no_data for want of postselected counts
+    "no_meter_run": dict(duration_wv=0.0),
+    # a few counts per run: all three no_data reasons occur
+    "sparse": dict(duration_k=0.05, duration_wv=2.0),
+}
+
+
+@pytest.mark.parametrize("plan_name", sorted(EQUIVALENCE_PLANS))
+@pytest.mark.parametrize("model", [(1.0, 0.0), (0.96, 0.0), (0.9, 0.02)])
+@pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+def test_grid_counting_matches_scalar_reference(seed, model, plan_name):
+    plan = RunPlan(seed=seed, **EQUIVALENCE_PLANS[plan_name])
+    params = ImperfectionParams(model[0], depol=model[1])
+    seen, largest = set(), 0
+    for grid in (DENSE_GRID, SIGNED_GRID):
+        want, reasons, max_meter = ref_fig2(plan, params, grid)
+        result = run_fig2(plan, PSI_42, params, grid)
+        got = [[r.k_true, r.k_hat, r.k_sigma, r.wv, r.wv_sigma, r.wv_worst, r.unbounded,
+                r.no_data] for r in result.rows]
+        assert [bitwise(r) for r in got] == [bitwise(r) for r in want]
+        assert result.metadata["no_data_rows"] == {
+            key: [i for i, why in sorted(reasons.items()) if why == key]
+            for key in ("no_calibration_counts", "no_postselected_counts",
+                        "zero_strength_estimate")}
+        seen.update(reasons.values())
+        largest = max(largest, max_meter)
+        if plan_name == "no_meter_run":
+            assert reasons == {i: "no_postselected_counts" for i in range(len(grid))}
+    if plan_name == "high_rate":
+        assert largest > 2**18
+    if plan_name == "sparse":
+        assert len(seen) == 3
+
+
+def test_sidecar_names_why_rows_are_no_data(tmp_path):
+    result = run_fig2(RunPlan(duration_wv=0.0, seed=5), PSI_42, ImperfectionParams(),
+                      [0.125, 0.5, 1.0])
+    meta = json.loads(Path(write_fig2_csv(result, tmp_path / "t.csv")).read_text())
+    assert meta["no_data_rows"] == {"no_calibration_counts": [],
+                                    "no_postselected_counts": [0, 1, 2],
+                                    "zero_strength_estimate": []}
+
+
+def test_fig2_csv_rows_format_like_format_17g():
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308,
+                -1.7976931348623157e308, 1.0, -3.0, 2.0**60, 0.1, 1 / 3]
+    rows = []
+    for i, x in enumerate(specials):
+        fields = [specials[(i + j) % len(specials)] for j in range(6)]
+        rows.append(Fig2Row(*fields, unbounded=i % 2 == 0, no_data=i % 3 == 0))
+    want = [CSV_HEADER]
+    for r in rows:
+        flag = "no_data" if r.no_data else ("true" if r.unbounded else "false")
+        want.append(",".join([format(float(x), ".17g") for x in (
+            r.k_true, r.k_hat, r.k_sigma, r.wv, r.wv_sigma, r.wv_worst)] + [flag]))
+    assert format_fig2_csv(Fig2Result(rows=rows)) == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("probs", [{"a": math.nan}, {"H": math.nan, "V": 1.0},
+                                   {"H": 0.5, "V": math.inf}])
+def test_sample_counts_rejects_non_finite_probability(probs):
+    with pytest.raises(ValueError, match="non-finite probability"):
+        sample_counts(probs, 1.0, 1.0, 0)
+
+
+def test_grid_validation_rejects_non_finite_probability():
+    probs = np.full((3, 4), 0.25)
+    probs[1, 2] = math.nan
+    with pytest.raises(ValueError, match="non-finite probability"):
+        _poisson_means(probs, ("HH", "HV", "VH", "VV"), 1.0, 1.0)
+
+
+def test_non_finite_rate_times_duration_rejected():
+    with pytest.raises(ValueError, match=r"rate \* duration must be finite"):
+        sample_counts({"H": 0.5, "V": 0.5}, 1e300, 1e300, 0)
+    plan = RunPlan(unpostselected_rate=1e300, duration_k=1e300)
+    with pytest.raises(ValueError, match=r"rate \* duration must be finite"):
+        run_fig2(plan, PSI_42, ImperfectionParams(), [0.5])
+
+
+# K_hat = a/n for which Python's k**2 (libm pow) and k*k differ, and the
+# difference survives into sqrt((1 - K_hat**2)/n)
+POW_TRAP_COUNTS = [
+    {"HH": 6, "VV": 6, "HV": 55, "VH": 56},            # K_hat = -99/123
+    {"HH": 640, "VV": 645, "HV": 94, "VH": 94},        # K_hat = 1097/1473
+    {"HH": 87, "VV": 88, "HV": 1336, "VH": 1336},      # K_hat = -2497/2847
+    {"HH": 1800, "VV": 1799, "HV": 245, "VH": 246},    # K_hat = 3108/4090
+]
+
+
+@pytest.mark.parametrize("counts", POW_TRAP_COUNTS)
+def test_knowledge_sigma_squares_k_hat_as_python_does(counts):
+    k_hat, sigma = ref_estimate_knowledge(counts)
+    n = sum(counts.values())
+    assert math.sqrt(max(1.0 - k_hat * k_hat, 0.0) / n) != sigma  # the case is a trap
+    est = estimate_knowledge(CountSample(counts=counts, duration=1.0))
+    assert (est.value.hex(), est.sigma.hex()) == (k_hat.hex(), sigma.hex())
