@@ -213,6 +213,11 @@ def _rekey(rng: np.random.Generator, key) -> np.random.Generator:
     return rng
 
 
+# largest Poisson mean per outcome: four such counts sum to about 4e15, below
+# 2**53 (about 9.0e15), so the float64 estimators see every count and total
+# exactly; numpy's own Poisson limit (about 9.2e18) is far above
+MAX_MEAN_COUNT = 1e15
+
 _CAL_OUTCOMES = ("HH", "HV", "VH", "VV")
 _METER_OUTCOMES = ("H", "V")
 
@@ -222,7 +227,8 @@ def _poisson_means(probs, outcomes, rate, duration) -> np.ndarray:
 
     Each row is a distribution over ``outcomes``: finite, no entry below
     -1e-12 and a sum within 1e-9 of 1. ``rate`` and ``duration`` must be
-    finite and non-negative, and so must their product.
+    finite and non-negative, and so must their product; no mean may
+    exceed ``MAX_MEAN_COUNT``.
     """
     probs = np.asarray(probs, dtype=float)
     for bad, what in ((~np.isfinite(probs).all(axis=1), "non-finite"),
@@ -239,7 +245,12 @@ def _poisson_means(probs, outcomes, rate, duration) -> np.ndarray:
     scale = rate * duration
     if not math.isfinite(scale):
         raise ValueError(f"rate * duration must be finite, got {rate} * {duration}")
-    return scale * np.maximum(probs, 0.0)
+    means = scale * np.maximum(probs, 0.0)
+    top = float(means.max())
+    if top > MAX_MEAN_COUNT:
+        raise ValueError(f"mean count {top:.6g} exceeds {MAX_MEAN_COUNT:g}: "
+                         f"counts would stop being exact in float64")
+    return means
 
 
 def _draw(means: np.ndarray, streams) -> np.ndarray:

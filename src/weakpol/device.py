@@ -159,16 +159,20 @@ def transfer_matrix(cfg: DeviceConfig = DeviceConfig()) -> np.ndarray:
     Column j holds the output amplitudes of one photon injected in mode
     j. Each splitter is a 2x2 block on its two modes in the ``fock``
     convention (column a -> (t, -r), column b -> (r, t)); the network is
-    the product of those blocks in propagation order. The Fock engine
-    derives the same matrix independently, and the tests hold the two
-    together.
+    the product of those blocks in propagation order. Every splitter is
+    real, so the walk left-multiplies rows of Python floats (a block
+    mixes only its two rows) and converts to complex once at the end.
+    The Fock engine derives the same matrix independently, and the tests
+    hold the two together.
     """
-    u = np.eye(len(ALL_MODES), dtype=complex)
+    n = len(ALL_MODES)
+    u = [[float(row == col) for col in range(n)] for row in range(n)]
     for bs in network_steps(cfg):
         i, j = _MODE_INDEX[bs.mode_a], _MODE_INDEX[bs.mode_b]
         t, r = math.sqrt(bs.eta), math.sqrt(1.0 - bs.eta)
-        # left-multiplying by the embedded block only mixes rows i and j
-        u[i], u[j] = t * u[i] + r * u[j], t * u[j] - r * u[i]
+        u[i], u[j] = ([t * a + r * b for a, b in zip(u[i], u[j])],
+                      [t * b - r * a for a, b in zip(u[i], u[j])])
+    u = np.array(u, dtype=complex)
     # prune as the Fock engine does, so interference nulls are exact zeros:
     # a 1e-17 residual would still be a nonzero Poisson mean downstream
     u[np.abs(u) < PRUNE_TOL] = 0.0

@@ -39,7 +39,11 @@ probability is a sum of their squared moduli.
 
 Process tomography reconstructs the chi matrix of any such channel by
 linear inversion from the 16 product preparations over {H, V, D, R} per
-qubit, which span the two-qubit operator space.
+qubit, which span the two-qubit operator space. Each output is
+sum_k (k|p>)(k|p>)^dag over the amplitudes of the Kraus stack on a
+product ket |p>, one linear solve gives the superoperator, and one fixed
+Pauli change of basis maps it to chi; ``ChiMatrix.superoperator`` maps
+back with the same basis matrix.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ def _outer(kets: np.ndarray) -> np.ndarray:
 # H, V, D, R; the 16 tomography inputs are their products (H,H), (H,V), ..., (R,R)
 _PREP_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]], dtype=complex)
 _PREP_KETS /= np.sqrt([1, 1, 2, 2])[:, None]
-PREPARATIONS = _kron_pairs(_outer(_PREP_KETS), _outer(_PREP_KETS))
+_PREP_PRODUCT_KETS = (_PREP_KETS[:, None, :, None] * _PREP_KETS[None, :, None, :]).reshape(16, 4)
+PREPARATIONS = _outer(_PREP_PRODUCT_KETS)
 
 _PAULI_1 = np.array([
     [[1, 0], [0, 1]],
@@ -88,6 +93,10 @@ _PAULI_1 = np.array([
 ], dtype=complex)
 # II, IX, ..., ZZ
 PAULI_2 = _kron_pairs(_PAULI_1, _PAULI_1)
+# Pauli change of basis B, one flattened PAULI_2 matrix per row. The
+# superoperator S[(a, i), (b, j)] = sum_mn chi_mn P_n[b, a] P_m[i, j],
+# regrouped as [(i, j), (b, a)], is B^T chi B; B B^dag = 4 I inverts it.
+_PAULI_ROWS = PAULI_2.reshape(16, 16)
 _UNIT_PROJECTORS = _outer(np.eye(4, dtype=complex))
 
 
@@ -252,7 +261,12 @@ def imperfect_channel(meter: MeterSetting | None, params: ImperfectionParams,
     """
     if meter is not None and not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting or None")
-    direct, exchange = labeled_kraus(cfg)
+    return _mixture_channel(*labeled_kraus(cfg), params)
+
+
+def _mixture_channel(direct: np.ndarray, exchange: np.ndarray,
+                     params: ImperfectionParams) -> TwoQubitChannel:
+    """The Kraus stack of ``imperfect_channel`` from the two labelled gate parts."""
     gate = direct + exchange
     v, p = params.visibility, params.depol
 
@@ -301,7 +315,7 @@ class ChiMatrix:
 
     def superoperator(self) -> np.ndarray:
         """sum_mn chi_mn kron(P_n^T, P_m): column-stacking form of sum chi_mn P_m rho P_n^dag."""
-        return np.einsum("mn,nba,mij->aibj", self.matrix, PAULI_2, PAULI_2).reshape(16, 16)
+        return _superoperator_from_chi(self.matrix)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """sum_mn chi_mn P_m rho P_n^dag for one 4x4 matrix, or for each of a stack (..., 4, 4)."""
@@ -311,20 +325,35 @@ class ChiMatrix:
                          optimize=["einsum_path", (0, 1), (0, 1), (0, 1)])
 
 
+def _superoperator_from_chi(chi: np.ndarray) -> np.ndarray:
+    """S of a chi matrix: B^T chi B, regrouped from [(i, j), (b, a)] to [(a, i), (b, j)]."""
+    pairs = _PAULI_ROWS.T @ chi @ _PAULI_ROWS
+    return pairs.reshape(4, 4, 4, 4).transpose(3, 0, 2, 1).reshape(16, 16)
+
+
+def _chi_from_superoperator(s: np.ndarray) -> np.ndarray:
+    """chi of a superoperator: S regrouped as [(i, j), (b, a)], then B* (.) B^dag / 16."""
+    pairs = s.reshape(4, 4, 4, 4).transpose(1, 3, 2, 0).reshape(16, 16)
+    return _PAULI_ROWS.conj() @ pairs @ _PAULI_ROWS.conj().T / 16.0
+
+
 def process_tomography(channel: TwoQubitChannel, psd_project: bool = False) -> ChiMatrix:
     """Reconstruct the chi matrix by linear inversion from product inputs.
 
     Evaluates the channel on the 16 preparations {H, V, D, R} x {H, V, D,
-    R}, solves vec(E(rho_ab)) = S vec(rho_ab) for the superoperator S in
-    one step, and projects S onto the Pauli product basis (the inverse of
+    R} from the amplitudes k|p> of its Kraus operators on the product
+    kets, solves vec(E(rho_ab)) = S vec(rho_ab) for the superoperator S
+    in one step, and maps S to the Pauli product basis (the inverse of
     ``ChiMatrix.superoperator``). With ``psd_project`` negative
     eigenvalues are clipped and the trace renormalized, for use when the
     evaluations carry noise.
     """
-    outputs = channel.apply(PREPARATIONS)
-    s = np.linalg.solve(_vec(PREPARATIONS), _vec(outputs)).T
-    chi = np.einsum("nba,mij,aibj->mn", PAULI_2.conj(), PAULI_2.conj(),
-                    s.reshape(4, 4, 4, 4)) / 16.0
+    # amps[p, a, k] = (k|p>)_a, so conj(amps[p]) @ amps[p]^T contracts the Kraus
+    # axis into E(|p><p|)^T, whose row-major flattening is vec(E(|p><p|))
+    amps = (channel.kraus @ _PREP_PRODUCT_KETS.T).transpose(2, 1, 0)
+    outputs = (amps.conj() @ amps.swapaxes(-1, -2)).reshape(16, 16)
+    s = np.linalg.solve(_vec(PREPARATIONS), outputs).T
+    chi = _chi_from_superoperator(s)
 
     if psd_project:
         chi = 0.5 * (chi + chi.conj().T)
@@ -416,11 +445,14 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
     """
     if not math.isfinite(target_p_a):
         raise ValueError(f"target_p_a must be finite, got {target_p_a}")
+    if not isinstance(meter, MeterSetting):
+        raise TypeError("meter must be a MeterSetting")
     post = post if post is not None else antidiagonal()
     ket = psi.ket()
+    parts = labeled_kraus(cfg)
     weights = []
     for v in (1.0, 0.0):
-        channel = imperfect_channel(meter, ImperfectionParams(visibility=v), cfg)
+        channel = _mixture_channel(*parts, ImperfectionParams(visibility=v))
         r_h, r_v, r_ok = _signal_effects(channel, meter, post)
         weights.append([float((ket.conj() @ r @ ket).real) for r in (r_h + r_v, r_ok)])
     (a1, s1), (a0, s0) = weights

@@ -199,6 +199,17 @@ def test_fig2_rejects_non_finite_duration(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_fig2_rejects_mean_count_beyond_the_bound(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["fig2", "--k-grid", "0.5", "--unpostselected-rate", "1e10", "--duration-k", "1e10",
+         "--out", str(tmp_path / "x.csv")],
+        capsys,
+    )
+    assert code == EXIT_RANGE
+    assert "exceeds 1e+15" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_fig2_rejects_zero_in_grid(tmp_path, capsys):
     code, _, _ = run_cli(
         ["fig2", "--k-grid", "0,0.5", "--out", str(tmp_path / "x.csv")], capsys

@@ -622,6 +622,27 @@ def test_non_finite_rate_times_duration_rejected():
         run_fig2(plan, PSI_42, ImperfectionParams(), [0.5])
 
 
+def test_mean_count_beyond_the_bound_rejected():
+    # finite products past numpy's Poisson limit (about 9.2e18) used to leak
+    # numpy's "lam value too large"
+    with pytest.raises(ValueError, match=r"mean count .* exceeds 1e\+15"):
+        sample_counts({"H": 1.0}, 1e10, 1e10, 0)
+    plan = RunPlan(unpostselected_rate=1e10, duration_k=1e10)
+    with pytest.raises(ValueError, match=r"mean count .* exceeds 1e\+15"):
+        run_fig2(plan, PSI_42, ImperfectionParams(), [0.5])
+    # below the limit numpy accepts, but counts past 2**53 are not exact floats
+    with pytest.raises(ValueError, match=r"mean count .* exceeds 1e\+15"):
+        sample_counts({"H": 0.5, "V": 0.5}, 1e16, 1.0, 0)
+
+
+def test_mean_count_at_the_bound_gives_exact_counts():
+    counts = sample_counts({"H": 0.5, "V": 0.5}, 2e15, 1.0, 0).counts
+    assert all(abs(n - 1e15) < 10 * math.sqrt(1e15) for n in counts.values())
+    # the estimators see every count and their sum as exact float64 integers
+    total = counts["H"] + counts["V"]
+    assert total < 2**53 and float(total) == float(counts["H"]) + float(counts["V"])
+
+
 # K_hat = a/n for which Python's k**2 (libm pow) and k*k differ, and the
 # difference survives into sqrt((1 - K_hat**2)/n)
 POW_TRAP_COUNTS = [

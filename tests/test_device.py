@@ -18,6 +18,7 @@ from weakpol import (
 )
 from weakpol import fock
 from weakpol.device import (
+    ALL_MODES,
     METER_MODES,
     SIGNAL_MODES,
     coincidence_operator,
@@ -278,6 +279,29 @@ def test_kernel_matches_fock_oracle(cfg):
         assert not got.empty and not want.empty
         assert abs(got.success_prob - want.success_prob) < 1e-12
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+
+
+def numpy_row_update_transfer_matrix(cfg):
+    """Reference: the complex numpy row update the scalar walk replaced."""
+    u = np.eye(len(ALL_MODES), dtype=complex)
+    index = {label: i for i, label in enumerate(ALL_MODES)}
+    for bs in network_steps(cfg):
+        i, j = index[bs.mode_a], index[bs.mode_b]
+        t, r = math.sqrt(bs.eta), math.sqrt(1.0 - bs.eta)
+        u[i], u[j] = t * u[i] + r * u[j], t * u[j] - r * u[i]
+    u[np.abs(u) < fock.PRUNE_TOL] = 0.0
+    return u
+
+
+def test_scalar_walk_matches_numpy_row_update_bitwise():
+    rng = np.random.default_rng(12)
+    random_configs = [DeviceConfig(*rng.uniform(0.0, 1.0, 3)) for _ in range(200)]
+    edge_configs = [DeviceConfig(0.0, 0.0, 0.0), DeviceConfig(1.0, 1.0, 1.0),
+                    DeviceConfig(interfering_eta=1.0, balance_eta=0.0)]
+    for cfg in (*ORACLE_CONFIGS, *random_configs, *edge_configs):
+        u, want = transfer_matrix(cfg), numpy_row_update_transfer_matrix(cfg)
+        assert u.dtype == want.dtype and u.tobytes() == want.tobytes()
+        assert np.array_equal(u == 0, want == 0)
 
 
 def test_kernel_and_fock_oracle_flag_zero_coincidence_weight():

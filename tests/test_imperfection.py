@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from weakpol import (
+    ChiMatrix,
     DeviceConfig,
     ImperfectionParams,
     InfeasibleTargetError,
@@ -26,6 +27,8 @@ from weakpol import (
 )
 from weakpol.imperfection import (
     PAULI_2,
+    PREPARATIONS,
+    _vec,
     channel_joint_distribution,
     channel_joint_grid,
     channel_output,
@@ -176,6 +179,23 @@ def test_fit_hits_observed_anomaly():
         else:
             hi = mid
     assert abs(params.visibility - 0.5 * (lo + hi)) < 1e-9
+
+
+def test_fit_builds_the_gate_once(monkeypatch):
+    import weakpol.imperfection as imperfection
+
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return labeled_kraus(cfg)
+
+    monkeypatch.setattr(imperfection, "labeled_kraus", counted)
+    params = fit_visibility(0.012, PSI_42, K_SMALL)
+    assert len(calls) == 1
+    assert params.visibility == pytest.approx(V_FITTED, abs=1e-9)
+    with pytest.raises(TypeError, match="meter must be a MeterSetting"):
+        fit_visibility(0.012, PSI_42, None)
 
 
 def test_fit_below_ideal_floor_is_infeasible():
@@ -415,6 +435,47 @@ def test_white_noise_channel_holds_23_operators():
     mixture = imperfect_channel(None, ImperfectionParams(0.96), DeviceConfig(balance_eta=0.0)).kraus
     effect = (mixture.conj().swapaxes(-1, -2) @ mixture).sum(axis=0)
     assert np.linalg.matrix_rank(effect, tol=1e-12) == 2
+
+
+def apply_einsum_chi(channel):
+    """Reference: the batched apply and three-operand einsum tomography replaced."""
+    outputs = channel.apply(PREPARATIONS)
+    s = np.linalg.solve(_vec(PREPARATIONS), _vec(outputs)).T
+    return np.einsum("nba,mij,aibj->mn", PAULI_2.conj(), PAULI_2.conj(),
+                     s.reshape(4, 4, 4, 4)) / 16.0
+
+
+def einsum_superoperator(chi):
+    """Reference: the einsum chi -> superoperator map replaced."""
+    return np.einsum("mn,nba,mij->aibj", chi, PAULI_2, PAULI_2).reshape(16, 16)
+
+
+def reference_channels():
+    rng = np.random.default_rng(86)
+    yield TwoQubitChannel([np.eye(4)])
+    for visibility, depol in ((1.0, 0.0), (0.96, 0.0), (0.9, 0.02)):
+        yield imperfect_channel(None, ImperfectionParams(visibility, depol))
+    yield pauli_white_noise_channel(0.96, 0.02)
+    for n_kraus in (1, 2, 3, 5, 8):
+        yield random_channel(rng, n_kraus)
+
+
+def test_tomography_matches_apply_einsum_reference():
+    channels = list(reference_channels())
+    assert len(channels[4].kraus) == 112
+    for channel in channels:
+        chi = process_tomography(channel)
+        assert np.max(np.abs(chi.matrix - apply_einsum_chi(channel))) < 1e-15
+        assert np.max(np.abs(chi.superoperator() - einsum_superoperator(chi.matrix))) < 1e-15
+
+
+def test_chi_superoperator_matches_einsum_reference_on_random_chi():
+    # the map is linear in chi: a non-Hermitian chi checks every entry's placement;
+    # scaled by 1/16 so that S has entries of order one, as for a channel
+    rng = np.random.default_rng(87)
+    for _ in range(5):
+        chi = ChiMatrix((rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))) / 16.0)
+        assert np.max(np.abs(chi.superoperator() - einsum_superoperator(chi.matrix))) < 1e-15
 
 
 def test_chi_apply_matches_superoperator_form():
