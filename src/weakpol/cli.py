@@ -10,11 +10,13 @@ Subcommands:
 
 Angles are degrees at the CLI and radians internally. Reals in emitted
 CSVs use 17 significant digits so doubles round-trip. A YAML config file
-may supply any long option; explicit flags win. Exit codes:
+may set any option its subcommand takes; explicit flags win. An option
+set neither way is not passed on, so ``RunPlan`` and ``ImperfectionParams``
+own the defaults and range checks. Exit codes:
 
   0  success
   2  usage error (argparse)
-  3  malformed config file / unknown keys
+  3  malformed config file / unknown key / key the subcommand does not take
   4  conflicting values
   5  out-of-range parameter
   6  degenerate input (e.g. K = 0 weak value)
@@ -29,7 +31,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -85,20 +87,21 @@ def _config_int(value) -> int:
     return int(value)
 
 
-_CONFIG_KEYS = {
-    "angle": float,
-    "k": float,
-    "k_grid": str,
-    "visibility": float,
-    "depol": float,
-    "unpostselected_rate": float,
-    "postselected_rate": float,
-    "duration_k": float,
-    "duration_wv": float,
-    "seed": _config_int,
-    "out": str,
-    "workers": _config_int,
-    "trials": _config_int,
+# key -> (flag, config-file converter, help); argparse reads a _config_int flag as int
+_OPTIONS = {
+    "seed": ("--seed", _config_int, "master seed (default 0)"),
+    "trials": ("--trials", _config_int, "random signal states per gamma (default 20)"),
+    "angle": ("--angle", float, "input polarization angle, degrees"),
+    "k": ("--K", float, "measurement strength"),
+    "k_grid": ("--k-grid", str, "comma-separated strengths"),
+    "visibility": ("--visibility", float, "coherent-branch weight in [0,1]"),
+    "depol": ("--depol", float, "white-noise weight in [0,1]"),
+    "unpostselected_rate": ("--unpostselected-rate", float, None),
+    "postselected_rate": ("--postselected-rate", float, None),
+    "duration_k": ("--duration-k", float, None),
+    "duration_wv": ("--duration-wv", float, None),
+    "workers": ("--workers", _config_int, "accepted and ignored: the grid runs serially"),
+    "out": ("--out", str, f"output path (default under ${OUT_DIR_ENV} or .)"),
 }
 
 
@@ -119,22 +122,13 @@ def _load_config(path: str) -> dict:
     out = {}
     for key, value in data.items():
         norm = str(key).replace("-", "_")
-        if norm not in _CONFIG_KEYS:
+        if norm not in _OPTIONS:
             raise CliError(EXIT_CONFIG, f"unknown config key: {key}")
         try:
-            out[norm] = _CONFIG_KEYS[norm](value)
+            out[norm] = _OPTIONS[norm][1](value)
         except (TypeError, ValueError):
             raise CliError(EXIT_CONFIG, f"config key {key} has unusable value {value!r}")
     return out
-
-
-def _merge(args: argparse.Namespace, file_cfg: dict, key: str, default=None):
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
 
 
 def _parse_k_grid(text: str):
@@ -161,12 +155,6 @@ def _check_strength(k: float, allow_zero: bool) -> float:
     return k
 
 
-def _check_unit(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise CliError(EXIT_RANGE, f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
 def _resolve_out(out: str | None, default_name: str) -> str:
     if out:
         return out
@@ -174,19 +162,20 @@ def _resolve_out(out: str | None, default_name: str) -> str:
     return os.path.join(base, default_name)
 
 
-def _signal_from_angle(angle_deg: float) -> Polarization:
-    return Polarization.from_degrees(angle_deg)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_gate_verify(args, file_cfg) -> int:
-    seed = int(_merge(args, file_cfg, "seed", 0))
+def _from_given(cls, given: dict):
+    """``cls`` from only the keys the user gave; the library owns defaults and range checks."""
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
+
+
+def _cmd_gate_verify(given: dict) -> int:
+    seed = given.get("seed", 0)
     if seed < 0:
         raise CliError(EXIT_RANGE, f"seed must be non-negative, got {seed}")
-    trials = int(_merge(args, file_cfg, "trials", 20))
+    trials = given.get("trials", 20)
     if trials < 1:
         raise CliError(EXIT_RANGE, f"trials must be at least 1, got {trials}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -213,8 +202,8 @@ def _cmd_gate_verify(args, file_cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_povm(args, file_cfg) -> int:
-    k = _check_strength(float(_merge(args, file_cfg, "k", 0.5)), allow_zero=True)
+def _cmd_povm(given: dict) -> int:
+    k = _check_strength(given.get("k", 0.5), allow_zero=True)
     povm = povm_elements(MeterSetting.from_strength(k))
     print(f"# povm K={format(k, '.17g')}")
     for name, op in (("pi_H", povm.pi_h), ("pi_V", povm.pi_v)):
@@ -224,10 +213,10 @@ def _cmd_povm(args, file_cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_weak_value(args, file_cfg) -> int:
-    angle = _check_angle(float(_merge(args, file_cfg, "angle", 42.0)))
-    k = _check_strength(float(_merge(args, file_cfg, "k", 0.006)), allow_zero=False)
-    signal = _signal_from_angle(angle)
+def _cmd_weak_value(given: dict) -> int:
+    angle = _check_angle(given.get("angle", 42.0))
+    k = _check_strength(given.get("k", 0.006), allow_zero=False)
+    signal = Polarization.from_degrees(angle)
     meter = MeterSetting.from_strength(k)
     try:
         value = weak_value_analytic(signal, meter, antidiagonal())
@@ -238,36 +227,22 @@ def _cmd_weak_value(args, file_cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_fig2(args, file_cfg) -> int:
-    angle = _check_angle(float(_merge(args, file_cfg, "angle", 42.0)))
-    grid_text = _merge(args, file_cfg, "k_grid", "0.006,0.125,0.25,0.5,0.75,1.0")
-    k_grid = [
-        _check_strength(k, allow_zero=False) for k in _parse_k_grid(str(grid_text))
-    ]
-    visibility = _check_unit("visibility", float(_merge(args, file_cfg, "visibility", 1.0)))
-    depol = _check_unit("depol", float(_merge(args, file_cfg, "depol", 0.0)))
-    plan = RunPlan(
-        unpostselected_rate=float(_merge(args, file_cfg, "unpostselected_rate", 44.6)),
-        postselected_rate=float(_merge(args, file_cfg, "postselected_rate", 0.52)),
-        duration_k=float(_merge(args, file_cfg, "duration_k", 100.0)),
-        duration_wv=float(_merge(args, file_cfg, "duration_wv", 1000.0)),
-        seed=int(_merge(args, file_cfg, "seed", 0)),
-    )
-    out = _resolve_out(_merge(args, file_cfg, "out"), "fig2.csv")
-    result = run_fig2(
-        plan, _signal_from_angle(angle),
-        ImperfectionParams(visibility=visibility, depol=depol), k_grid,
-    )
+def _cmd_fig2(given: dict) -> int:
+    angle = _check_angle(given.get("angle", 42.0))
+    grid_text = given.get("k_grid", "0.006,0.125,0.25,0.5,0.75,1.0")
+    k_grid = [_check_strength(k, allow_zero=False) for k in _parse_k_grid(grid_text)]
+    params = _from_given(ImperfectionParams, given)
+    plan = _from_given(RunPlan, given)
+    out = _resolve_out(given.get("out"), "fig2.csv")
+    result = run_fig2(plan, Polarization.from_degrees(angle), params, k_grid)
     write_fig2_csv(result, out)
     print(out)
     return EXIT_OK
 
 
-def _cmd_tomo(args, file_cfg) -> int:
-    visibility = _check_unit("visibility", float(_merge(args, file_cfg, "visibility", 1.0)))
-    depol = _check_unit("depol", float(_merge(args, file_cfg, "depol", 0.0)))
-    out = _resolve_out(_merge(args, file_cfg, "out"), "chi.csv")
-    params = ImperfectionParams(visibility=visibility, depol=depol)
+def _cmd_tomo(given: dict) -> int:
+    params = _from_given(ImperfectionParams, given)
+    out = _resolve_out(given.get("out"), "chi.csv")
     channel = imperfect_channel(None, params, DeviceConfig())
     chi = process_tomography(channel)
     meta = {
@@ -286,6 +261,29 @@ def _cmd_tomo(args, file_cfg) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+# name: (runner, help, option keys in --help order)
+_COMMANDS = {
+    "gate-verify": (_cmd_gate_verify, "check the gate against its two-qubit contract",
+                    ("seed", "trials")),
+    "povm": (_cmd_povm, "print the induced measurement operators", ("seed", "k")),
+    "weak-value": (_cmd_weak_value, "print the postselected value", ("seed", "angle", "k")),
+    "fig2": (_cmd_fig2, "simulate the counting experiment (CSV)",
+             ("seed", "angle", "k_grid", "visibility", "depol", "unpostselected_rate",
+              "postselected_rate", "duration_k", "duration_wv", "workers", "out")),
+    "tomo": (_cmd_tomo, "export the device process matrix (CSV)",
+             ("seed", "visibility", "depol", "out")),
+}
+
+# the first matching class wins, so subclasses come first (InfeasibleTargetError is a ValueError)
+_EXIT_CODES = {
+    InfeasibleTargetError: EXIT_INFEASIBLE,
+    ZeroStrengthError: EXIT_DEGENERATE,
+    ValueError: EXIT_RANGE,
+    WeakpolError: EXIT_RANGE,
+    OSError: EXIT_IO,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weakpol",
@@ -293,82 +291,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"weakpol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, angle=False, k=False, grid=False, model=False, plan=False, out=False):
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="YAML config file; flags override its values")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        if angle:
-            p.add_argument("--angle", type=float, help="input polarization angle, degrees")
-        if k:
-            p.add_argument("--K", dest="k", type=float, help="measurement strength")
-        if grid:
-            p.add_argument("--k-grid", dest="k_grid", help="comma-separated strengths")
-        if model:
-            p.add_argument("--visibility", type=float, help="coherent-branch weight in [0,1]")
-            p.add_argument("--depol", type=float, help="white-noise weight in [0,1]")
-        if plan:
-            p.add_argument("--unpostselected-rate", dest="unpostselected_rate", type=float)
-            p.add_argument("--postselected-rate", dest="postselected_rate", type=float)
-            p.add_argument("--duration-k", dest="duration_k", type=float)
-            p.add_argument("--duration-wv", dest="duration_wv", type=float)
-            p.add_argument("--workers", type=int,
-                           help="accepted and ignored: the grid runs serially")
-        if out:
-            p.add_argument("--out", help=f"output path (default under ${OUT_DIR_ENV} or .)")
-
-    p = sub.add_parser("gate-verify", help="check the gate against its two-qubit contract")
-    add_common(p)
-    p.add_argument("--trials", type=int, help="random signal states per gamma (default 20)")
-    p.set_defaults(func=_cmd_gate_verify)
-
-    p = sub.add_parser("povm", help="print the induced measurement operators")
-    add_common(p, k=True)
-    p.set_defaults(func=_cmd_povm)
-
-    p = sub.add_parser("weak-value", help="print the postselected value")
-    add_common(p, angle=True, k=True)
-    p.set_defaults(func=_cmd_weak_value)
-
-    p = sub.add_parser("fig2", help="simulate the counting experiment (CSV)")
-    add_common(p, angle=True, grid=True, model=True, plan=True, out=True)
-    p.set_defaults(func=_cmd_fig2)
-
-    p = sub.add_parser("tomo", help="export the device process matrix (CSV)")
-    add_common(p, model=True, out=True)
-    p.set_defaults(func=_cmd_tomo)
-
+        for key in keys:
+            flag, convert, option_help = _OPTIONS[key]
+            p.add_argument(flag, dest=key, type=int if convert is _config_int else convert,
+                           help=option_help)
     return parser
 
 
-def _detect_conflicts(args) -> None:
-    if getattr(args, "k", None) is not None and getattr(args, "k_grid", None) is not None:
-        raise CliError(EXIT_CONFLICT, "--K conflicts with --k-grid; give one")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, _, keys = _COMMANDS[args.command]
+    flags = vars(args)
     try:
-        _detect_conflicts(args)
-        file_cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-        if "k" in file_cfg and "k_grid" in file_cfg:
+        given = _load_config(args.config) if args.config else {}
+        if "k" in given and "k_grid" in given:
             raise CliError(EXIT_CONFLICT, "config sets both k and k_grid; give one")
-        return args.func(args, file_cfg)
-    except CliError as exc:
+        for key in given:
+            if key not in keys:
+                raise CliError(EXIT_CONFIG, f"config key {key} is not an option of {args.command}")
+        given.update((key, flags[key]) for key in keys if flags[key] is not None)
+        return run(given)
+    except (CliError, *_EXIT_CODES) as exc:
         print(f"weakpol: {exc}", file=sys.stderr)
-        return exc.code
-    except InfeasibleTargetError as exc:
-        print(f"weakpol: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ZeroStrengthError as exc:
-        print(f"weakpol: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (ValueError, WeakpolError) as exc:
-        print(f"weakpol: {exc}", file=sys.stderr)
-        return EXIT_RANGE
-    except OSError as exc:
-        print(f"weakpol: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, CliError):
+            return exc.code
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,6 +41,7 @@ from .device import DeviceConfig
 from .errors import ZeroCountsError, ZeroStrengthError
 from .imperfection import (
     ImperfectionParams,
+    _write_atomic,
     channel_joint_grid,
     channel_postselected_grid,
     imperfect_channel,
@@ -482,29 +482,12 @@ def write_fig2_csv(result: Fig2Result, path) -> str:
 def write_with_sidecar(path, text: str, metadata: dict) -> str:
     """Write ``text`` to ``path`` and ``metadata`` to its JSON sidecar.
 
-    Both go to temp files that are renamed into place only once both are
-    written; on an OSError the temp files are removed and the error is
-    re-raised, so a failed write leaves no partial output. Returns the
-    sidecar path.
+    Both are written atomically as a pair: a failed write leaves no
+    partial output. Returns the sidecar path.
     """
     path = str(path)
     meta_path = _meta_path_for(path)
-    files = {path: text, meta_path: json.dumps(metadata, indent=2, sort_keys=True) + "\n"}
-    tmps = []
-    try:
-        for target, body in files.items():
-            tmps.append(target + ".tmp")
-            with open(tmps[-1], "w", newline="") as fh:
-                fh.write(body)
-        for target, tmp in zip(files, tmps):
-            os.replace(tmp, target)
-    except OSError:
-        for tmp in tmps:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-        raise
+    _write_atomic({path: text, meta_path: json.dumps(metadata, indent=2, sort_keys=True) + "\n"})
     return meta_path
 
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,8 +380,32 @@ def format_chi_csv(chi: ChiMatrix) -> str:
 
 
 def write_chi_csv(chi: ChiMatrix, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(format_chi_csv(chi))
+    """Write ``format_chi_csv(chi)`` to ``path`` atomically."""
+    _write_atomic({os.fspath(path): format_chi_csv(chi)})
+
+
+def _write_atomic(files: dict) -> None:
+    """Write each ``{path: text}`` item so that a failure leaves no partial file.
+
+    Every text goes to ``<path>.tmp`` and the temp files are renamed into
+    place only once all are written; on an OSError the temp files are
+    removed and the error is re-raised.
+    """
+    tmps = []
+    try:
+        for target, body in files.items():
+            tmps.append(target + ".tmp")
+            with open(tmps[-1], "w", newline="") as fh:
+                fh.write(body)
+        for target, tmp in zip(files, tmps):
+            os.replace(tmp, target)
+    except OSError:
+        for tmp in tmps:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+        raise
 
 
 def read_chi_csv(path) -> ChiMatrix:

@@ -295,3 +295,75 @@ def test_gate_verify_detects_broken_network(capsys, monkeypatch):
     code, _, err = run_cli(["gate-verify", "--trials", "2"], capsys)
     assert code == EXIT_VERIFY
     assert "FAIL" in err
+
+
+def test_config_key_the_subcommand_does_not_take_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("visibility: 0.5\n")
+    code, out, err = run_cli(["weak-value", "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "visibility" in err and "weak-value" in err
+
+
+@pytest.mark.parametrize("error, want", [
+    ("InfeasibleTargetError", 7),
+    ("ZeroStrengthError", 6),
+    ("PostselectionImpossibleError", 5),
+    ("ZeroCountsError", 5),
+    ("InversionRangeError", 5),
+    ("ValueError", 5),
+    ("OSError", 9),
+])
+def test_library_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, error, want):
+    import builtins
+
+    import weakpol.cli as cli_mod
+    import weakpol.errors as errors
+
+    cls = getattr(errors, error, None) or getattr(builtins, error)
+
+    def fail(*args, **kwargs):
+        raise cls("planted failure")
+
+    monkeypatch.setattr(cli_mod, "run_fig2", fail)
+    code, out, err = run_cli(["fig2", "--k-grid", "0.5", "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == want
+    assert out == ""
+    assert "planted failure" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("broken", [{"hadamard_eta": 0.45}, {"balance_eta": 0.5}])
+def test_gate_verify_fails_a_broken_network_at_its_tolerance(capsys, monkeypatch, broken):
+    import weakpol.cli as cli_mod
+    from weakpol import DeviceConfig
+
+    monkeypatch.setattr(cli_mod, "DeviceConfig", lambda: DeviceConfig(**broken))
+    code, out, err = run_cli(["gate-verify", "--trials", "2"], capsys)
+    assert code == EXIT_VERIFY
+    assert "gate-verify: OK" not in out
+    assert "FAIL" in err
+
+
+def test_fig2_defaults_are_the_library_defaults(tmp_path, capsys):
+    from dataclasses import asdict
+
+    from weakpol import ImperfectionParams, RunPlan
+
+    out = tmp_path / "fig2.csv"
+    code, _, _ = run_cli(["fig2", "--seed", "3", "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    meta = json.loads((tmp_path / "fig2.meta.json").read_text())
+    assert meta["plan"] == asdict(RunPlan(seed=3))
+    assert meta["model"] == asdict(ImperfectionParams())
+
+
+@pytest.mark.parametrize("argv", [["tomo", "--depol", "1.5"], ["fig2", "--visibility", "nan"]])
+def test_model_range_is_checked_by_the_library(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == EXIT_RANGE
+    assert stdout == ""
+    assert "must lie in [0, 1]" in err
+    assert not list(tmp_path.iterdir())

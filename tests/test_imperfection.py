@@ -511,6 +511,24 @@ def test_chi_csv_roundtrip(tmp_path):
     assert len(first) == 32  # real/imag interleaved
 
 
+def test_failed_chi_write_leaves_old_file(tmp_path, monkeypatch):
+    import weakpol.imperfection as imp
+
+    chi = process_tomography(imperfect_channel(None, ImperfectionParams(visibility=0.9)))
+    path = tmp_path / "chi.csv"
+    write_chi_csv(chi, path)
+    before = path.read_bytes()
+
+    def fail(_chi):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(imp, "format_chi_csv", fail)
+    with pytest.raises(OSError):
+        write_chi_csv(chi, path)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def _write_rows(path, rows):
     path.write_text("".join(",".join(str(x) for x in row) + "\n" for row in rows))
 
