@@ -230,10 +230,6 @@ class TwoQubitState:
         if not 0.0 <= self.success_prob <= 1.0 + 1e-12:
             raise ValueError(f"success probability out of range: {self.success_prob}")
 
-    def vector(self) -> np.ndarray:
-        """Flat amplitudes in (HH, HV, VH, VV) order."""
-        return self.amplitudes.reshape(4).copy()
-
     def density_matrix(self) -> np.ndarray:
         v = self.amplitudes.reshape(4)
         return np.outer(v, v.conj())

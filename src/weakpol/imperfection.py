@@ -28,14 +28,17 @@ in 0..3 with M = sum_k k^dag k, so a noisy channel holds 7 + 16 = 23
 operators.
 
 A channel is one stack of Kraus operators, shape (n, 4, 4); its action,
-superoperator, signal effects and chi matrix are all derived from it.
-A stored superoperator would cancel the rare-postselection interference
-in probabilities rather than amplitudes, which moved the weak value of
-a diagonal input at v = 1, K = 0.006 from 8e-12 to 5e-10. Postselected
-statistics over a strength grid come from one amplitude kernel: the
-input |psi> (x) |m(K)> is linear in the meter ket, so the amplitudes of
-every Kraus operator at every strength are one contraction, and each
-probability is a sum of their squared moduli.
+superoperator and chi matrix are all derived from it. A stored
+superoperator would cancel the rare-postselection interference in
+probabilities rather than amplitudes, which moved the weak value of a
+diagonal input at v = 1, K = 0.006 from 8e-12 to 5e-10. Every
+probability of the module comes from one amplitude kernel: the
+amplitudes k|p> of every Kraus operator on a stack of product kets
+|p> = |a> (x) |m>, one matmul, and each probability is a sum of their
+squared moduli. The stacks are the meter kets of a strength grid (the
+Fig. 2 views), the input at the two end points of the visibility (the
+fit), the probe inputs H, V and D (the inversion), the 16 tomography
+preparations, and one input of the distinguishable device.
 
 Process tomography reconstructs the chi matrix of any such channel by
 linear inversion from the 16 product preparations over {H, V, D, R} per
@@ -85,6 +88,9 @@ _PREP_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]], dtype=complex)
 _PREP_KETS /= np.sqrt([1, 1, 2, 2])[:, None]
 _PREP_PRODUCT_KETS = (_PREP_KETS[:, None, :, None] * _PREP_KETS[None, :, None, :]).reshape(16, 4)
 PREPARATIONS = _outer(_PREP_PRODUCT_KETS)
+# (q0, q1, q2) of W(t) = q0 + q1 cos 2t + q2 sin 2t from W at the inputs H, V and D:
+# q0 = (W_H + W_V)/2, q1 = (W_H - W_V)/2, q2 = W_D - q0
+_PROBE_HARMONICS = np.array([[0.5, 0.5, 0.0], [0.5, -0.5, 0.0], [-0.5, -0.5, 1.0]])
 
 _PAULI_1 = np.array([
     [[1, 0], [0, 1]],
@@ -140,20 +146,6 @@ class TwoQubitChannel:
         return np.einsum("kab,kij->aibj", self.kraus.conj(), self.kraus).reshape(16, 16)
 
 
-def _joint_density(signal: Polarization, meter: MeterSetting) -> np.ndarray:
-    ket = np.kron(signal.ket(), meter.ket())
-    return np.outer(ket, ket.conj())
-
-
-def channel_output(channel: TwoQubitChannel, signal: Polarization, meter: MeterSetting):
-    """(success probability, output state conditioned on success)."""
-    rho = channel.apply(_joint_density(signal, meter))
-    prob = float(np.trace(rho).real)
-    if prob <= 1e-300:
-        raise PostselectionImpossibleError("channel output has zero weight")
-    return prob, rho / prob
-
-
 def _meter_kets(strengths) -> np.ndarray:
     """Meter kets (gamma, gammabar) of ``MeterSetting.from_strength``, one row per strength."""
     k = np.asarray(strengths, dtype=float)
@@ -164,46 +156,54 @@ def _meter_kets(strengths) -> np.ndarray:
     return np.stack([gamma, np.sqrt(np.maximum(0.0, 1.0 - gamma**2))], axis=-1)
 
 
-def _grid_amplitudes(kraus: np.ndarray, signal: Polarization, meter_kets: np.ndarray) -> np.ndarray:
-    """Amplitudes <s,o| k |signal (x) m> for every meter ket m: shape (G, n_kraus, 4).
+def _product_kets(signals: np.ndarray, meters: np.ndarray) -> np.ndarray:
+    """|a> (x) |m> for each row pair of two broadcast stacks of 2-kets: shape (P, 4)."""
+    return (signals[:, :, None] * meters[:, None, :]).reshape(-1, 4)
 
-    The input is linear in the meter ket, so a(m) = gamma A_H signal +
-    gammabar A_V signal with A_x = k (I (x) |x>). Probabilities are sums
-    of |a|^2 over the Kraus axis, so interference cancels in amplitudes.
+
+def _amplitudes(kraus: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """k|p> for every Kraus operator k and every row p of a ket stack: shape (P, n_kraus, 4).
+
+    Every probability of the module is a sum of |k|p>|^2 over the Kraus
+    axis, so rare-postselection interference cancels in amplitudes.
     """
-    # contract the signal first: (A_H signal, A_V signal), then one product per meter ket
-    return np.einsum("kosm,s,gm->gko", kraus.reshape(-1, 4, 2, 2), signal.ket(), meter_kets,
-                     optimize=["einsum_path", (0, 1), (0, 1)])
+    return (kraus @ kets.T).transpose(2, 0, 1)
 
 
 def _kraus_weights(amps: np.ndarray) -> np.ndarray:
-    """sum_k |a|^2 over the Kraus axis of an amplitude stack: (G, n, X) -> (G, X)."""
+    """sum_k |a|^2 over the Kraus axis of an amplitude stack: (P, n, X) -> (P, X)."""
     re, im = amps.real, amps.imag
     return np.einsum("gkx,gkx->gx", re, re) + np.einsum("gkx,gkx->gx", im, im)
 
 
-def _success_weights(joint_weights: np.ndarray) -> np.ndarray:
-    """Total weight per grid point; raises where the channel never succeeds."""
-    success = joint_weights.sum(axis=1)
+def _event_weights(amps: np.ndarray, post: Polarization) -> np.ndarray:
+    """Weights of (post and meter H, post and meter V, success) per ket: shape (P, 3)."""
+    # project the signal output on <post|, one amplitude per meter outcome
+    hits = post.ket().conj() @ amps.reshape(*amps.shape[:2], 2, 2)
+    return np.column_stack([_kraus_weights(hits), _kraus_weights(amps).sum(axis=1)])
+
+
+def _checked_success(success: np.ndarray) -> np.ndarray:
+    """The success weights; raises where the channel never succeeds."""
     if np.any(success <= 1e-300):
         raise PostselectionImpossibleError("channel output has zero weight")
     return success
 
 
 def _joint(channel, signal, meter_kets) -> np.ndarray:
-    weights = _kraus_weights(_grid_amplitudes(channel.kraus, signal, meter_kets))
-    return weights / _success_weights(weights)[:, None]
+    amps = _amplitudes(channel.kraus, _product_kets(signal.ket()[None], meter_kets))
+    weights = _kraus_weights(amps)
+    return weights / _checked_success(weights.sum(axis=1))[:, None]
 
 
 def _postselected(channel, signal, meter_kets, post) -> np.ndarray:
-    amps = _grid_amplitudes(channel.kraus, signal, meter_kets)
-    # project the signal output on <post|, one amplitude per meter outcome
-    hits = np.einsum("gksm,s->gkm", amps.reshape(*amps.shape[:2], 2, 2), post.ket().conj())
-    weights = _kraus_weights(hits)
-    p_post = weights.sum(axis=1) / _success_weights(_kraus_weights(amps))
+    amps = _amplitudes(channel.kraus, _product_kets(signal.ket()[None], meter_kets))
+    weights = _event_weights(amps, post)
+    post_weight = weights[:, 0] + weights[:, 1]
+    p_post = post_weight / _checked_success(weights[:, 2])
     if np.any(p_post <= 1e-300):
         raise PostselectionImpossibleError("postselection probability is zero under the channel")
-    return np.column_stack([weights / weights.sum(axis=1, keepdims=True), p_post])
+    return np.column_stack([weights[:, :2] / post_weight[:, None], p_post])
 
 
 def channel_joint_grid(channel: TwoQubitChannel, signal: Polarization, strengths) -> np.ndarray:
@@ -246,7 +246,10 @@ def distinguishable_device(signal: Polarization, meter: MeterSetting,
     traverses the network exactly as in the ideal device; only the
     direct/exchange cross terms are dropped.
     """
-    prob, rho = channel_output(TwoQubitChannel(labeled_kraus(cfg)), signal, meter)
+    kets = _product_kets(signal.ket()[None], meter.ket()[None])
+    amps = _amplitudes(TwoQubitChannel(labeled_kraus(cfg)).kraus, kets)
+    prob = float(_checked_success(_kraus_weights(amps).sum(axis=1))[0])
+    rho = amps[0].T @ amps[0].conj() / prob
     joint = tuple(float(x) for x in rho.diagonal().real)
     return DistinguishableOutput(rho=rho, success_prob=prob, joint_hv=joint)
 
@@ -349,10 +352,10 @@ def process_tomography(channel: TwoQubitChannel, psd_project: bool = False) -> C
     eigenvalues are clipped and the trace renormalized, for use when the
     evaluations carry noise.
     """
-    # amps[p, a, k] = (k|p>)_a, so conj(amps[p]) @ amps[p]^T contracts the Kraus
+    # amps[p, k, a] = (k|p>)_a, so conj(amps[p])^T @ amps[p] contracts the Kraus
     # axis into E(|p><p|)^T, whose row-major flattening is vec(E(|p><p|))
-    amps = (channel.kraus @ _PREP_PRODUCT_KETS.T).transpose(2, 1, 0)
-    outputs = (amps.conj() @ amps.swapaxes(-1, -2)).reshape(16, 16)
+    amps = _amplitudes(channel.kraus, _PREP_PRODUCT_KETS)
+    outputs = (amps.swapaxes(-1, -2).conj() @ amps).reshape(16, 16)
     s = np.linalg.solve(_vec(PREPARATIONS), outputs).T
     chi = _chi_from_superoperator(s)
 
@@ -436,22 +439,6 @@ def read_chi_csv(path) -> ChiMatrix:
 # Fitting and inversion
 # ---------------------------------------------------------------------------
 
-def _signal_effects(channel: TwoQubitChannel, meter: MeterSetting, post: Polarization):
-    """Signal effects (R_H, R_V, R_success) of the channel at one meter setting.
-
-    The joint events (post and meter H, post and meter V, success) occur
-    with probability psi^dag R psi for a signal psi, where R is the
-    Heisenberg-picture effect sum_k k^dag Pi k compressed by (I (x) |m>)
-    onto the meter preparation |m>.
-    """
-    blocks = channel.kraus @ np.kron(np.eye(2), meter.ket()[:, None])
-    # amps[m, k] = (<post| (x) <m|) k (I (x) |meter>), one row per meter outcome m
-    amps = (np.kron(post.ket().conj(), np.eye(2)) @ blocks).swapaxes(0, 1)
-    r_h, r_v = amps.conj().swapaxes(-1, -2) @ amps
-    flat = blocks.reshape(-1, 2)
-    return r_h, r_v, flat.conj().T @ flat
-
-
 def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
                    cfg: DeviceConfig = DeviceConfig(),
                    post: Polarization | None = None) -> ImperfectionParams:
@@ -466,20 +453,21 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
     A target below the model floor (or above the ceiling) set by the two
     end points raises InfeasibleTargetError, as does an input whose
     P(post | success) does not depend on v (an H or V input), since then
-    no target fixes the visibility.
+    no target fixes the visibility. An input that never succeeds at either
+    end point raises PostselectionImpossibleError.
     """
     if not math.isfinite(target_p_a):
         raise ValueError(f"target_p_a must be finite, got {target_p_a}")
     if not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting")
     post = post if post is not None else antidiagonal()
-    ket = psi.ket()
+    kets = _product_kets(psi.ket()[None], meter.ket()[None])
     parts = labeled_kraus(cfg)
     weights = []
     for v in (1.0, 0.0):
         channel = _mixture_channel(*parts, ImperfectionParams(visibility=v))
-        r_h, r_v, r_ok = _signal_effects(channel, meter, post)
-        weights.append([float((ket.conj() @ r @ ket).real) for r in (r_h + r_v, r_ok)])
+        (p_h, p_v, ok), = _event_weights(_amplitudes(channel.kraus, kets), post)
+        weights.append((float(p_h + p_v), float(_checked_success(ok))))
     (a1, s1), (a0, s0) = weights
     lo_val, hi_val = sorted((a1 / s1, a0 / s0))
     if hi_val - lo_val <= 1e-9:
@@ -510,12 +498,6 @@ def model_weak_value_curve(params: ImperfectionParams, psi: Polarization, k_grid
     return list(zip(k.tolist(), ((probs[:, 0] - probs[:, 1]) / k).tolist()))
 
 
-def _harmonics(q: np.ndarray) -> np.ndarray:
-    """(q0, q1, q2) with a^T Re(q) a = q0 + q1 cos 2t + q2 sin 2t, a = (cos t, sin t)."""
-    q = q.real
-    return np.array([(q[0, 0] + q[1, 1]) / 2.0, (q[0, 0] - q[1, 1]) / 2.0, q[0, 1]])
-
-
 def invert_s1(measured_weak_value: float, measured_p_a: float,
               params: ImperfectionParams, meter: MeterSetting,
               cfg: DeviceConfig = DeviceConfig(),
@@ -524,14 +506,16 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
 
     The measurement is taken to come from a linear input polarization
     (cos t, sin t) with t in (-90, 90] degrees, for every model including
-    the coherent one. With (R_H, R_V) the signal effects of the two
-    postselected meter outcomes, the weak value w fixes t through
+    the coherent one. The weights W_H, W_V of the two postselected meter
+    outcomes are quadratic forms in the input, so each reads
+    q0 + q1 cos phi + q2 sin phi in phi = 2t, with harmonics fixed by its
+    values at the inputs H, V and D. The weak value w fixes phi through
 
-        a^T Re(R_H - R_V - w K (R_H + R_V)) a = 0,   a = (cos t, sin t),
+        W_H - W_V - w K (W_H + W_V) = c0 + c1 cos phi + c2 sin phi = 0,
 
-    which in phi = 2t reads c0 + c1 cos phi + c2 sin phi = 0 and has at
-    most two roots. The root whose model postselection probability lies
-    closest to ``measured_p_a`` wins, and <s1> = cos phi is returned.
+    which has at most two roots. The root whose model postselection
+    probability lies closest to ``measured_p_a`` wins, and <s1> = cos phi
+    is returned.
 
     Raises InversionRangeError when no input reproduces the measured
     value, and when the weak value is the same for every input (as when
@@ -544,12 +528,17 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
                         ("measured_p_a", measured_p_a)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if not isinstance(meter, MeterSetting):
+        raise TypeError("meter must be a MeterSetting")
     post = post if post is not None else antidiagonal()
     k = meter.strength
     if abs(k) < ZERO_STRENGTH_TOL:
         raise ZeroStrengthError("strength K = 0: inversion undefined")
-    r_h, r_v, r_ok = _signal_effects(imperfect_channel(meter, params, cfg), meter, post)
-    d, s, ok = _harmonics(r_h - r_v), _harmonics(r_h + r_v), _harmonics(r_ok)
+    kets = _product_kets(_PREP_KETS[:3], meter.ket()[None])
+    weights = _event_weights(_amplitudes(imperfect_channel(meter, params, cfg).kraus, kets), post)
+    # harmonics (q0, q1, q2) of each event weight, one row per event
+    h_h, h_v, ok = (_PROBE_HARMONICS @ weights).T
+    d, s = h_h - h_v, h_h + h_v
     # d / s is the meter imbalance (a probability difference) as a function
     # of the input; parallel harmonics mean it is the same for every input
     if np.linalg.norm(np.cross(d, s)) <= 1e-12 * float(s @ s):

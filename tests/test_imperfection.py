@@ -31,12 +31,18 @@ from weakpol.imperfection import (
     _vec,
     channel_joint_distribution,
     channel_joint_grid,
-    channel_output,
     channel_postselected_grid,
     channel_postselected_probs,
     labeled_kraus,
 )
-from weakpol.weak_values import antidiagonal, diagonal, horizontal, vertical
+from weakpol.weak_values import (
+    antidiagonal,
+    circular_right,
+    diagonal,
+    horizontal,
+    postselected_probs,
+    vertical,
+)
 
 PSI_42 = Polarization.from_degrees(42.0)
 S1_42 = math.cos(math.radians(84.0))
@@ -47,11 +53,24 @@ K_SMALL = MeterSetting.from_strength(0.006)
 V_FITTED = 0.962787411012
 
 
+def channel_output(channel, signal, meter):
+    """(success probability, conditioned output) from the density-matrix action of the channel."""
+    ket = np.kron(signal.ket(), meter.ket())
+    rho = channel.apply(np.outer(ket, ket.conj()))
+    prob = float(np.trace(rho).real)
+    return prob, rho / prob
+
+
 def random_product_input(rng):
     theta, phase = rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi)
     psi = Polarization(math.cos(theta), math.sin(theta) * np.exp(1j * phase))
     meter = MeterSetting(rng.uniform(0.0, 1.0))
     return psi, meter
+
+
+def random_polarization(rng):
+    ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return Polarization(*(ket / np.linalg.norm(ket)))
 
 
 # --- distinguishable propagation ------------------------------------------------
@@ -216,6 +235,13 @@ def test_fit_rejects_input_blind_to_visibility():
             fit_visibility(0.5, horizontal(), MeterSetting.from_strength(k))
 
 
+def test_fit_with_a_never_succeeding_input_raises_typed_error():
+    # without balancing loss an H input never succeeds at v = 1, so its
+    # success weight is 0; this used to leak a bare ZeroDivisionError
+    with pytest.raises(PostselectionImpossibleError):
+        fit_visibility(0.5, horizontal(), MeterSetting(1.0), DeviceConfig(balance_eta=0.0))
+
+
 # --- model curve ------------------------------------------------------------------
 
 def test_ideal_curve_matches_analytic_everywhere():
@@ -248,6 +274,36 @@ def test_diagonal_input_curve_identically_zero():
         )
         for _, wv in curve:
             assert abs(wv) < 1e-10
+
+
+def test_postselected_probs_match_closed_form_for_complex_posts():
+    # real posts cannot tell a post ket projected without its conjugate
+    rng = np.random.default_rng(31)
+    channel = imperfect_channel(None, ImperfectionParams())
+    for _ in range(50):
+        psi, post = random_polarization(rng), random_polarization(rng)
+        meter = MeterSetting.from_strength(rng.uniform(-1.0, 1.0))
+        got = channel_postselected_probs(channel, psi, meter, post)
+        want = postselected_probs(psi, meter, post)
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+
+
+@pytest.mark.parametrize("v, p", [(1.0, 0.0), (0.96, 0.0), (0.9, 0.02), (0.0, 1.0)])
+def test_complementary_decomposition_holds_under_every_channel(v, p):
+    # sum_X P(X | ok) (p_H - p_V | X) over a complete pair of posts X is the
+    # unpostselected meter imbalance: term_A + term_D = K <s1> for the ideal gate
+    channel = imperfect_channel(None, ImperfectionParams(visibility=v, depol=p))
+    ks = [0.006, -0.3, 0.7, 1.0]
+    circular_left = Polarization(*circular_right().ket().conj())
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        psi = random_polarization(rng)
+        joint = channel_joint_grid(channel, psi, ks)
+        imbalance = joint[:, 0] - joint[:, 1] + joint[:, 2] - joint[:, 3]
+        for pair in ((antidiagonal(), diagonal()), (circular_right(), circular_left)):
+            grids = [channel_postselected_grid(channel, psi, ks, post) for post in pair]
+            total = sum(g[:, 2] * (g[:, 0] - g[:, 1]) for g in grids)
+            assert np.max(np.abs(total - imbalance)) < 1e-14
 
 
 def test_grid_kernel_matches_per_point_loop():
@@ -626,6 +682,8 @@ def test_invert_rejects_non_finite_measurement():
             invert_s1(wv, bad, params, meter)
         with pytest.raises(ValueError, match="measured_weak_value must be finite"):
             invert_s1(bad, p_a, params, meter)
+    with pytest.raises(TypeError, match="meter must be a MeterSetting"):
+        invert_s1(1.0, 0.5, ImperfectionParams(), None)
 
 
 def test_invert_horizontal_postselection_is_degenerate():
@@ -676,6 +734,24 @@ def test_invert_at_the_model_maximum_and_beyond():
         assert abs(invert_s1(wv_max, p_a, params, meter) - math.cos(2.0 * theta)) < 1e-6
         with pytest.raises(InversionRangeError):
             invert_s1(wv_max * 1.001, p_a, params, meter)
+
+
+def test_invert_root_choice_follows_the_measured_p_a():
+    # the two roots differ by 0.11 in <s1> but by only 10.5% in P(A), so a
+    # P(A) 6% low silently picks the other root; pinned so that a change of
+    # the inversion cannot move which root wins
+    params = ImperfectionParams(visibility=0.9, depol=0.02)
+    meter = MeterSetting.from_strength(0.9)
+    psi = Polarization.from_degrees(80.3)
+    p_h, p_v, p_a = channel_postselected_probs(
+        imperfect_channel(None, params), psi, meter, antidiagonal()
+    )
+    wv = (p_h - p_v) / 0.9
+    assert p_a == pytest.approx(0.43175220012509, abs=1e-12)
+    assert invert_s1(wv, p_a, params, meter) == pytest.approx(math.cos(math.radians(160.6)),
+                                                              abs=1e-12)
+    assert invert_s1(wv, p_a * 0.94, params, meter) == pytest.approx(-0.83272802826764,
+                                                                     abs=1e-12)
 
 
 def test_joint_distribution_matches_gate_for_ideal_params():
