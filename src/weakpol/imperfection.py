@@ -32,13 +32,14 @@ superoperator and chi matrix are all derived from it. A stored
 superoperator would cancel the rare-postselection interference in
 probabilities rather than amplitudes, which moved the weak value of a
 diagonal input at v = 1, K = 0.006 from 8e-12 to 5e-10. Every
-probability of the module comes from one amplitude kernel: the
-amplitudes k|p> of every Kraus operator on a stack of product kets
-|p> = |a> (x) |m>, one matmul, and each probability is a sum of their
-squared moduli. The stacks are the meter kets of a strength grid (the
-Fig. 2 views), the input at the two end points of the visibility (the
-fit), the probe inputs H, V and D (the inversion), the 16 tomography
-preparations, and one input of the distinguishable device.
+probability of the module is a sum of squared moduli of amplitudes k|p>
+of operators on a stack of product kets |p> = |a> (x) |m>, one matmul: a
+Kraus stack on the meter kets of a strength grid (the Fig. 2 views), the
+16 tomography preparations or one input of the distinguishable device.
+The fit and the inversion build no channel: event weights are linear in
+v, and white noise moves p/4 of the success weight into each
+postselected meter outcome, so the weights at v = 1 and v = 0 give those
+of every (v, p).
 
 Process tomography reconstructs the chi matrix of any such channel by
 linear inversion from the 16 product preparations over {H, V, D, R} per
@@ -88,9 +89,6 @@ _PREP_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]], dtype=complex)
 _PREP_KETS /= np.sqrt([1, 1, 2, 2])[:, None]
 _PREP_PRODUCT_KETS = (_PREP_KETS[:, None, :, None] * _PREP_KETS[None, :, None, :]).reshape(16, 4)
 PREPARATIONS = _outer(_PREP_PRODUCT_KETS)
-# (q0, q1, q2) of W(t) = q0 + q1 cos 2t + q2 sin 2t from W at the inputs H, V and D:
-# q0 = (W_H + W_V)/2, q1 = (W_H - W_V)/2, q2 = W_D - q0
-_PROBE_HARMONICS = np.array([[0.5, 0.5, 0.0], [0.5, -0.5, 0.0], [-0.5, -0.5, 1.0]])
 
 _PAULI_1 = np.array([
     [[1, 0], [0, 1]],
@@ -105,6 +103,10 @@ PAULI_2 = _kron_pairs(_PAULI_1, _PAULI_1)
 # regrouped as [(i, j), (b, a)], is B^T chi B; B B^dag = 4 I inverts it.
 _PAULI_ROWS = PAULI_2.reshape(16, 16)
 _UNIT_PROJECTORS = _outer(np.eye(4, dtype=complex))
+# weights of (gate, direct, exchange, gate P_0, ..., gate P_3) at v = 1 and v = 0
+_END_POINTS = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0] + [0.5] * 6])
+# (post and meter H, post and meter V, success) from |post amplitudes|^2, |outputs|^2
+_EVENTS = np.array([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0], [0, 0, 1.0, 1.0, 1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -265,12 +267,7 @@ def imperfect_channel(meter: MeterSetting | None, params: ImperfectionParams,
     """
     if meter is not None and not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting or None")
-    return _mixture_channel(*labeled_kraus(cfg), params)
-
-
-def _mixture_channel(direct: np.ndarray, exchange: np.ndarray,
-                     params: ImperfectionParams) -> TwoQubitChannel:
-    """The Kraus stack of ``imperfect_channel`` from the two labelled gate parts."""
+    direct, exchange = labeled_kraus(cfg)
     gate = direct + exchange
     v, p = params.visibility, params.depol
 
@@ -439,6 +436,33 @@ def read_chi_csv(path) -> ChiMatrix:
 # Fitting and inversion
 # ---------------------------------------------------------------------------
 
+def _endpoint_weights(kets: np.ndarray, post: Polarization, cfg: DeviceConfig) -> np.ndarray:
+    """``_event_weights`` of each ket in the noise-free model at v = 1 and v = 0: (2, P, 3).
+
+    Every model's effect sum_k k^dag k is a convex mix of the two end
+    points' (white noise leaves it unchanged), so checking both keeps
+    ``TwoQubitChannel``'s guard for every (v, p).
+    """
+    direct, exchange = labeled_kraus(cfg)
+    gate = direct + exchange
+    ops = np.concatenate([np.array([gate, direct, exchange]), gate @ _UNIT_PROJECTORS])
+    effects = _END_POINTS @ (ops.conj().swapaxes(-1, -2) @ ops).reshape(7, 16)
+    top = float(np.linalg.eigvalsh(effects.reshape(2, 4, 4)).max())
+    if top > 1.0 + 1e-10:
+        raise ValueError(f"channel increases trace: max effect eigenvalue {top}")
+    amps = ops @ kets.T  # (operator, signal x meter output, ket)
+    hits = (post.ket().conj() @ amps.reshape(7, 2, -1)).reshape(7, 2, -1)  # <post| (x) <meter x|
+    both = np.concatenate([hits, amps], axis=1)
+    return np.einsum("ek,xc,kcp->epx", _END_POINTS, _EVENTS, both.real**2 + both.imag**2)
+
+
+def _model_weights(ends: np.ndarray, params: ImperfectionParams) -> np.ndarray:
+    """Event weights at (v, p) from the end points: white noise adds p/4 W_ok to W_H, W_V."""
+    v, p = params.visibility, params.depol
+    noise = np.array([[1.0 - p, 0.0, 0.0], [0.0, 1.0 - p, 0.0], [p / 4.0, p / 4.0, 1.0]])
+    return np.einsum("e,epx,xy->py", [v, 1.0 - v], ends, noise)
+
+
 def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
                    cfg: DeviceConfig = DeviceConfig(),
                    post: Polarization | None = None) -> ImperfectionParams:
@@ -461,14 +485,8 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
     if not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting")
     post = post if post is not None else antidiagonal()
-    kets = _product_kets(psi.ket()[None], meter.ket()[None])
-    parts = labeled_kraus(cfg)
-    weights = []
-    for v in (1.0, 0.0):
-        channel = _mixture_channel(*parts, ImperfectionParams(visibility=v))
-        (p_h, p_v, ok), = _event_weights(_amplitudes(channel.kraus, kets), post)
-        weights.append((float(p_h + p_v), float(_checked_success(ok))))
-    (a1, s1), (a0, s0) = weights
+    ends = _endpoint_weights(_product_kets(psi.ket()[None], meter.ket()[None]), post, cfg)[:, 0]
+    (a1, a0), (s1, s0) = (ends[:, 0] + ends[:, 1]).tolist(), _checked_success(ends[:, 2]).tolist()
     lo_val, hi_val = sorted((a1 / s1, a0 / s0))
     if hi_val - lo_val <= 1e-9:
         raise InfeasibleTargetError(
@@ -535,19 +553,21 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
     if abs(k) < ZERO_STRENGTH_TOL:
         raise ZeroStrengthError("strength K = 0: inversion undefined")
     kets = _product_kets(_PREP_KETS[:3], meter.ket()[None])
-    weights = _event_weights(_amplitudes(imperfect_channel(meter, params, cfg).kraus, kets), post)
-    # harmonics (q0, q1, q2) of each event weight, one row per event
-    h_h, h_v, ok = (_PROBE_HARMONICS @ weights).T
-    d, s = h_h - h_v, h_h + h_v
+    weights = _model_weights(_endpoint_weights(kets, post, cfg), params).tolist()
+    # harmonics q0 = (W(H) + W(V))/2, q1 = (W(H) - W(V))/2, q2 = W(D) - q0 of W_H - W_V,
+    # W_H + W_V and the success weight, from their values at the inputs H, V and D
+    probes = [(w_h - w_v, w_h + w_v, w_ok) for w_h, w_v, w_ok in weights]
+    d, s, ok = ((0.5 * (x + y), 0.5 * (x - y), z - 0.5 * (x + y)) for x, y, z in zip(*probes))
     # d / s is the meter imbalance (a probability difference) as a function
     # of the input; parallel harmonics mean it is the same for every input
-    if np.linalg.norm(np.cross(d, s)) <= 1e-12 * float(s @ s):
+    cross = (d[1] * s[2] - d[2] * s[1], d[2] * s[0] - d[0] * s[2], d[0] * s[1] - d[1] * s[0])
+    if math.hypot(*cross) <= 1e-12 * (s[0] ** 2 + s[1] ** 2 + s[2] ** 2):
         raise InversionRangeError(
             "the postselected value does not depend on the input: nothing to invert"
         )
-    c0, c1, c2 = (float(x) for x in d - measured_weak_value * k * s)
+    c0, c1, c2 = (x - measured_weak_value * k * y for x, y in zip(d, s))
     amp = math.hypot(c1, c2)
-    if abs(c0) > amp + 1e-12 * float(np.linalg.norm(s)):
+    if abs(c0) > amp + 1e-12 * math.hypot(*s):
         raise InversionRangeError(
             f"measured value {measured_weak_value} outside the model's range"
         )
@@ -555,8 +575,8 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
     spread = math.acos(min(1.0, max(-1.0, -c0 / amp)))
 
     def p_post(phi):
-        u = np.array([1.0, math.cos(phi), math.sin(phi)])
-        return float(s @ u) / float(ok @ u)
+        cos, sin = math.cos(phi), math.sin(phi)
+        return (s[0] + s[1] * cos + s[2] * sin) / (ok[0] + ok[1] * cos + ok[2] * sin)
 
     best = min((centre - spread, centre + spread),
                key=lambda phi: abs(p_post(phi) - measured_p_a))

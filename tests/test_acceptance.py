@@ -9,6 +9,7 @@ Monte Carlo over frozen seed sets) before being pinned here.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -262,6 +263,6 @@ def test_criterion_10_deterministic_output(tmp_path):
     path = tmp_path / "fig2.csv"
     meta_path = write_fig2_csv(result, path)
     ok = ok and path.read_text() == next(iter(texts))
-    ok = ok and json.loads(open(meta_path).read())["seed"] == 1234
+    ok = ok and json.loads(Path(meta_path).read_text())["seed"] == 1234
     report(10, "strength-sweep table byte-identical across runs and workers",
            ok, f"distinct_outputs={len(texts)}")

@@ -278,7 +278,7 @@ def test_fig2_csv_format_and_sidecar(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
-    meta = json.loads(open(meta_path).read())
+    meta = json.loads(Path(meta_path).read_text())
     assert meta["seed"] == 3
     first = lines[1].split(",")
     assert first[-1] in ("true", "false", "no_data")

@@ -25,9 +25,16 @@ from weakpol import (
     weak_value_analytic,
     write_chi_csv,
 )
+from weakpol.errors import InversionRangeError
 from weakpol.imperfection import (
+    _PREP_KETS,
     PAULI_2,
     PREPARATIONS,
+    _amplitudes,
+    _endpoint_weights,
+    _event_weights,
+    _model_weights,
+    _product_kets,
     _vec,
     channel_joint_distribution,
     channel_joint_grid,
@@ -203,18 +210,56 @@ def test_fit_hits_observed_anomaly():
 def test_fit_builds_the_gate_once(monkeypatch):
     import weakpol.imperfection as imperfection
 
-    calls = []
+    calls, channels = [], []
 
     def counted(cfg):
         calls.append(cfg)
         return labeled_kraus(cfg)
 
+    class CountedChannel(TwoQubitChannel):
+        def __init__(self, kraus):
+            channels.append(len(kraus))
+            super().__init__(kraus)
+
     monkeypatch.setattr(imperfection, "labeled_kraus", counted)
+    monkeypatch.setattr(imperfection, "TwoQubitChannel", CountedChannel)
     params = fit_visibility(0.012, PSI_42, K_SMALL)
-    assert len(calls) == 1
+    assert (len(calls), channels) == (1, [])
     assert params.visibility == pytest.approx(V_FITTED, abs=1e-9)
+    for model in (params, ImperfectionParams(visibility=0.9, depol=0.02)):
+        calls.clear()
+        assert -1.0 <= invert_s1(0.5, 0.012, model, K_SMALL) <= 1.0
+        assert (len(calls), channels) == (1, [])
+    imperfect_channel(None, params)  # the channel path itself is counted
+    assert channels == [7]
     with pytest.raises(TypeError, match="meter must be a MeterSetting"):
         fit_visibility(0.012, PSI_42, None)
+
+
+def test_fit_and_inversion_keep_the_trace_guard(monkeypatch):
+    import weakpol.imperfection as imperfection
+
+    # without balancing loss the gate's largest effect eigenvalue is exactly 1,
+    # so gate parts scaled by 1.5 make a trace-increasing model
+    cfg = DeviceConfig(balance_eta=1.0)
+    meter = MeterSetting.from_strength(0.2)
+    params = ImperfectionParams(visibility=0.5, depol=0.3)
+    p_h, p_v, p_a = channel_postselected_probs(
+        imperfect_channel(None, params, cfg), PSI_42, meter, antidiagonal()
+    )
+    assert invert_s1((p_h - p_v) / 0.2, p_a, params, meter, cfg) == pytest.approx(S1_42, abs=1e-9)
+    target = channel_postselected_probs(
+        imperfect_channel(None, ImperfectionParams(visibility=0.5), cfg), PSI_42, meter,
+        antidiagonal(),
+    )[2]
+    assert fit_visibility(target, PSI_42, meter, cfg).visibility == pytest.approx(0.5, abs=1e-12)
+    monkeypatch.setattr(imperfection, "labeled_kraus",
+                        lambda cfg: tuple(1.5 * part for part in labeled_kraus(cfg)))
+    with pytest.raises(ValueError, match="channel increases trace"):
+        fit_visibility(target, PSI_42, meter, cfg)
+    for model in (ImperfectionParams(), params):
+        with pytest.raises(ValueError, match="channel increases trace"):
+            invert_s1((p_h - p_v) / 0.2, p_a, model, meter, cfg)
 
 
 def test_fit_below_ideal_floor_is_infeasible():
@@ -752,6 +797,88 @@ def test_invert_root_choice_follows_the_measured_p_a():
                                                               abs=1e-12)
     assert invert_s1(wv, p_a * 0.94, params, meter) == pytest.approx(-0.83272802826764,
                                                                      abs=1e-12)
+
+
+# (v, p) of the reference models; (0, 0) is the v = 0 end point itself
+REFERENCE_MODELS = ((1.0, 0.0), (0.96, 0.0), (0.9, 0.02), (0.5, 0.3), (0.0, 1.0), (0.0, 0.0))
+# two splitter settings off the balanced 1/9 gate, each succeeding at every input
+OFF_BALANCE = (DeviceConfig(interfering_eta=0.3, balance_eta=0.4, hadamard_eta=0.45),
+               DeviceConfig(interfering_eta=0.4, balance_eta=0.25, hadamard_eta=0.6))
+
+
+def channel_weights(params, cfg, kets, post):
+    """Event weights of ``kets`` from the Kraus stack of ``imperfect_channel``."""
+    channel = imperfect_channel(None, params, cfg)
+    return _event_weights(_amplitudes(channel.kraus, kets), post)
+
+
+def reference_invert(wv, p_a, params, meter, cfg, post):
+    """The inversion on channel-path weights, with the harmonics as 3-vectors."""
+    kets = _product_kets(_PREP_KETS[:3], meter.ket()[None])
+    w_h, w_v, w_ok = channel_weights(params, cfg, kets, post).T
+    to_harmonics = np.array([[0.5, 0.5, 0.0], [0.5, -0.5, 0.0], [-0.5, -0.5, 1.0]])
+    d, s, ok = to_harmonics @ (w_h - w_v), to_harmonics @ (w_h + w_v), to_harmonics @ w_ok
+    if np.linalg.norm(np.cross(d, s)) <= 1e-12 * float(s @ s):
+        raise InversionRangeError("nothing to invert")
+    c0, c1, c2 = d - wv * meter.strength * s
+    amp = math.hypot(c1, c2)
+    if abs(c0) > amp + 1e-12 * float(np.linalg.norm(s)):
+        raise InversionRangeError("out of range")
+    centre, spread = math.atan2(c2, c1), math.acos(min(1.0, max(-1.0, -c0 / amp)))
+    roots = np.array([centre - spread, centre + spread])
+    u = np.stack([np.ones(2), np.cos(roots), np.sin(roots)])
+    return math.cos(roots[np.argmin(np.abs(s @ u / (ok @ u) - p_a))])
+
+
+def outcome(call):
+    """A call's value, or InversionRangeError if it raised one."""
+    try:
+        return call()
+    except InversionRangeError:
+        return InversionRangeError
+
+
+@pytest.mark.parametrize("cfg", (DeviceConfig(),) + OFF_BALANCE)
+def test_endpoint_weights_match_the_channel_path(cfg):
+    rng = np.random.default_rng(87)
+    posts = (antidiagonal(), horizontal(), Polarization.from_degrees(17.0),
+             random_polarization(rng))
+    signals = (Polarization.from_degrees(35.0), Polarization.from_degrees(-60.0))
+    inputs = np.concatenate([_PREP_KETS[:3], [PSI_42.ket(), random_polarization(rng).ket()]])
+    inverted = 0
+    for k in (0.006, 0.2, 0.9, -0.5):
+        meter = MeterSetting.from_strength(k)
+        kets = _product_kets(inputs, meter.ket()[None])
+        for post in posts:
+            ends = _endpoint_weights(kets, post, cfg)
+            for v, p in REFERENCE_MODELS:
+                params = ImperfectionParams(v, p)
+                want = channel_weights(params, cfg, kets, post)
+                assert np.max(np.abs(_model_weights(ends, params) - want)) < 1e-15
+                for psi in signals:
+                    p_h, p_v, p_a = channel_postselected_probs(
+                        imperfect_channel(None, params, cfg), psi, meter, post)
+                    got = outcome(lambda: invert_s1((p_h - p_v) / k, p_a, params, meter, cfg, post))
+                    ref = outcome(lambda: reference_invert((p_h - p_v) / k, p_a, params, meter, cfg,
+                                                           post))
+                    if ref is InversionRangeError:
+                        assert got is ref
+                    else:
+                        assert abs(got - ref) < 1e-10
+                        inverted += 1
+                if p == 0.0:
+                    # the fit, against the linear-fractional solution on channel-path weights
+                    target = channel_postselected_probs(
+                        imperfect_channel(None, params, cfg), PSI_42, meter, post)[2]
+                    psi_ends = [channel_weights(ImperfectionParams(e), cfg, kets[3:4], post)[0]
+                                for e in (1.0, 0.0)]  # row 3 of kets is PSI_42
+                    (a1, s1), (a0, s0) = ((w_h + w_v, w_ok) for w_h, w_v, w_ok in psi_ends)
+                    want_v = (target * s0 - a0) / ((a1 - a0) - target * (s1 - s0))
+                    got = fit_visibility(target, PSI_42, meter, cfg, post).visibility
+                    # within 1e-15 in P(post): an H post at K = 0.006 moves P(post) by
+                    # only 4.5e-6 over v in [0, 1], so there v carries 1e-11 of rounding
+                    assert abs(got - min(max(want_v, 0.0), 1.0)) * abs(a1 / s1 - a0 / s0) < 1e-15
+    assert inverted >= 120  # of 192: the rest raise the same error on both paths
 
 
 def test_joint_distribution_matches_gate_for_ideal_params():
