@@ -42,6 +42,18 @@ ANCILLA_MODES = ("lossS", "lossM")
 ALL_MODES = SIGNAL_MODES + METER_MODES + ANCILLA_MODES
 
 _MODE_INDEX = {label: i for i, label in enumerate(ALL_MODES)}
+_IDENTITY_ROWS = tuple(map(tuple, np.eye(len(ALL_MODES)).tolist()))
+
+# the splitters in propagation order: (mode a, mode b, DeviceConfig field of its
+# eta); the last swaps the mode roles to realize the inverse of the first one
+# under the fixed sign convention
+_NETWORK = (
+    ("mH", "mV", "hadamard_eta"),
+    ("sV", "mV", "interfering_eta"),
+    ("sH", "lossS", "balance_eta"),
+    ("mH", "lossM", "balance_eta"),
+    ("mV", "mH", "hadamard_eta"),
+)
 
 # offsets of the three zoom rounds of local_phase_fidelity and their phasors;
 # each round spans one cell of the previous round's grid either side of its best point
@@ -70,18 +82,8 @@ def device_registry() -> ModeRegistry:
 
 
 def network_steps(cfg: DeviceConfig = DeviceConfig()):
-    """Beam-splitter sequence implementing the gate.
-
-    The final splitter swaps the mode roles to realize the inverse of the
-    first meter splitter under the fixed sign convention.
-    """
-    return [
-        BeamSplitterSpec("mH", "mV", cfg.hadamard_eta),
-        BeamSplitterSpec("sV", "mV", cfg.interfering_eta),
-        BeamSplitterSpec("sH", "lossS", cfg.balance_eta),
-        BeamSplitterSpec("mH", "lossM", cfg.balance_eta),
-        BeamSplitterSpec("mV", "mH", cfg.hadamard_eta),
-    ]
+    """Beam-splitter sequence implementing the gate: ``_NETWORK`` at ``cfg``."""
+    return [BeamSplitterSpec(a, b, getattr(cfg, field)) for a, b, field in _NETWORK]
 
 
 def input_state(signal: Polarization, meter: MeterSetting, registry: ModeRegistry | None = None) -> FockState:
@@ -157,31 +159,24 @@ def transfer_matrix(cfg: DeviceConfig = DeviceConfig()) -> np.ndarray:
     """Single-photon mode-amplitude matrix of the full network.
 
     Column j holds the output amplitudes of one photon injected in mode
-    j. Each splitter is a 2x2 block on its two modes in the ``fock``
-    convention (column a -> (t, -r), column b -> (r, t)); the network is
-    the product of those blocks in propagation order. Every splitter is
-    real, so the walk left-multiplies rows of Python floats (a block
-    mixes only its two rows) and converts to complex once at the end.
-    The Fock engine derives the same matrix independently, and the tests
-    hold the two together.
+    j. Each splitter of ``_NETWORK`` is a 2x2 block on its two modes in
+    the ``fock`` convention (column a -> (t, -r), column b -> (r, t)); the
+    network is the product of those blocks in propagation order. Every
+    splitter is real, so the walk replaces the two rows of Python floats
+    each block mixes, starting from the identity rows, and prunes while
+    converting to complex once. The Fock engine derives the same matrix
+    from ``network_steps``, and the tests hold the two together.
     """
-    n = len(ALL_MODES)
-    u = [[float(row == col) for col in range(n)] for row in range(n)]
-    for bs in network_steps(cfg):
-        i, j = _MODE_INDEX[bs.mode_a], _MODE_INDEX[bs.mode_b]
-        t, r = math.sqrt(bs.eta), math.sqrt(1.0 - bs.eta)
+    u = list(_IDENTITY_ROWS)
+    for mode_a, mode_b, field in _NETWORK:
+        i, j = _MODE_INDEX[mode_a], _MODE_INDEX[mode_b]
+        eta = getattr(cfg, field)
+        t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
         u[i], u[j] = ([t * a + r * b for a, b in zip(u[i], u[j])],
                       [t * b - r * a for a, b in zip(u[i], u[j])])
-    u = np.array(u, dtype=complex)
     # prune as the Fock engine does, so interference nulls are exact zeros:
     # a 1e-17 residual would still be a nonzero Poisson mean downstream
-    u[np.abs(u) < PRUNE_TOL] = 0.0
-    return u
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two 2x2 matrices, by broadcasting."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    return np.array([[x if abs(x) >= PRUNE_TOL else 0.0 for x in row] for row in u], dtype=complex)
 
 
 def labeled_kraus(cfg: DeviceConfig = DeviceConfig()):
@@ -192,12 +187,13 @@ def labeled_kraus(cfg: DeviceConfig = DeviceConfig()):
     (each photon exits on its own side) is U_ss (x) U_mm, and its
     exchange term (photons swap sides) is (U_sm (x) U_ms) SWAP. With
     hidden photon labels the two add incoherently; their coherent sum is
-    the gate operator.
+    the gate operator. Each part is one broadcast product over the kept
+    block of U viewed as k[out side, out polarization, in side, in
+    polarization]; for the exchange part the SWAP is in the index pattern.
     """
-    u = transfer_matrix(cfg)
-    direct = _kron(u[:2, :2], u[2:4, 2:4])
-    # right-multiplying by SWAP (|s, m> -> |m, s>) exchanges the HV and VH columns
-    exchange = _kron(u[:2, 2:4], u[2:4, :2])[:, [0, 2, 1, 3]]
+    k = transfer_matrix(cfg)[:4, :4].reshape(2, 2, 2, 2)
+    direct = (k[0, :, None, 0, :, None] * k[1, None, :, 1, None, :]).reshape(4, 4)
+    exchange = (k[0, :, None, 1, None, :] * k[1, None, :, 0, :, None]).reshape(4, 4)
     return direct, exchange
 
 

@@ -225,7 +225,7 @@ class TwoQubitState:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(2, 2)
         if not self.empty:
             n = np.sum(np.abs(self.amplitudes) ** 2)
-            if abs(n - 1.0) > 1e-9:
+            if not abs(n - 1.0) <= 1e-9:  # written so that NaN fails
                 raise ValueError(f"amplitudes not normalized (|psi|^2 = {n})")
         if not 0.0 <= self.success_prob <= 1.0 + 1e-12:
             raise ValueError(f"success probability out of range: {self.success_prob}")

@@ -209,7 +209,7 @@ def weak_value_from_probs(p_h: float, p_v: float, strength: float) -> float:
     """
     if p_h < -1e-12 or p_v < -1e-12:
         raise ValueError("probabilities must be non-negative")
-    if abs(p_h + p_v - 1.0) > 1e-9:
+    if not abs(p_h + p_v - 1.0) <= 1e-9:  # written so that NaN fails
         raise ValueError(f"conditional probabilities must sum to 1, got {p_h + p_v}")
     if abs(strength) < ZERO_STRENGTH_TOL:
         raise ZeroStrengthError("strength K = 0: weak value unbounded")
@@ -252,7 +252,7 @@ def knowledge_from_probs(p_hh: float, p_vv: float, p_hv: float, p_vh: float) -> 
     probs = (p_hh, p_vv, p_hv, p_vh)
     if any(p < -1e-12 for p in probs):
         raise ValueError(f"probabilities must be non-negative: {probs}")
-    if abs(sum(probs) - 1.0) > 1e-9:
+    if not abs(sum(probs) - 1.0) <= 1e-9:  # written so that NaN fails
         raise ValueError(f"joint probabilities must sum to 1, got {sum(probs)}")
     return p_hh + p_vv - p_hv - p_vh
 

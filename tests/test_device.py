@@ -24,6 +24,7 @@ from weakpol.device import (
     coincidence_operator,
     device_registry,
     input_state,
+    labeled_kraus,
     local_phase_fidelity,
     network_steps,
     target_state,
@@ -302,6 +303,42 @@ def test_scalar_walk_matches_numpy_row_update_bitwise():
         u, want = transfer_matrix(cfg), numpy_row_update_transfer_matrix(cfg)
         assert u.dtype == want.dtype and u.tobytes() == want.tobytes()
         assert np.array_equal(u == 0, want == 0)
+
+
+def kron_reference_labeled_kraus(cfg):
+    """Reference: the Kronecker-product parts that the index patterns replaced."""
+    u = numpy_row_update_transfer_matrix(cfg)
+
+    def kron(a, b):
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+    direct = kron(u[:2, :2], u[2:4, 2:4])
+    # right-multiplying by SWAP (|s, m> -> |m, s>) exchanges the HV and VH columns
+    exchange = kron(u[:2, 2:4], u[2:4, :2])[:, [0, 2, 1, 3]]
+    return direct, exchange
+
+
+def test_gate_build_matches_kron_reference_bitwise():
+    rng = np.random.default_rng(12)
+    random_configs = [DeviceConfig(*rng.uniform(0.0, 1.0, 3)) for _ in range(200)]
+    edge_configs = [DeviceConfig(0.0, 0.0, 0.0), DeviceConfig(1.0, 1.0, 1.0),
+                    DeviceConfig(interfering_eta=1.0, balance_eta=0.0)]
+    inputs = np.random.default_rng(13)
+    for cfg in (*ORACLE_CONFIGS, *random_configs, *edge_configs):
+        want = kron_reference_labeled_kraus(cfg)
+        for got, part in zip(labeled_kraus(cfg), want):
+            assert got.dtype == part.dtype and got.tobytes() == part.tobytes()
+        gate = want[0] + want[1]
+        assert coincidence_operator(cfg).tobytes() == gate.tobytes()
+        for _ in range(2):
+            signal, meter = random_signal(inputs), MeterSetting(inputs.uniform(0.0, 1.0))
+            amps = gate @ (signal.ket()[:, None] * meter.ket()).reshape(4)
+            prob = float(np.sum(np.abs(amps) ** 2))
+            out = run_device(signal, meter, cfg)
+            assert out.empty == (prob <= fock.PRUNE_TOL**2)
+            if not out.empty:
+                assert out.success_prob == prob
+                assert out.amplitudes.tobytes() == (amps / math.sqrt(prob)).reshape(2, 2).tobytes()
 
 
 def test_kernel_and_fock_oracle_flag_zero_coincidence_weight():

@@ -11,6 +11,7 @@ from weakpol import (
     ModeRegistry,
     PhotonCapError,
     Polarization,
+    TwoQubitState,
     UnknownModeError,
     ZeroNormError,
     apply_beam_splitter,
@@ -163,6 +164,12 @@ def test_super_normalized_states_rejected():
         create_photon(one, {"a": 1.0})
     two = create_photon(one, {"a": 1.0 / math.sqrt(2.0)})
     assert abs(two.norm_sq() - 1.0) < 1e-12
+
+
+def test_two_qubit_state_rejects_nan_amplitudes():
+    for amps in (np.full((2, 2), np.nan), np.array([[np.nan, 0.0], [0.0, 0.0]])):
+        with pytest.raises(ValueError, match="not normalized"):
+            TwoQubitState(amps, 0.5)
 
 
 def test_prune_keeps_interference_nulls_clean():

@@ -180,6 +180,13 @@ def test_weak_value_from_probs_validates_distribution():
         weak_value_from_probs(-0.1, 1.1, 0.5)
 
 
+def test_weak_value_from_probs_rejects_nan():
+    # NaN would pass a sum-to-one check written as abs(x - 1) > tol
+    for p_h, p_v in ((math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="sum to 1"):
+            weak_value_from_probs(p_h, p_v, 0.5)
+
+
 def test_probability_route_matches_closed_form():
     rng = np.random.default_rng(17)
     for _ in range(1000):
@@ -217,6 +224,11 @@ def test_knowledge_rejects_malformed_distribution():
         knowledge_from_probs(0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         knowledge_from_probs(-0.1, 0.6, 0.3, 0.2)
+
+
+def test_knowledge_rejects_nan():
+    with pytest.raises(ValueError, match="sum to 1"):
+        knowledge_from_probs(math.nan, 0.2, 0.3, 0.1)
 
 
 # --- decomposition over complementary postselections -----------------------------
