@@ -26,6 +26,7 @@ to per-qubit phases), not by the particular layout.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -55,11 +56,10 @@ _NETWORK = (
     ("mV", "mH", "hadamard_eta"),
 )
 
-# offsets of the three zoom rounds of local_phase_fidelity and their phasors;
-# each round spans one cell of the previous round's grid either side of its best point
-_ZOOM_OFFSETS = np.array([np.linspace(-w, w, 1025)
-                          for w in (np.pi, 2 * np.pi / 1024, 4 * np.pi / 1024**2)])
-_ZOOM_PHASORS = np.exp(1j * _ZOOM_OFFSETS)
+# rows [1; cos phi; -sin phi] over the 1025-point meter-phase grid on [0, 2 pi]:
+# (a, Re c, Im c) times a column is a + Re(c e^{i phi})
+_PHASE_BASIS = np.array([f(np.linspace(0.0, 2.0 * np.pi, 1025)) for f in
+                         (np.ones_like, np.cos, lambda phi: -np.sin(phi))])
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,12 @@ def run_device(signal: Polarization, meter: MeterSetting, cfg: DeviceConfig = De
     A zero coincidence weight gives the flagged empty state, as the
     Fock-level ``project_coincidence`` does.
     """
-    amps = coincidence_operator(cfg) @ (signal.ket()[:, None] * meter.ket()).reshape(4)
+    return _apply_gate(coincidence_operator(cfg), signal, meter)
+
+
+def _apply_gate(gate: np.ndarray, signal: Polarization, meter: MeterSetting) -> TwoQubitState:
+    """``run_device`` with the gate operator built once by the caller."""
+    amps = gate @ (signal.ket()[:, None] * meter.ket()).reshape(4)
     prob = float(np.sum(np.abs(amps) ** 2))
     if prob <= PRUNE_TOL**2:
         return TwoQubitState(np.zeros((2, 2), dtype=complex), 0.0, empty=True)
@@ -121,33 +126,58 @@ def target_state(signal: Polarization, meter: MeterSetting) -> np.ndarray:
     return np.array([[a * g, a * gb], [b * gb, b * g]], dtype=complex)
 
 
+def _scaled_entries(name: str, x) -> list:
+    """The four entries of ``x`` divided by their largest real or imaginary part."""
+    z = np.asarray(x, dtype=complex).reshape(4).tolist()
+    if not all(map(cmath.isfinite, z)):
+        raise ValueError(f"{name} has a non-finite entry: fidelity undefined")
+    scale = max(max(abs(v.real), abs(v.imag)) for v in z)
+    if scale == 0.0:
+        raise ZeroNormError(f"{name} has zero norm: fidelity undefined")
+    return [v / scale for v in z]
+
+
 def local_phase_fidelity(got: np.ndarray, want: np.ndarray) -> float:
     """Overlap fidelity maximized over global and per-qubit phases.
 
     For per-qubit phase rotations the overlap splits as
     |X0 + e^{i th} X1| with X_s = t_{s0} + t_{s1} e^{i ph}, so the inner
-    maximization is |X0| + |X1| and only the meter phase needs a 1-D
-    search: three rounds of 1025 points, each zooming onto one grid cell
-    either side of the previous best. The offsets of every round are
-    fixed, so a round's phasors are e^{i centre} times stored ones.
-    Conventions differ by exactly such phases; physics does not. A
-    zero-norm argument raises ZeroNormError naming it.
+    maximization is |X0| + |X1| and only the meter phase needs a 1-D search
+    of f(ph) = sum_s sqrt(a_s + Re(c_s e^{i ph})), with a_s = |t_{s0}|^2 +
+    |t_{s1}|^2 and c_s = 2 conj(t_{s0}) t_{s1}: one real 1025-point grid
+    pass, then Newton on f' bracketed to one cell either side of the best
+    grid point, until a step is at most 1e-9 rad. Conventions differ by
+    exactly such phases; physics does not. The fidelity does not depend on
+    scale, so each argument is first divided by its largest real or
+    imaginary part. A zero-norm argument raises ZeroNormError, one with a
+    non-finite entry ValueError.
     """
-    got = np.asarray(got, dtype=complex).reshape(2, 2)
-    want = np.asarray(want, dtype=complex).reshape(2, 2)
-    norms = (float(np.sum(np.abs(got) ** 2)), float(np.sum(np.abs(want) ** 2)))
-    for name, norm in zip(("got", "want"), norms):
-        if norm == 0.0:
-            raise ZeroNormError(f"{name} has zero norm: fidelity undefined")
-    t = want.conj() * got
-
-    centre, best = np.pi, 0.0
-    for offsets, phasors in zip(_ZOOM_OFFSETS, _ZOOM_PHASORS):
-        e = np.exp(1j * centre) * phasors
-        vals = np.abs(t[0, 0] + t[0, 1] * e) + np.abs(t[1, 0] + t[1, 1] * e)
-        k = int(np.argmax(vals))
-        centre, best = centre + offsets[k], max(best, float(vals[k]))
-    return best**2 / (norms[0] * norms[1])
+    got, want = _scaled_entries("got", got), _scaled_entries("want", want)
+    t = [w.conjugate() * g for g, w in zip(got, want)]
+    rows = [(abs(t0) ** 2 + abs(t1) ** 2, 2.0 * t0.conjugate() * t1) for t0, t1 in (t[:2], t[2:])]
+    u = np.array([(a, c.real, c.imag) for a, c in rows]) @ _PHASE_BASIS
+    vals = np.sqrt(np.maximum(u, 0.0, out=u), out=u).sum(axis=0)
+    cell, k = 2.0 * np.pi / (_PHASE_BASIS.shape[1] - 1), int(vals.argmax())
+    phi, best, lo, hi = k * cell, float(vals[k]), (k - 1) * cell, (k + 1) * cell
+    for _ in range(64):  # a cap only a pathological f could reach: bisection needs about 25
+        e, f, d1, d2 = cmath.exp(1j * phi), 0.0, 0.0, 0.0
+        for a, c in rows:
+            z = c * e  # u = a + Re z, u' = -Im z, u'' = -Re z; a row with u <= 0 adds nothing
+            if a + z.real > 0.0:
+                r = math.sqrt(a + z.real)
+                f, d1 = f + r, d1 - z.imag / (2.0 * r)
+                d2 -= (z.real + z.imag**2 / (2.0 * r * r)) / (2.0 * r)
+        best = max(best, f)
+        lo, hi = (phi, hi) if d1 > 0.0 else (lo, phi)
+        # f' = 0 needs no step, and a Newton step under 1e-9 ends the search before
+        # the bracket test can turn a step below one ulp of phi into a bisection
+        step = 0.0 if d1 == 0.0 else -d1 / d2 if d2 < 0.0 else math.inf
+        if abs(step) > 1e-9 and not lo < phi + step < hi:
+            step = 0.5 * (lo + hi) - phi
+        if abs(step) <= 1e-9:
+            break
+        phi += step
+    return best**2 / math.prod(sum(abs(v) ** 2 for v in x) for x in (got, want))
 
 
 def equivalence_fidelity(state: TwoQubitState, signal: Polarization, meter: MeterSetting) -> float:

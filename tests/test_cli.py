@@ -38,6 +38,22 @@ def test_gate_verify_passes(capsys):
     assert infid < 1e-10
 
 
+def test_gate_verify_builds_the_gate_once(capsys, monkeypatch):
+    import weakpol.device as device
+
+    calls, build = [], device.labeled_kraus
+
+    def counted(cfg):
+        calls.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(device, "labeled_kraus", counted)
+    code, out, _ = run_cli(["gate-verify", "--trials", "20"], capsys)
+    assert code == EXIT_OK
+    assert "gate-verify: OK" in out
+    assert len(calls) == 1
+
+
 def test_gate_verify_rejects_nonpositive_trials(tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("trials: -3\n")

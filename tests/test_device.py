@@ -196,6 +196,79 @@ def test_fixed_phasor_search_matches_linspace_search():
         assert abs(local_phase_fidelity(got, want) - linspace_phase_fidelity(got, want)) < 1e-14
 
 
+def brute_force_phase_fidelity(got, want):
+    """Reference: the best of a dense phase grid, each top peak polished by dense local grids."""
+    got = np.asarray(got, dtype=complex).reshape(2, 2)
+    want = np.asarray(want, dtype=complex).reshape(2, 2)
+    t = want.conj() * got
+
+    def overlap(phi):
+        e = np.exp(1j * phi)
+        return np.abs(t[0, 0] + t[0, 1] * e) + np.abs(t[1, 0] + t[1, 1] * e)
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 2**14, endpoint=False)
+    vals = overlap(grid)
+    peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+    best = 0.0
+    for k in peaks[np.argsort(vals[peaks])[-3:]]:
+        centre, width = grid[k], grid[1]
+        for _ in range(3):
+            fine = centre + np.linspace(-width, width, 801)
+            v = overlap(fine)
+            j = int(np.argmax(v))
+            centre, width, best = fine[j], width / 400, max(best, float(v[j]))
+    return best**2 / float(np.sum(np.abs(got) ** 2) * np.sum(np.abs(want) ** 2))
+
+
+def phase_fidelity_cases(rng):
+    """Random pairs with zero rows and entries, local-phase copies, a diagonal pair, cusp rows."""
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for n in range(160):
+        got, want = cplx(2, 2), cplx(2, 2)
+        if n % 4 == 1:
+            (got, want)[n % 8 // 4][rng.integers(2)] = 0.0
+        elif n % 4 == 2:
+            got[tuple(rng.integers(2, size=2))] = 0.0
+            want[tuple(rng.integers(2, size=2))] = 0.0
+        yield got, want
+    for _ in range(20):
+        want, (a, b, g) = cplx(2, 2), rng.uniform(0.0, 2.0 * np.pi, 3)
+        yield want * np.exp(1j * np.array([[g, g + b], [g + a, g + a + b]])), want
+    yield np.diag(cplx(2)), np.diag(cplx(2))
+    for _ in range(40):
+        # |t_s0| = |t_s1| in both rows: each row's overlap reaches zero at one phase
+        mags = rng.uniform(0.1, 2.0, size=(2, 2, 1))
+        got, want = mags * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(2, 2, 2)))
+        yield got, want
+
+
+def test_phase_fidelity_matches_brute_force_maximum():
+    rng = np.random.default_rng(29)
+    for got, want in phase_fidelity_cases(rng):
+        assert abs(local_phase_fidelity(got, want) - brute_force_phase_fidelity(got, want)) < 1e-14
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-100, 1.0, 1e150, 1e160, 1e300])
+def test_local_phase_fidelity_does_not_depend_on_scale(scale):
+    eye = np.eye(2, dtype=complex)
+    assert abs(local_phase_fidelity(scale * eye, scale * eye) - 1.0) < 1e-15
+    assert abs(local_phase_fidelity(scale * eye, eye / math.sqrt(2.0)) - 1.0) < 1e-15
+    assert abs(local_phase_fidelity(eye, scale * np.array([[1.0, 0.0], [0.0, 0.0]])) - 0.5) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_local_phase_fidelity_rejects_non_finite_entries(bad):
+    eye = np.eye(2, dtype=complex)
+    broken = eye.copy()
+    broken[1, 0] = bad
+    with pytest.raises(ValueError, match="got has a non-finite entry"):
+        local_phase_fidelity(broken, eye)
+    with pytest.raises(ValueError, match="want has a non-finite entry"):
+        local_phase_fidelity(eye, broken)
+
+
 def test_meter_negative_strength_is_flagged_not_rejected():
     meter = MeterSetting(0.5)  # gamma < 1/sqrt(2)
     assert meter.negative_strength
