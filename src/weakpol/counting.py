@@ -9,12 +9,12 @@ an error in K_hat slides the point along a hyperbola, and once the
 reported as a flag rather than a number.
 
 A strength sweep is counted on the whole grid at once. The model
-probabilities come as arrays (see
-:func:`weakpol.imperfection.channel_postselected_grid`) and are validated
-once per grid, the Poisson means are one array expression, and the
-estimators are array expressions whose masks mark the rows with nothing
-to estimate from. Only the draws loop: each run re-keys one Philox
-generator and draws its outcomes with scalar ``poisson`` calls. The
+probabilities of both runs come as arrays from one call of the model
+kernel of :mod:`weakpol.imperfection` and are validated once per grid,
+the Poisson means are one array expression, and the estimators are
+array expressions whose masks mark the rows with nothing to estimate
+from. Only the draws loop: each run re-keys one Philox generator and
+draws its outcomes with scalar ``poisson`` calls. The
 calibration run of grid point ``i`` is exactly ``stream_for(seed, i,
 K_RUN)`` and its postselected run ``stream_for(seed, i, WV_RUN)``, so
 tables are reproducible bit for bit. A Philox stream is fixed by its
@@ -41,10 +41,11 @@ from .device import DeviceConfig
 from .errors import ZeroCountsError, ZeroStrengthError
 from .imperfection import (
     ImperfectionParams,
+    _joint_probs,
+    _meter_kets,
+    _model_weights,
+    _postselected_probs,
     _write_atomic,
-    channel_joint_grid,
-    channel_postselected_grid,
-    imperfect_channel,
 )
 from .weak_values import ZERO_STRENGTH_TOL, Polarization, antidiagonal, diagonal
 
@@ -393,16 +394,16 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
              cfg: DeviceConfig = DeviceConfig(), workers: int = 1) -> Fig2Result:
     """Simulate calibration and weak-value runs over a strength grid.
 
-    The model probabilities come first, for the whole grid at once: the
-    joint distribution of a diagonal input (calibration, no
-    postselection) and the meter probabilities of ``psi`` postselected
-    on A. Grid point ``i`` then draws its calibration counts and its
-    postselected meter counts from its two substreams of the master
-    seed, ``stream_for(plan.seed, i, K_RUN)`` and ``stream_for(plan.seed,
-    i, WV_RUN)``, so the table depends on the seed alone. The keys of all
-    those streams are derived in one batch, one generator is re-keyed for
-    each run, and the estimators run on the whole grid.
-    ``workers`` is accepted for compatibility and ignored: the runs are
+    The model probabilities come first, for the whole grid at once and
+    from one gate build: the joint distribution of a diagonal input
+    (calibration, no postselection) and the meter probabilities of
+    ``psi`` postselected on A. Grid point ``i`` then draws its
+    calibration counts and its postselected meter counts from its two
+    substreams of the master seed, ``stream_for(plan.seed, i, K_RUN)``
+    and ``stream_for(plan.seed, i, WV_RUN)``, so the table depends on the
+    seed alone. The keys of all those streams are derived in one batch,
+    one generator is re-keyed for each run, and the estimators run on the
+    whole grid. ``workers`` is accepted for compatibility and ignored: the runs are
     drawn serially. Rows where an estimator has nothing to work with are
     flagged ``no_data`` instead of carrying sentinel numbers; the
     metadata's ``no_data_rows`` lists them under the first reason that
@@ -414,12 +415,13 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
         raise ValueError("strength grid is empty")
     if any(abs(k) < ZERO_STRENGTH_TOL for k in k_grid):
         raise ZeroStrengthError("strength K = 0 in grid: weak value undefined")
-    channel = imperfect_channel(None, params, cfg)
-    cal_means = _poisson_means(channel_joint_grid(channel, diagonal(), k_grid), _CAL_OUTCOMES,
+    signals = np.array([diagonal().ket(), psi.ket()])
+    weights = _model_weights([params], signals, _meter_kets(k_grid), antidiagonal(), cfg)[0]
+    cal, post = np.split(weights, 2)
+    cal_means = _poisson_means(_joint_probs(cal), _CAL_OUTCOMES,
                                plan.unpostselected_rate, plan.duration_k)
-    meter_means = _poisson_means(
-        channel_postselected_grid(channel, psi, k_grid, antidiagonal())[:, :2], _METER_OUTCOMES,
-        plan.postselected_rate, plan.duration_wv)
+    meter_means = _poisson_means(_postselected_probs(post)[:, :2], _METER_OUTCOMES,
+                                 plan.postselected_rate, plan.duration_wv)
     points = np.arange(len(k_grid))
     rng = make_rng(plan.seed)
 

@@ -22,24 +22,24 @@ cannot move the rare-postselection probability at small strength; the
 second supplies exactly that while preserving the diagonal-input
 symmetry that keeps the weak value of a diagonal signal at zero. Both
 reduce to the ideal gate at v = 1. White noise, rho -> (1-p) rho + p
-tr(rho) I/4 after the mixture, joins the same operator sum: the mixture
-operators scaled by sqrt(1-p), plus (sqrt(p)/2) |i><j| sqrt(M) for i, j
-in 0..3 with M = sum_k k^dag k, so a noisy channel holds 7 + 16 = 23
-operators.
+tr(rho) I/4, follows the mixture.
 
 A channel is one stack of Kraus operators, shape (n, 4, 4); its action,
 superoperator and chi matrix are all derived from it. A stored
 superoperator would cancel the rare-postselection interference in
 probabilities rather than amplitudes, which moved the weak value of a
-diagonal input at v = 1, K = 0.006 from 8e-12 to 5e-10. Every
-probability of the module is a sum of squared moduli of amplitudes k|p>
-of operators on a stack of product kets |p> = |a> (x) |m>, one matmul: a
-Kraus stack on the meter kets of a strength grid (the Fig. 2 views), the
-16 tomography preparations or one input of the distinguishable device.
-The fit and the inversion build no channel: event weights are linear in
-v, and white noise moves p/4 of the success weight into each
-postselected meter outcome, so the weights at v = 1 and v = 0 give those
-of every (v, p).
+diagonal input at v = 1, K = 0.006 from 8e-12 to 5e-10.
+
+Every probability comes from one kernel: the weights of six events (post
+and meter H, post and meter V, HH, HV, VH, VV), each a sum of
+|<e|k|p>|^2 over operators k, on a stack of product kets |p> = |a> (x)
+|m>. The channel views read it on a channel's Kraus stack. The model
+(the Fig. 2 sweep, the model curve, the fit and the inversion) reads it
+on the seven mixture operators (gate, direct, exchange, gate P_0..P_3)
+of one gate build, weighted sqrt(v) and sqrt((1-v)/2), and applies
+white noise by one rule for every event, W -> (1-p) W + (p/4) W_ok.
+``imperfect_channel`` builds the same weighted mixture and adds the
+noise as Kraus operators.
 
 Process tomography reconstructs the chi matrix of any such channel by
 linear inversion from the 16 product preparations over {H, V, D, R} per
@@ -84,10 +84,15 @@ def _outer(kets: np.ndarray) -> np.ndarray:
     return np.einsum("ai,aj->aij", kets, kets.conj())
 
 
+def _product_kets(signals: np.ndarray, meters: np.ndarray) -> np.ndarray:
+    """|a> (x) |m> for every row a of one stack of 2-kets and m of another, a-major: (A * M, 4)."""
+    return (signals[:, None, :, None] * meters[None, :, None, :]).reshape(-1, 4)
+
+
 # H, V, D, R; the 16 tomography inputs are their products (H,H), (H,V), ..., (R,R)
 _PREP_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]], dtype=complex)
 _PREP_KETS /= np.sqrt([1, 1, 2, 2])[:, None]
-_PREP_PRODUCT_KETS = (_PREP_KETS[:, None, :, None] * _PREP_KETS[None, :, None, :]).reshape(16, 4)
+_PREP_PRODUCT_KETS = _product_kets(_PREP_KETS, _PREP_KETS)
 PREPARATIONS = _outer(_PREP_PRODUCT_KETS)
 
 _PAULI_1 = np.array([
@@ -102,11 +107,8 @@ PAULI_2 = _kron_pairs(_PAULI_1, _PAULI_1)
 # superoperator S[(a, i), (b, j)] = sum_mn chi_mn P_n[b, a] P_m[i, j],
 # regrouped as [(i, j), (b, a)], is B^T chi B; B B^dag = 4 I inverts it.
 _PAULI_ROWS = PAULI_2.reshape(16, 16)
+_EYE_2, _EYE_4 = np.eye(2), np.eye(4)
 _UNIT_PROJECTORS = _outer(np.eye(4, dtype=complex))
-# weights of (gate, direct, exchange, gate P_0, ..., gate P_3) at v = 1 and v = 0
-_END_POINTS = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0] + [0.5] * 6])
-# (post and meter H, post and meter V, success) from |post amplitudes|^2, |outputs|^2
-_EVENTS = np.array([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0], [0, 0, 1.0, 1.0, 1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,20 @@ class ImperfectionParams:
             raise ValueError(f"depol must lie in [0, 1], got {self.depol}")
 
 
+def _check_trace(ops: np.ndarray, rows: np.ndarray) -> None:
+    """Raise where an effect sum_k rows[r, k]^2 ops_k^dag ops_k, one per row, exceeds 1.
+
+    An effect is positive semidefinite, so only one of trace above 1 needs its spectrum.
+    """
+    effects = (rows * rows) @ (ops.conj().swapaxes(-1, -2) @ ops).reshape(len(ops), 16)
+    effects = effects.reshape(-1, 4, 4)
+    if np.trace(effects, axis1=-2, axis2=-1).real.max() <= 1.0:
+        return
+    top = float(np.linalg.eigvalsh(effects).max())
+    if top > 1.0 + 1e-10:
+        raise ValueError(f"channel increases trace: max effect eigenvalue {top}")
+
+
 class TwoQubitChannel:
     """Completely positive, trace-nonincreasing map in operator-sum form.
 
@@ -133,10 +149,7 @@ class TwoQubitChannel:
         self.kraus = np.asarray(kraus, dtype=complex).reshape(-1, 4, 4)
         if not len(self.kraus):
             raise ValueError("a channel needs at least one effect operator")
-        total = (self.kraus.conj().swapaxes(-1, -2) @ self.kraus).sum(axis=0)
-        top = float(np.max(np.linalg.eigvalsh(total)).real)
-        if top > 1.0 + 1e-10:
-            raise ValueError(f"channel increases trace: max effect eigenvalue {top}")
+        _check_trace(self.kraus, np.ones((1, len(self.kraus))))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """E(rho) for one 4x4 density matrix, or for each of a stack (..., 4, 4)."""
@@ -158,31 +171,24 @@ def _meter_kets(strengths) -> np.ndarray:
     return np.stack([gamma, np.sqrt(np.maximum(0.0, 1.0 - gamma**2))], axis=-1)
 
 
-def _product_kets(signals: np.ndarray, meters: np.ndarray) -> np.ndarray:
-    """|a> (x) |m> for each row pair of two broadcast stacks of 2-kets: shape (P, 4)."""
-    return (signals[:, :, None] * meters[:, None, :]).reshape(-1, 4)
+def _event_weights(ops: np.ndarray, signals: np.ndarray, meter_kets: np.ndarray,
+                   post: Polarization | None = None, rows: np.ndarray | None = None) -> np.ndarray:
+    """Weights of six events for each row of operator weights and product ket: (R, P, 6).
 
-
-def _amplitudes(kraus: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """k|p> for every Kraus operator k and every row p of a ket stack: shape (P, n_kraus, 4).
-
-    Every probability of the module is a sum of |k|p>|^2 over the Kraus
-    axis, so rare-postselection interference cancels in amplitudes.
+    The events e are post and meter H, post and meter V, HH, HV, VH and
+    VV, with ``post`` A by default; the kets p are ``_product_kets(signals,
+    meter_kets)``. Row r weighs operator k of ``ops`` by the amplitude
+    weight rows[r, k] (one row of 1 by default): W = sum_k |rows[r, k]
+    <e|k|p>|^2, so rare-postselection interference cancels in amplitudes.
     """
-    return (kraus @ kets.T).transpose(2, 0, 1)
-
-
-def _kraus_weights(amps: np.ndarray) -> np.ndarray:
-    """sum_k |a|^2 over the Kraus axis of an amplitude stack: (P, n, X) -> (P, X)."""
+    post = post if post is not None else antidiagonal()
+    sq = np.ones((1, len(ops))) if rows is None else rows * rows
+    # the event bras <post| (x) <x| for the meter outcomes x, then <ab|
+    bras = np.concatenate([(post.ket().conj()[:, None] * _EYE_2[:, None, :]).reshape(2, 4),
+                           _EYE_4])
+    amps = (bras @ ops) @ _product_kets(signals, meter_kets).T  # (n, event, P)
     re, im = amps.real, amps.imag
-    return np.einsum("gkx,gkx->gx", re, re) + np.einsum("gkx,gkx->gx", im, im)
-
-
-def _event_weights(amps: np.ndarray, post: Polarization) -> np.ndarray:
-    """Weights of (post and meter H, post and meter V, success) per ket: shape (P, 3)."""
-    # project the signal output on <post|, one amplitude per meter outcome
-    hits = post.ket().conj() @ amps.reshape(*amps.shape[:2], 2, 2)
-    return np.column_stack([_kraus_weights(hits), _kraus_weights(amps).sum(axis=1)])
+    return np.einsum("rk,kxp,kxp->rpx", sq, re, re) + np.einsum("rk,kxp,kxp->rpx", sq, im, im)
 
 
 def _checked_success(success: np.ndarray) -> np.ndarray:
@@ -192,41 +198,71 @@ def _checked_success(success: np.ndarray) -> np.ndarray:
     return success
 
 
-def _joint(channel, signal, meter_kets) -> np.ndarray:
-    amps = _amplitudes(channel.kraus, _product_kets(signal.ket()[None], meter_kets))
-    weights = _kraus_weights(amps)
-    return weights / _checked_success(weights.sum(axis=1))[:, None]
+def _joint_probs(w: np.ndarray) -> np.ndarray:
+    """(P_HH, P_HV, P_VH, P_VV) conditioned on success, from six event weights (..., 6)."""
+    joint = w[..., 2:]
+    return joint / _checked_success(joint.sum(axis=-1))[..., None]
 
 
-def _postselected(channel, signal, meter_kets, post) -> np.ndarray:
-    amps = _amplitudes(channel.kraus, _product_kets(signal.ket()[None], meter_kets))
-    weights = _event_weights(amps, post)
-    post_weight = weights[:, 0] + weights[:, 1]
-    p_post = post_weight / _checked_success(weights[:, 2])
+def _postselected_probs(w: np.ndarray) -> np.ndarray:
+    """(P(meter H | post), P(meter V | post), P(post | success)) from six event weights (..., 6)."""
+    post_weight = w[..., 0] + w[..., 1]
+    p_post = post_weight / _checked_success(w[..., 2:].sum(axis=-1))
     if np.any(p_post <= 1e-300):
         raise PostselectionImpossibleError("postselection probability is zero under the channel")
-    return np.column_stack([weights[:, :2] / post_weight[:, None], p_post])
+    return np.stack([w[..., 0] / post_weight, w[..., 1] / post_weight, p_post], axis=-1)
 
 
 def channel_joint_grid(channel: TwoQubitChannel, signal: Polarization, strengths) -> np.ndarray:
     """(P_HH, P_HV, P_VH, P_VV) conditioned on success, one row per strength."""
-    return _joint(channel, signal, _meter_kets(strengths))
+    weights = _event_weights(channel.kraus, signal.ket()[None], _meter_kets(strengths))
+    return _joint_probs(weights[0])
 
 
 def channel_postselected_grid(channel: TwoQubitChannel, signal: Polarization, strengths,
                               post: Polarization) -> np.ndarray:
     """(P(meter H | post), P(meter V | post), P(post | success)), one row per strength."""
-    return _postselected(channel, signal, _meter_kets(strengths), post)
+    weights = _event_weights(channel.kraus, signal.ket()[None], _meter_kets(strengths), post)
+    return _postselected_probs(weights[0])
 
 
 def channel_joint_distribution(channel, signal, meter):
     """(P_HH, P_HV, P_VH, P_VV) conditioned on success."""
-    return tuple(_joint(channel, signal, meter.ket()[None])[0].tolist())
+    weights = _event_weights(channel.kraus, signal.ket()[None], meter.ket()[None])
+    return tuple(_joint_probs(weights[0, 0]).tolist())
 
 
 def channel_postselected_probs(channel, signal, meter, post: Polarization):
     """(P(meter H | post), P(meter V | post), P(post | success))."""
-    return tuple(_postselected(channel, signal, meter.ket()[None], post)[0].tolist())
+    weights = _event_weights(channel.kraus, signal.ket()[None], meter.ket()[None], post)
+    return tuple(_postselected_probs(weights[0, 0]).tolist())
+
+
+def _mixture(cfg: DeviceConfig, visibilities):
+    """The seven mixture operators of ``cfg`` and their amplitude weights, one row per visibility.
+
+    Gate, direct and exchange parts, gate after each unit projector P_0..P_3 (rail dephasing)."""
+    direct, exchange = labeled_kraus(cfg)
+    gate = direct + exchange
+    ops = np.concatenate([[gate, direct, exchange], gate @ _UNIT_PROJECTORS])
+    return ops, np.array([[math.sqrt(v)] + [math.sqrt((1.0 - v) / 2.0)] * 6 for v in visibilities])
+
+
+def _model_weights(models, signals: np.ndarray, meter_kets: np.ndarray, post,
+                   cfg: DeviceConfig) -> np.ndarray:
+    """Six event weights of each (v, p) model on every signal and meter ket: (R, S * M, 6).
+
+    The mixture's effect is checked as a channel's is; white noise leaves
+    it unchanged and moves p/4 of the success weight W_ok, the sum of the
+    joint weights, into each event (each event projector has trace 1).
+    """
+    ops, rows = _mixture(cfg, [m.visibility for m in models])
+    _check_trace(ops, rows)
+    w = _event_weights(ops, signals, meter_kets, post, rows)
+    if not any(m.depol for m in models):
+        return w
+    p = np.array([m.depol for m in models])[:, None, None]
+    return (1.0 - p) * w + p / 4.0 * w[..., 2:].sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -248,12 +284,11 @@ def distinguishable_device(signal: Polarization, meter: MeterSetting,
     traverses the network exactly as in the ideal device; only the
     direct/exchange cross terms are dropped.
     """
-    kets = _product_kets(signal.ket()[None], meter.ket()[None])
-    amps = _amplitudes(TwoQubitChannel(labeled_kraus(cfg)).kraus, kets)
-    prob = float(_checked_success(_kraus_weights(amps).sum(axis=1))[0])
-    rho = amps[0].T @ amps[0].conj() / prob
-    joint = tuple(float(x) for x in rho.diagonal().real)
-    return DistinguishableOutput(rho=rho, success_prob=prob, joint_hv=joint)
+    amps = TwoQubitChannel(labeled_kraus(cfg)).kraus @ np.kron(signal.ket(), meter.ket())
+    rho = amps.T @ amps.conj()
+    prob = float(_checked_success(np.trace(rho).real))
+    joint = tuple(float(x) for x in rho.diagonal().real / prob)
+    return DistinguishableOutput(rho=rho / prob, success_prob=prob, joint_hv=joint)
 
 
 def imperfect_channel(meter: MeterSetting | None, params: ImperfectionParams,
@@ -267,17 +302,9 @@ def imperfect_channel(meter: MeterSetting | None, params: ImperfectionParams,
     """
     if meter is not None and not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting or None")
-    direct, exchange = labeled_kraus(cfg)
-    gate = direct + exchange
     v, p = params.visibility, params.depol
-
-    parts = []
-    if v > 0.0:
-        parts.append(math.sqrt(v) * gate[None])
-    if v < 1.0:
-        w = math.sqrt((1.0 - v) / 2.0)
-        parts += [w * np.stack([direct, exchange]), w * (gate @ _UNIT_PROJECTORS)]
-    kraus = np.concatenate(parts)
+    ops, rows = _mixture(cfg, [v])
+    kraus = (rows[0, :, None, None] * ops)[[v > 0.0] + [v < 1.0] * 6]
     if p > 0.0:
         # white noise rho -> (1-p) rho + p tr(rho) I/4 after the mixture: its second
         # term is sum_ij (p/4) |i><j| sqrt(M) rho sqrt(M) |j><i| with M = sum_k k^dag k
@@ -351,7 +378,7 @@ def process_tomography(channel: TwoQubitChannel, psd_project: bool = False) -> C
     """
     # amps[p, k, a] = (k|p>)_a, so conj(amps[p])^T @ amps[p] contracts the Kraus
     # axis into E(|p><p|)^T, whose row-major flattening is vec(E(|p><p|))
-    amps = _amplitudes(channel.kraus, _PREP_PRODUCT_KETS)
+    amps = (channel.kraus @ _PREP_PRODUCT_KETS.T).transpose(2, 0, 1)
     outputs = (amps.swapaxes(-1, -2).conj() @ amps).reshape(16, 16)
     s = np.linalg.solve(_vec(PREPARATIONS), outputs).T
     chi = _chi_from_superoperator(s)
@@ -436,33 +463,6 @@ def read_chi_csv(path) -> ChiMatrix:
 # Fitting and inversion
 # ---------------------------------------------------------------------------
 
-def _endpoint_weights(kets: np.ndarray, post: Polarization, cfg: DeviceConfig) -> np.ndarray:
-    """``_event_weights`` of each ket in the noise-free model at v = 1 and v = 0: (2, P, 3).
-
-    Every model's effect sum_k k^dag k is a convex mix of the two end
-    points' (white noise leaves it unchanged), so checking both keeps
-    ``TwoQubitChannel``'s guard for every (v, p).
-    """
-    direct, exchange = labeled_kraus(cfg)
-    gate = direct + exchange
-    ops = np.concatenate([np.array([gate, direct, exchange]), gate @ _UNIT_PROJECTORS])
-    effects = _END_POINTS @ (ops.conj().swapaxes(-1, -2) @ ops).reshape(7, 16)
-    top = float(np.linalg.eigvalsh(effects.reshape(2, 4, 4)).max())
-    if top > 1.0 + 1e-10:
-        raise ValueError(f"channel increases trace: max effect eigenvalue {top}")
-    amps = ops @ kets.T  # (operator, signal x meter output, ket)
-    hits = (post.ket().conj() @ amps.reshape(7, 2, -1)).reshape(7, 2, -1)  # <post| (x) <meter x|
-    both = np.concatenate([hits, amps], axis=1)
-    return np.einsum("ek,xc,kcp->epx", _END_POINTS, _EVENTS, both.real**2 + both.imag**2)
-
-
-def _model_weights(ends: np.ndarray, params: ImperfectionParams) -> np.ndarray:
-    """Event weights at (v, p) from the end points: white noise adds p/4 W_ok to W_H, W_V."""
-    v, p = params.visibility, params.depol
-    noise = np.array([[1.0 - p, 0.0, 0.0], [0.0, 1.0 - p, 0.0], [p / 4.0, p / 4.0, 1.0]])
-    return np.einsum("e,epx,xy->py", [v, 1.0 - v], ends, noise)
-
-
 def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
                    cfg: DeviceConfig = DeviceConfig(),
                    post: Polarization | None = None) -> ImperfectionParams:
@@ -484,9 +484,10 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
         raise ValueError(f"target_p_a must be finite, got {target_p_a}")
     if not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting")
-    post = post if post is not None else antidiagonal()
-    ends = _endpoint_weights(_product_kets(psi.ket()[None], meter.ket()[None]), post, cfg)[:, 0]
-    (a1, a0), (s1, s0) = (ends[:, 0] + ends[:, 1]).tolist(), _checked_success(ends[:, 2]).tolist()
+    ends = _model_weights((ImperfectionParams(1.0), ImperfectionParams(0.0)), psi.ket()[None],
+                          meter.ket()[None], post, cfg)[:, 0]
+    (a1, s1), (a0, s0) = ((w[0] + w[1], sum(w[2:])) for w in ends.tolist())
+    _checked_success(np.array([s1, s0]))
     lo_val, hi_val = sorted((a1 / s1, a0 / s0))
     if hi_val - lo_val <= 1e-9:
         raise InfeasibleTargetError(
@@ -508,11 +509,11 @@ def model_weak_value_curve(params: ImperfectionParams, psi: Polarization, k_grid
                            cfg: DeviceConfig = DeviceConfig(),
                            post: Polarization | None = None):
     """[(K, predicted postselected value)] for each strength in the grid."""
-    post = post if post is not None else antidiagonal()
     k = np.asarray(list(k_grid), dtype=float)
     if np.any(np.abs(k) < ZERO_STRENGTH_TOL):
         raise ZeroStrengthError("strength K = 0 in grid: weak value unbounded")
-    probs = channel_postselected_grid(imperfect_channel(None, params, cfg), psi, k, post)
+    weights = _model_weights([params], psi.ket()[None], _meter_kets(k), post, cfg)[0]
+    probs = _postselected_probs(weights)
     return list(zip(k.tolist(), ((probs[:, 0] - probs[:, 1]) / k).tolist()))
 
 
@@ -548,15 +549,13 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
             raise ValueError(f"{name} must be finite, got {value}")
     if not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting")
-    post = post if post is not None else antidiagonal()
     k = meter.strength
     if abs(k) < ZERO_STRENGTH_TOL:
         raise ZeroStrengthError("strength K = 0: inversion undefined")
-    kets = _product_kets(_PREP_KETS[:3], meter.ket()[None])
-    weights = _model_weights(_endpoint_weights(kets, post, cfg), params).tolist()
+    weights = _model_weights([params], _PREP_KETS[:3], meter.ket()[None], post, cfg)
     # harmonics q0 = (W(H) + W(V))/2, q1 = (W(H) - W(V))/2, q2 = W(D) - q0 of W_H - W_V,
     # W_H + W_V and the success weight, from their values at the inputs H, V and D
-    probes = [(w_h - w_v, w_h + w_v, w_ok) for w_h, w_v, w_ok in weights]
+    probes = [(w_h - w_v, w_h + w_v, sum(joint)) for w_h, w_v, *joint in weights[0].tolist()]
     d, s, ok = ((0.5 * (x + y), 0.5 * (x - y), z - 0.5 * (x + y)) for x, y, z in zip(*probes))
     # d / s is the meter imbalance (a probability difference) as a function
     # of the input; parallel harmonics mean it is the same for every input

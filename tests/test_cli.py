@@ -383,3 +383,30 @@ def test_model_range_is_checked_by_the_library(tmp_path, capsys, argv):
     assert stdout == ""
     assert "must lie in [0, 1]" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_takes_the_library_strength_range(tmp_path, capsys):
+    # K = -1 is projective with the outcomes swapped, as MeterSetting.from_strength(-1.0)
+    from weakpol import MeterSetting, Polarization, antidiagonal, weak_value_analytic
+
+    code, out, _ = run_cli(["povm", "--K", "-1"], capsys)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert [float(x) for x in lines[lines.index("pi_H") + 2].split()] == [0.0, 1.0]
+    assert [float(x) for x in lines[lines.index("pi_V") + 1].split()] == [1.0, 0.0]
+    code, out, _ = run_cli(["weak-value", "--angle", "42", "--K", "-1"], capsys)
+    assert code == EXIT_OK
+    want = weak_value_analytic(Polarization.from_degrees(42.0), MeterSetting.from_strength(-1.0),
+                               antidiagonal())
+    assert last_number(out) == want == 0.10452846326765353
+    code, _, _ = run_cli(["fig2", "--k-grid", "-1,1", "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == EXIT_OK
+    assert (tmp_path / "x.csv").read_text().splitlines()[1].startswith("-1,")
+    for argv in (["povm", "--K"], ["weak-value", "--K"], ["fig2", "--out", str(tmp_path / "y.csv"),
+                                                          "--k-grid"]):
+        for bad in ("-1.5", "nan"):
+            code, out, err = run_cli(argv + [bad], capsys)
+            assert code == EXIT_RANGE
+            assert out == ""
+            assert "strength must lie in [-1, 1]" in err
+    assert not (tmp_path / "y.csv").exists()

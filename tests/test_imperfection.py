@@ -13,6 +13,7 @@ from weakpol import (
     MeterSetting,
     Polarization,
     PostselectionImpossibleError,
+    RunPlan,
     TwoQubitChannel,
     distinguishable_device,
     fit_visibility,
@@ -22,6 +23,7 @@ from weakpol import (
     process_tomography,
     read_chi_csv,
     run_device,
+    run_fig2,
     weak_value_analytic,
     write_chi_csv,
 )
@@ -30,11 +32,8 @@ from weakpol.imperfection import (
     _PREP_KETS,
     PAULI_2,
     PREPARATIONS,
-    _amplitudes,
-    _endpoint_weights,
     _event_weights,
     _model_weights,
-    _product_kets,
     _vec,
     channel_joint_distribution,
     channel_joint_grid,
@@ -58,6 +57,12 @@ K_SMALL = MeterSetting.from_strength(0.006)
 # fitted visibility matching the observed rare-postselection probability
 # 0.012 at the smallest strength (regression pin; recomputed in the tests)
 V_FITTED = 0.962787411012
+
+# (v, p) of the reference models; (0, 0) is the v = 0 end point itself
+REFERENCE_MODELS = ((1.0, 0.0), (0.96, 0.0), (0.9, 0.02), (0.5, 0.3), (0.0, 1.0), (0.0, 0.0))
+# two splitter settings off the balanced 1/9 gate, each succeeding at every input
+OFF_BALANCE = (DeviceConfig(interfering_eta=0.3, balance_eta=0.4, hadamard_eta=0.45),
+               DeviceConfig(interfering_eta=0.4, balance_eta=0.25, hadamard_eta=0.6))
 
 
 def channel_output(channel, signal, meter):
@@ -229,6 +234,13 @@ def test_fit_builds_the_gate_once(monkeypatch):
     for model in (params, ImperfectionParams(visibility=0.9, depol=0.02)):
         calls.clear()
         assert -1.0 <= invert_s1(0.5, 0.012, model, K_SMALL) <= 1.0
+        assert (len(calls), channels) == (1, [])
+        # the Fig. 2 sweep and the model curve read the same kernel, two grids from one build
+        calls.clear()
+        run_fig2(RunPlan(seed=3), PSI_42, model, [0.006, 0.5, 1.0])
+        assert (len(calls), channels) == (1, [])
+        calls.clear()
+        model_weak_value_curve(model, PSI_42, [0.006, 0.5, 1.0])
         assert (len(calls), channels) == (1, [])
     imperfect_channel(None, params)  # the channel path itself is counted
     assert channels == [7]
@@ -452,9 +464,11 @@ def test_chi_roundtrip_on_random_channels():
             assert np.max(np.abs(chi.apply(rho) - channel.apply(rho))) < 1e-8
 
 
-def test_chi_roundtrip_on_device_channel_many_states():
+@pytest.mark.parametrize("cfg", (DeviceConfig(),) + OFF_BALANCE)
+@pytest.mark.parametrize("v, p", [(0.93, 0.02), (1.0, 0.0), (0.0, 1.0)])
+def test_chi_roundtrip_on_device_channel_many_states(v, p, cfg):
     rng = np.random.default_rng(78)
-    channel = imperfect_channel(None, ImperfectionParams(visibility=0.93, depol=0.02))
+    channel = imperfect_channel(None, ImperfectionParams(visibility=v, depol=p), cfg)
     chi = process_tomography(channel)
     for _ in range(50):
         rho = random_density(rng)
@@ -799,23 +813,19 @@ def test_invert_root_choice_follows_the_measured_p_a():
                                                                      abs=1e-12)
 
 
-# (v, p) of the reference models; (0, 0) is the v = 0 end point itself
-REFERENCE_MODELS = ((1.0, 0.0), (0.96, 0.0), (0.9, 0.02), (0.5, 0.3), (0.0, 1.0), (0.0, 0.0))
-# two splitter settings off the balanced 1/9 gate, each succeeding at every input
-OFF_BALANCE = (DeviceConfig(interfering_eta=0.3, balance_eta=0.4, hadamard_eta=0.45),
-               DeviceConfig(interfering_eta=0.4, balance_eta=0.25, hadamard_eta=0.6))
+def channel_weights(params, cfg, signals, meter_kets, post):
+    """The six event weights of the product kets from the Kraus stack of ``imperfect_channel``.
 
-
-def channel_weights(params, cfg, kets, post):
-    """Event weights of ``kets`` from the Kraus stack of ``imperfect_channel``."""
-    channel = imperfect_channel(None, params, cfg)
-    return _event_weights(_amplitudes(channel.kraus, kets), post)
+    White noise enters here as the channel's sqrt(M) operators, not through
+    the noise rule of the model kernel.
+    """
+    return _event_weights(imperfect_channel(None, params, cfg).kraus, signals, meter_kets, post)[0]
 
 
 def reference_invert(wv, p_a, params, meter, cfg, post):
     """The inversion on channel-path weights, with the harmonics as 3-vectors."""
-    kets = _product_kets(_PREP_KETS[:3], meter.ket()[None])
-    w_h, w_v, w_ok = channel_weights(params, cfg, kets, post).T
+    weights = channel_weights(params, cfg, _PREP_KETS[:3], meter.ket()[None], post)
+    w_h, w_v, w_ok = weights[:, 0], weights[:, 1], weights[:, 2:].sum(axis=1)
     to_harmonics = np.array([[0.5, 0.5, 0.0], [0.5, -0.5, 0.0], [-0.5, -0.5, 1.0]])
     d, s, ok = to_harmonics @ (w_h - w_v), to_harmonics @ (w_h + w_v), to_harmonics @ w_ok
     if np.linalg.norm(np.cross(d, s)) <= 1e-12 * float(s @ s):
@@ -839,22 +849,38 @@ def outcome(call):
 
 
 @pytest.mark.parametrize("cfg", (DeviceConfig(),) + OFF_BALANCE)
-def test_endpoint_weights_match_the_channel_path(cfg):
+def test_endpoint_weights_match_the_channel_path(cfg, monkeypatch):
+    import weakpol.counting as counting
+
+    # the probability grids run_fig2 turns into Poisson means, in call order
+    fed, poisson_means = [], counting._poisson_means
+    monkeypatch.setattr(counting, "_poisson_means",
+                        lambda probs, *rest: fed.append(probs) or poisson_means(probs, *rest))
     rng = np.random.default_rng(87)
     posts = (antidiagonal(), horizontal(), Polarization.from_degrees(17.0),
              random_polarization(rng))
     signals = (Polarization.from_degrees(35.0), Polarization.from_degrees(-60.0))
     inputs = np.concatenate([_PREP_KETS[:3], [PSI_42.ket(), random_polarization(rng).ket()]])
+    grid = [0.006, 0.2, 0.9, -0.5, 1.0, -1.0]
+    for v, p in REFERENCE_MODELS:
+        params = ImperfectionParams(v, p)
+        channel = imperfect_channel(None, params, cfg)
+        for psi in signals:
+            fed.clear()
+            run_fig2(RunPlan(seed=5), psi, params, grid, cfg)
+            cal, meter_probs = fed
+            assert np.max(np.abs(cal - channel_joint_grid(channel, diagonal(), grid))) < 1e-15
+            want = channel_postselected_grid(channel, psi, grid, antidiagonal())[:, :2]
+            assert np.max(np.abs(meter_probs - want)) < 1e-15
     inverted = 0
     for k in (0.006, 0.2, 0.9, -0.5):
         meter = MeterSetting.from_strength(k)
-        kets = _product_kets(inputs, meter.ket()[None])
         for post in posts:
-            ends = _endpoint_weights(kets, post, cfg)
             for v, p in REFERENCE_MODELS:
                 params = ImperfectionParams(v, p)
-                want = channel_weights(params, cfg, kets, post)
-                assert np.max(np.abs(_model_weights(ends, params) - want)) < 1e-15
+                want = channel_weights(params, cfg, inputs, meter.ket()[None], post)
+                got = _model_weights([params], inputs, meter.ket()[None], post, cfg)[0]
+                assert np.max(np.abs(got - want)) < 1e-15  # all six events, the joint four included
                 for psi in signals:
                     p_h, p_v, p_a = channel_postselected_probs(
                         imperfect_channel(None, params, cfg), psi, meter, post)
@@ -870,9 +896,9 @@ def test_endpoint_weights_match_the_channel_path(cfg):
                     # the fit, against the linear-fractional solution on channel-path weights
                     target = channel_postselected_probs(
                         imperfect_channel(None, params, cfg), PSI_42, meter, post)[2]
-                    psi_ends = [channel_weights(ImperfectionParams(e), cfg, kets[3:4], post)[0]
-                                for e in (1.0, 0.0)]  # row 3 of kets is PSI_42
-                    (a1, s1), (a0, s0) = ((w_h + w_v, w_ok) for w_h, w_v, w_ok in psi_ends)
+                    psi_ends = [channel_weights(ImperfectionParams(e), cfg, PSI_42.ket()[None],
+                                                meter.ket()[None], post)[0] for e in (1.0, 0.0)]
+                    (a1, s1), (a0, s0) = ((w[0] + w[1], w[2:].sum()) for w in psi_ends)
                     want_v = (target * s0 - a0) / ((a1 - a0) - target * (s1 - s0))
                     got = fit_visibility(target, PSI_42, meter, cfg, post).visibility
                     # within 1e-15 in P(post): an H post at K = 0.006 moves P(post) by

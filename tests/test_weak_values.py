@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from weakpol import (
     MeterSetting,
@@ -272,11 +271,9 @@ def test_weak_value_monotone_decreasing_in_strength():
 
 
 def test_extra_spectral_region_boundary():
-    # root-find the strength at which the postselected value leaves the spectrum
-    f = lambda k: weak_value_analytic(PSI_42, meter_k(k), antidiagonal()) - 1.0
-    k_star = brentq(f, 1e-9, 1.0, xtol=1e-14)
-    # closed form of the same crossing: sqrt(1 - tan^2(42 deg))
-    assert abs(k_star - math.sqrt(1.0 - math.tan(math.radians(42.0)) ** 2)) < 1e-9
+    # the postselected value leaves the spectrum at the closed form sqrt(1 - tan^2(42 deg))
+    k_star = math.sqrt(1.0 - math.tan(math.radians(42.0)) ** 2)
+    assert abs(weak_value_analytic(PSI_42, meter_k(k_star), antidiagonal()) - 1.0) < 1e-12
     assert abs(k_star - 0.4350546597981609) < 1e-9
     for k in np.linspace(1e-6, k_star - 1e-9, 200):
         assert weak_value_analytic(PSI_42, meter_k(k), antidiagonal()) > 1.0
