@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .counting import RunPlan, run_fig2, write_fig2_csv, write_with_sidecar
-from .device import DeviceConfig, _apply_gate, coincidence_operator, equivalence_fidelity
+from .device import DeviceConfig, equivalence_fidelity, run_device
 from .errors import (
     InfeasibleTargetError,
     PostselectionImpossibleError,
@@ -173,7 +173,7 @@ def _cmd_gate_verify(given: dict) -> int:
     if trials < 1:
         raise CliError(EXIT_RANGE, f"trials must be at least 1, got {trials}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    gate = coincidence_operator(DeviceConfig())
+    cfg = DeviceConfig()
     worst_infid = 0.0
     worst_prob = 0.0
     for gamma in GATE_VERIFY_GAMMAS:
@@ -182,7 +182,7 @@ def _cmd_gate_verify(given: dict) -> int:
             theta = rng.uniform(0.0, math.pi / 2.0)
             phase = rng.uniform(0.0, 2.0 * math.pi)
             signal = Polarization(math.cos(theta), math.sin(theta) * np.exp(1j * phase))
-            state = _apply_gate(gate, signal, meter)
+            state = run_device(signal, meter, cfg)
             fid = equivalence_fidelity(state, signal, meter)
             worst_infid = max(worst_infid, 1.0 - fid)
             worst_prob = max(worst_prob, abs(state.success_prob - 1.0 / 9.0))

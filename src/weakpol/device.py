@@ -21,7 +21,8 @@ as control, i.e. it maps |psi>(gamma|H> + gammabar|V>) onto
   + (alpha gammabar |H> + beta gamma |V>)|V>_m
 
 up to overall normalization. Correctness is defined by that contract (up
-to per-qubit phases), not by the particular layout.
+to per-qubit phases), not by the layout. The splitters fix the gate, so a
+``DeviceConfig`` builds it once and every function here reads it.
 """
 
 from __future__ import annotations
@@ -62,9 +63,33 @@ _PHASE_BASIS = np.array([f(np.linspace(0.0, 2.0 * np.pi, 1025)) for f in
                          (np.ones_like, np.cos, lambda phi: -np.sin(phi))])
 
 
+def transfer_matrix(cfg: DeviceConfig) -> np.ndarray:
+    """Single-photon mode-amplitude matrix of the full network.
+
+    Column j holds the output amplitudes of one photon injected in mode
+    j. Each splitter of ``_NETWORK`` is a 2x2 block on its two modes in
+    the ``fock`` convention (column a -> (t, -r), column b -> (r, t)); the
+    network is the product of those blocks in propagation order. Every
+    splitter is real, so the walk replaces the two rows of Python floats
+    each block mixes, starting from the identity rows, and prunes while
+    converting to complex once. The Fock engine derives the same matrix
+    from ``network_steps``, and the tests hold the two together.
+    """
+    u = list(_IDENTITY_ROWS)
+    for mode_a, mode_b, field in _NETWORK:
+        i, j = _MODE_INDEX[mode_a], _MODE_INDEX[mode_b]
+        eta = getattr(cfg, field)
+        t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+        u[i], u[j] = ([t * a + r * b for a, b in zip(u[i], u[j])],
+                      [t * b - r * a for a, b in zip(u[i], u[j])])
+    # prune as the Fock engine does, so interference nulls are exact zeros:
+    # a 1e-17 residual would still be a nonzero Poisson mean downstream
+    return np.array([[x if abs(x) >= PRUNE_TOL else 0.0 for x in row] for row in u], dtype=complex)
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
-    """Splitter transmissivities; defaults give the balanced 1/9 gate."""
+    """Splitter transmissivities (defaults: the balanced 1/9 gate) and their gate, built once."""
 
     interfering_eta: float = 1.0 / 3.0
     balance_eta: float = 1.0 / 3.0
@@ -75,6 +100,14 @@ class DeviceConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        k = transfer_matrix(self)[:4, :4].reshape(2, 2, 2, 2)  # the parts of labeled_kraus
+        parts = np.stack([k[0, :, None, 0, :, None] * k[1, None, :, 1, None, :],
+                          k[0, :, None, 1, None, :] * k[1, None, :, 0, :, None]]).reshape(2, 4, 4)
+        parts.flags.writeable = False
+        object.__setattr__(self, "_parts", parts)
+
+    def __reduce__(self):  # copies and pickles rebuild the read-only parts from the etas
+        return DeviceConfig, (self.interfering_eta, self.balance_eta, self.hadamard_eta)
 
 
 def device_registry() -> ModeRegistry:
@@ -101,12 +134,7 @@ def run_device(signal: Polarization, meter: MeterSetting, cfg: DeviceConfig = De
     A zero coincidence weight gives the flagged empty state, as the
     Fock-level ``project_coincidence`` does.
     """
-    return _apply_gate(coincidence_operator(cfg), signal, meter)
-
-
-def _apply_gate(gate: np.ndarray, signal: Polarization, meter: MeterSetting) -> TwoQubitState:
-    """``run_device`` with the gate operator built once by the caller."""
-    amps = gate @ (signal.ket()[:, None] * meter.ket()).reshape(4)
+    amps = coincidence_operator(cfg) @ (signal.ket()[:, None] * meter.ket()).reshape(4)
     prob = float(np.sum(np.abs(amps) ** 2))
     if prob <= PRUNE_TOL**2:
         return TwoQubitState(np.zeros((2, 2), dtype=complex), 0.0, empty=True)
@@ -185,30 +213,6 @@ def equivalence_fidelity(state: TwoQubitState, signal: Polarization, meter: Mete
     return local_phase_fidelity(state.amplitudes, target_state(signal, meter))
 
 
-def transfer_matrix(cfg: DeviceConfig = DeviceConfig()) -> np.ndarray:
-    """Single-photon mode-amplitude matrix of the full network.
-
-    Column j holds the output amplitudes of one photon injected in mode
-    j. Each splitter of ``_NETWORK`` is a 2x2 block on its two modes in
-    the ``fock`` convention (column a -> (t, -r), column b -> (r, t)); the
-    network is the product of those blocks in propagation order. Every
-    splitter is real, so the walk replaces the two rows of Python floats
-    each block mixes, starting from the identity rows, and prunes while
-    converting to complex once. The Fock engine derives the same matrix
-    from ``network_steps``, and the tests hold the two together.
-    """
-    u = list(_IDENTITY_ROWS)
-    for mode_a, mode_b, field in _NETWORK:
-        i, j = _MODE_INDEX[mode_a], _MODE_INDEX[mode_b]
-        eta = getattr(cfg, field)
-        t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
-        u[i], u[j] = ([t * a + r * b for a, b in zip(u[i], u[j])],
-                      [t * b - r * a for a, b in zip(u[i], u[j])])
-    # prune as the Fock engine does, so interference nulls are exact zeros:
-    # a 1e-17 residual would still be a nonzero Poisson mean downstream
-    return np.array([[x if abs(x) >= PRUNE_TOL else 0.0 for x in row] for row in u], dtype=complex)
-
-
 def labeled_kraus(cfg: DeviceConfig = DeviceConfig()):
     """Direct and exchange parts of the gate operator on the kept subspace.
 
@@ -217,26 +221,22 @@ def labeled_kraus(cfg: DeviceConfig = DeviceConfig()):
     (each photon exits on its own side) is U_ss (x) U_mm, and its
     exchange term (photons swap sides) is (U_sm (x) U_ms) SWAP. With
     hidden photon labels the two add incoherently; their coherent sum is
-    the gate operator. Each part is one broadcast product over the kept
-    block of U viewed as k[out side, out polarization, in side, in
-    polarization]; for the exchange part the SWAP is in the index pattern.
+    the gate operator. ``DeviceConfig`` builds each part once, a broadcast
+    product over the kept block of U as k[out side, out pol., in side, in
+    pol.] with the exchange SWAP in the index pattern; this reads them.
     """
-    k = transfer_matrix(cfg)[:4, :4].reshape(2, 2, 2, 2)
-    direct = (k[0, :, None, 0, :, None] * k[1, None, :, 1, None, :]).reshape(4, 4)
-    exchange = (k[0, :, None, 1, None, :] * k[1, None, :, 0, :, None]).reshape(4, 4)
-    return direct, exchange
+    return tuple(cfg._parts)
 
 
 def coincidence_operator(cfg: DeviceConfig = DeviceConfig()) -> np.ndarray:
     """4x4 operator of the gate on the kept two-qubit subspace.
 
-    Columns are indexed by product inputs |signal, meter> in (HH, HV, VH,
-    VV) order and carry the unnormalized coincidence amplitudes, so the
-    squared column norm is the success probability. For the default
-    configuration this is controlled-NOT / 3.
+    The sum of the parts ``cfg`` carries. Columns are indexed by product
+    inputs |signal, meter> in (HH, HV, VH, VV) order and carry the
+    unnormalized coincidence amplitudes, so the squared column norm is the
+    success probability; for the default configuration, controlled-NOT / 3.
     """
-    direct, exchange = labeled_kraus(cfg)
-    return direct + exchange
+    return np.add(*labeled_kraus(cfg))
 
 
 def concurrence(state: TwoQubitState) -> float:

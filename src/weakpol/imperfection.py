@@ -415,12 +415,14 @@ def _write_atomic(files: dict) -> None:
     """Write each ``{path: text}`` item so that a failure leaves no partial file.
 
     Every text goes to ``<path>.tmp`` and the temp files are renamed into
-    place only once all are written; on an OSError the temp files are
-    removed and the error is re-raised.
+    place only once all are written and no target is a directory; on an
+    OSError the temp files are removed and the error is re-raised.
     """
     tmps = []
     try:
         for target, body in files.items():
+            if os.path.isdir(target):
+                raise IsADirectoryError(f"{target} is a directory")
             tmps.append(target + ".tmp")
             with open(tmps[-1], "w", newline="") as fh:
                 fh.write(body)

@@ -41,13 +41,14 @@ def test_gate_verify_passes(capsys):
 def test_gate_verify_builds_the_gate_once(capsys, monkeypatch):
     import weakpol.device as device
 
-    calls, build = [], device.labeled_kraus
+    calls, build = [], device.transfer_matrix
 
     def counted(cfg):
         calls.append(cfg)
         return build(cfg)
 
-    monkeypatch.setattr(device, "labeled_kraus", counted)
+    # the one build is the DeviceConfig() of the run; every run_device call reads it
+    monkeypatch.setattr(device, "transfer_matrix", counted)
     code, out, _ = run_cli(["gate-verify", "--trials", "20"], capsys)
     assert code == EXIT_OK
     assert "gate-verify: OK" in out
@@ -301,6 +302,25 @@ def test_fig2_unwritable_output_is_io_error(tmp_path, capsys):
     assert code == EXIT_IO
     assert not target.exists()
     assert not list(tmp_path.glob("**/*.tmp"))  # no partial files left behind
+
+
+def test_failed_sidecar_write_keeps_the_old_csv(tmp_path, capsys):
+    from weakpol.cli import EXIT_IO
+    from weakpol.counting import write_with_sidecar
+
+    # a directory in the sidecar's place would fail the pair's second rename, after the CSV's
+    path = tmp_path / "t.csv"
+    (tmp_path / "t.meta.json").mkdir()
+    path.write_bytes(b"old\n")
+    with pytest.raises(IsADirectoryError):
+        write_with_sidecar(path, "new\n", {"seed": 0})
+    assert path.read_bytes() == b"old\n"
+    assert not list(tmp_path.glob("**/*.tmp"))
+    for argv in (["fig2", "--k-grid", "0.5"], ["tomo"]):
+        code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+        assert (code, out) == (EXIT_IO, "")
+        assert path.read_bytes() == b"old\n"
+        assert not list(tmp_path.glob("**/*.tmp"))
 
 
 def test_gate_verify_detects_broken_network(capsys, monkeypatch):

@@ -414,6 +414,32 @@ def test_gate_build_matches_kron_reference_bitwise():
                 assert out.amplitudes.tobytes() == (amps / math.sqrt(prob)).reshape(2, 2).tobytes()
 
 
+def test_device_config_keeps_its_value_semantics_and_carries_a_read_only_gate():
+    import copy
+    import dataclasses
+    import pickle
+
+    cfg = DeviceConfig(interfering_eta=0.3, balance_eta=0.4, hadamard_eta=0.45)
+    assert [f.name for f in dataclasses.fields(cfg)] == ["interfering_eta", "balance_eta",
+                                                         "hadamard_eta"]
+    assert dataclasses.asdict(cfg) == {"interfering_eta": 0.3, "balance_eta": 0.4,
+                                       "hadamard_eta": 0.45}
+    assert repr(cfg) == "DeviceConfig(interfering_eta=0.3, balance_eta=0.4, hadamard_eta=0.45)"
+    assert cfg == DeviceConfig(0.3, 0.4, 0.45) and cfg != DeviceConfig()
+    assert hash(cfg) == hash((0.3, 0.4, 0.45))  # the generated hash of the three fields
+    moved, fresh = dataclasses.replace(cfg, balance_eta=0.3), DeviceConfig(0.3, 0.3, 0.45)
+    assert labeled_kraus(moved)[0].tobytes() != labeled_kraus(cfg)[0].tobytes()
+    for got, want in zip(labeled_kraus(moved), labeled_kraus(fresh)):
+        assert got.tobytes() == want.tobytes()
+    for twin in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert twin == cfg
+        for got, want in zip(labeled_kraus(twin), labeled_kraus(cfg)):
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        labeled_kraus(cfg)[0][0, 0] = 1.0
+
+
 def test_kernel_and_fock_oracle_flag_zero_coincidence_weight():
     # no balancing transmission and no interference: an H signal photon is
     # always lost, so no coincidence is possible

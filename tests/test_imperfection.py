@@ -248,6 +248,38 @@ def test_fit_builds_the_gate_once(monkeypatch):
         fit_visibility(0.012, PSI_42, None)
 
 
+def test_a_config_builds_its_gate_once_and_every_call_reads_it(monkeypatch):
+    import weakpol.device as device
+    from weakpol.device import coincidence_operator
+
+    cfg, calls, build = OFF_BALANCE[0], [], device.transfer_matrix
+
+    def counted(c):
+        calls.append(c)
+        return build(c)
+
+    monkeypatch.setattr(device, "transfer_matrix", counted)
+    meter, model = MeterSetting.from_strength(0.2), ImperfectionParams(visibility=0.9, depol=0.02)
+    run_device(PSI_42, meter, cfg)
+    coincidence_operator(cfg)
+    labeled_kraus(cfg)
+    distinguishable_device(PSI_42, meter, cfg)
+    p_h, p_v, p_a = channel_postselected_probs(
+        imperfect_channel(None, model, cfg), PSI_42, meter, antidiagonal()
+    )
+    target = channel_postselected_probs(
+        imperfect_channel(None, ImperfectionParams(visibility=0.9), cfg), PSI_42, meter,
+        antidiagonal(),
+    )[2]
+    assert fit_visibility(target, PSI_42, meter, cfg).visibility == pytest.approx(0.9, abs=1e-12)
+    assert invert_s1((p_h - p_v) / 0.2, p_a, model, meter, cfg) == pytest.approx(S1_42, abs=1e-9)
+    run_fig2(RunPlan(seed=3), PSI_42, model, [0.006, 0.5, 1.0], cfg)
+    model_weak_value_curve(model, PSI_42, [0.006, 0.5, 1.0], cfg)
+    assert calls == []
+    built = DeviceConfig(balance_eta=0.3)
+    assert calls == [built]
+
+
 def test_fit_and_inversion_keep_the_trace_guard(monkeypatch):
     import weakpol.imperfection as imperfection
 
