@@ -38,7 +38,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
-from .counting import RunPlan, run_fig2, write_fig2_csv, write_with_sidecar
+from .counting import RunPlan, make_rng, run_fig2, write_fig2_csv, write_with_sidecar
 from .device import DeviceConfig, equivalence_fidelity, run_device
 from .errors import (
     InfeasibleTargetError,
@@ -172,7 +172,7 @@ def _cmd_gate_verify(given: dict) -> int:
     trials = given.get("trials", 20)
     if trials < 1:
         raise CliError(EXIT_RANGE, f"trials must be at least 1, got {trials}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = make_rng(seed)
     cfg = DeviceConfig()
     worst_infid = 0.0
     worst_prob = 0.0

@@ -106,12 +106,8 @@ class Estimate:
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Philox generator from an int seed, SeedSequence, or Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    """``seed`` if a Generator, else Philox keyed by it; an int n keys as SeedSequence(n)."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.Philox(seed))
 
 
 def stream_for(master_seed: int, grid_index: int, run_type: int) -> np.random.Generator:
@@ -323,10 +319,18 @@ def sample_counts(true_probs: dict, rate: float, duration: float, seed) -> Count
 
 
 def _count_row(sample: CountSample, outcomes, run: str) -> np.ndarray:
-    try:
-        return np.array([[sample.counts[k] for k in outcomes]])
-    except KeyError as exc:
-        raise ValueError(f"{run} sample missing outcome {exc}") from None
+    """The counts of ``outcomes`` as one row, under the count rule of :func:`estimate_knowledge`."""
+    row = []
+    for key in outcomes:
+        if key not in sample.counts:
+            raise ValueError(f"{run} sample missing outcome {key!r}")
+        count = sample.counts[key]
+        if isinstance(count, (float, np.floating)) and float(count).is_integer():
+            count = int(count)
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(f"{run} sample: {key!r} count {count!r} is not a non-negative integer")
+        row.append(int(count))
+    return np.array([row])
 
 
 def estimate_knowledge(sample: CountSample) -> Estimate:
@@ -334,7 +338,9 @@ def estimate_knowledge(sample: CountSample) -> Estimate:
 
     K_hat = (N_HH + N_VV - N_HV - N_VH) / N with the delta-method error
     sqrt((1 - K_hat^2)/N) for independent Poisson counts; near zero
-    strength this is 1/sqrt(N).
+    strength this is 1/sqrt(N). Each count must be a non-negative integer:
+    an int, a numpy integer or an integral finite float, not a bool. Any
+    other count raises ValueError naming the run and the outcome.
     """
     k_hat, sigma, empty = _knowledge_columns(_count_row(sample, _CAL_OUTCOMES, "calibration"))
     if empty[0]:
@@ -350,8 +356,11 @@ def estimate_weak_value(sample: CountSample, k_est: Estimate) -> Estimate:
     only the Poisson error of the meter counts (the plotted bars); the
     strength error is reported separately through ``worst_case`` and,
     when the 1-sigma strength interval reaches zero, the
-    ``unbounded_above`` flag.
+    ``unbounded_above`` flag. Counts follow :func:`estimate_knowledge`'s rule, and a
+    ``k_est`` whose value or sigma is not finite, or whose sigma is negative, raises ValueError.
     """
+    if not (math.isfinite(k_est.value) and math.isfinite(k_est.sigma) and k_est.sigma >= 0):
+        raise ValueError(f"strength estimate {k_est.value} +- {k_est.sigma}: need finite, sigma >= 0")
     counts = _count_row(sample, _METER_OUTCOMES, "weak-value")
     value, sigma, worst, unbounded, empty = _weak_value_columns(
         counts, np.array([k_est.value], dtype=float), np.array([k_est.sigma], dtype=float))
@@ -482,18 +491,12 @@ def write_fig2_csv(result: Fig2Result, path) -> str:
 
 
 def write_with_sidecar(path, text: str, metadata: dict) -> str:
-    """Write ``text`` to ``path`` and ``metadata`` to its JSON sidecar.
+    """Write ``text`` to ``path`` and ``metadata`` to ``path`` less ``.csv`` plus ``.meta.json``.
 
     Both are written atomically as a pair: a failed write leaves no
     partial output. Returns the sidecar path.
     """
     path = str(path)
-    meta_path = _meta_path_for(path)
+    meta_path = path.removesuffix(".csv") + ".meta.json"
     _write_atomic({path: text, meta_path: json.dumps(metadata, indent=2, sort_keys=True) + "\n"})
     return meta_path
-
-
-def _meta_path_for(path: str) -> str:
-    if path.endswith(".csv"):
-        return path[: -len(".csv")] + ".meta.json"
-    return path + ".meta.json"

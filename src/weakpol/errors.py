@@ -16,7 +16,7 @@ class UnknownModeError(WeakpolError, KeyError):
 
 
 class PhotonCapError(WeakpolError, ValueError):
-    """An operation would exceed the configured photon cap."""
+    """An operation would put more than two photons into a Fock state."""
 
 
 class ZeroNormError(WeakpolError, ValueError):

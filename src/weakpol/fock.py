@@ -27,6 +27,7 @@ import numpy as np
 from .errors import PhotonCapError, UnknownModeError, ZeroNormError
 
 PRUNE_TOL = 1e-15
+PHOTON_CAP = 2
 
 
 class ModeRegistry:
@@ -80,15 +81,14 @@ class FockState:
 
     ``terms`` maps occupation tuples (one entry per registered mode) to
     complex amplitudes. Total photon number per term never exceeds
-    ``photon_cap``; amplitudes below PRUNE_TOL are dropped so interference
-    nulls stay exact zeros.
+    PHOTON_CAP, the two photons of the device; amplitudes below PRUNE_TOL
+    are dropped so interference nulls stay exact zeros.
     """
 
     NORM_BOUND_TOL = 1e-9
 
-    def __init__(self, registry: ModeRegistry, terms=None, photon_cap: int = 2):
+    def __init__(self, registry: ModeRegistry, terms=None):
         self.registry = registry
-        self.photon_cap = photon_cap
         self.terms: dict[tuple, complex] = {}
         if terms:
             for occ, amp in terms.items():
@@ -111,8 +111,8 @@ class FockState:
             )
         if any(n < 0 for n in occ):
             raise ValueError(f"negative occupation in {occ}")
-        if sum(occ) > self.photon_cap:
-            raise PhotonCapError(f"{occ} exceeds photon cap {self.photon_cap}")
+        if sum(occ) > PHOTON_CAP:
+            raise PhotonCapError(f"{occ} exceeds photon cap {PHOTON_CAP}")
         if not np.isfinite(amp.real) or not np.isfinite(amp.imag):
             raise ValueError("non-finite amplitude")
         self.terms[occ] = self.terms.get(occ, 0j) + amp
@@ -127,30 +127,25 @@ class FockState:
     def amplitude(self, occ) -> complex:
         return self.terms.get(tuple(occ), 0j)
 
-    def copy(self) -> "FockState":
-        out = FockState(self.registry, photon_cap=self.photon_cap)
-        out.terms = dict(self.terms)
-        return out
-
     def __repr__(self):
         body = ", ".join(f"{occ}: {amp:.4g}" for occ, amp in sorted(self.terms.items()))
         return f"FockState({{{body}}})"
 
 
-def vacuum(registry: ModeRegistry, photon_cap: int = 2) -> FockState:
-    occ = (0,) * registry.size
-    return FockState(registry, {occ: 1.0}, photon_cap=photon_cap)
+def vacuum(registry: ModeRegistry) -> FockState:
+    """The no-photon state over every registered mode, under the two-photon cap."""
+    return FockState(registry, {(0,) * registry.size: 1.0})
 
 
 def create_photon(state: FockState, weights: dict) -> FockState:
     """Apply sum_i c_i a_i^dag for ``weights = {label: c_i}``.
 
     Bosonic sqrt(n+1) factors included; raises PhotonCapError if any term
-    would exceed the cap. Bunching can super-normalize the raw result, so
-    the norm bound applies: scale the weights down when stacking photons
-    into occupied modes.
+    would exceed the two-photon cap. Bunching can super-normalize the raw
+    result, so the norm bound applies: scale the weights down when
+    stacking photons into occupied modes.
     """
-    out = FockState(state.registry, photon_cap=state.photon_cap)
+    out = FockState(state.registry)
     for occ, amp in state.terms.items():
         for label, c in weights.items():
             if c == 0:
@@ -176,7 +171,7 @@ def apply_beam_splitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
     t = math.sqrt(bs.eta)
     r = math.sqrt(1.0 - bs.eta)
 
-    out = FockState(state.registry, photon_cap=state.photon_cap)
+    out = FockState(state.registry)
     for occ, amp in state.terms.items():
         na, nb = occ[i], occ[j]
         if na == 0 and nb == 0:

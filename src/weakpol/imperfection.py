@@ -327,7 +327,7 @@ class ChiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex).reshape(16, 16)
+        self.matrix = np.ascontiguousarray(self.matrix, dtype=complex).reshape(16, 16)
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
@@ -365,45 +365,31 @@ def _chi_from_superoperator(s: np.ndarray) -> np.ndarray:
     return _PAULI_ROWS.conj() @ pairs @ _PAULI_ROWS.conj().T / 16.0
 
 
-def process_tomography(channel: TwoQubitChannel, psd_project: bool = False) -> ChiMatrix:
+def process_tomography(channel: TwoQubitChannel) -> ChiMatrix:
     """Reconstruct the chi matrix by linear inversion from product inputs.
 
     Evaluates the channel on the 16 preparations {H, V, D, R} x {H, V, D,
     R} from the amplitudes k|p> of its Kraus operators on the product
     kets, solves vec(E(rho_ab)) = S vec(rho_ab) for the superoperator S
     in one step, and maps S to the Pauli product basis (the inverse of
-    ``ChiMatrix.superoperator``). With ``psd_project`` negative
-    eigenvalues are clipped and the trace renormalized, for use when the
-    evaluations carry noise.
+    ``ChiMatrix.superoperator``). The evaluations are exact, so chi is
+    returned as reconstructed, with no projection onto physical matrices;
+    its trace, Hermiticity and eigenvalues show how physical it is.
     """
     # amps[p, k, a] = (k|p>)_a, so conj(amps[p])^T @ amps[p] contracts the Kraus
     # axis into E(|p><p|)^T, whose row-major flattening is vec(E(|p><p|))
     amps = (channel.kraus @ _PREP_PRODUCT_KETS.T).transpose(2, 0, 1)
     outputs = (amps.swapaxes(-1, -2).conj() @ amps).reshape(16, 16)
     s = np.linalg.solve(_vec(PREPARATIONS), outputs).T
-    chi = _chi_from_superoperator(s)
+    return ChiMatrix(_chi_from_superoperator(s))
 
-    if psd_project:
-        chi = 0.5 * (chi + chi.conj().T)
-        vals, vecs = np.linalg.eigh(chi)
-        clipped = np.clip(vals, 0.0, None)
-        total = float(np.sum(vals).real)
-        if np.sum(clipped) > 0 and total > 0:
-            clipped *= total / np.sum(clipped)
-        chi = (vecs * clipped) @ vecs.conj().T
-    return ChiMatrix(chi)
+
+_CHI_ROW_FORMAT = ",".join(["%.17g"] * 32)
 
 
 def format_chi_csv(chi: ChiMatrix) -> str:
-    """Row-major CSV text with real and imaginary parts interleaved."""
-    lines = []
-    for row in chi.matrix:
-        flat = []
-        for z in row:
-            flat.append(format(float(z.real), ".17g"))
-            flat.append(format(float(z.imag), ".17g"))
-        lines.append(",".join(flat))
-    return "\n".join(lines) + "\n"
+    """Row-major CSV: each complex row as 32 floats (real, imag, ...), as read_chi_csv reads it."""
+    return "".join(_CHI_ROW_FORMAT % tuple(row) + "\n" for row in chi.matrix.view(float).tolist())
 
 
 def write_chi_csv(chi: ChiMatrix, path):

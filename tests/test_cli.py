@@ -178,6 +178,43 @@ def test_malformed_yaml_rejected(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config file"), ("- 0.5\n- 1\n", "must hold a mapping")])
+def test_unreadable_or_non_mapping_config_is_a_config_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "c.yaml"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run_cli(["weak-value", "--config", str(cfg)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert message in err
+
+
+def test_empty_config_file_runs_with_the_defaults(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("")
+    code, out, err = run_cli(["weak-value", "--config", str(cfg)], capsys)
+    assert (code, out, err) == run_cli(["weak-value"], capsys)
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("0.5,abc", "cannot parse strength grid '0.5,abc'"), (",", "strength grid is empty")])
+def test_unparsable_strength_grid_is_a_config_error(tmp_path, capsys, grid, message):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(["fig2", "--k-grid", grid, "--out", str(out_path)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert message in err
+    assert not out_path.exists()
+
+
+def test_weak_value_with_orthogonal_weak_limit_is_degenerate(capsys):
+    # at 45 degrees the input is orthogonal to the postselection, and a
+    # nonzero K of 1e-17 is still the weak limit
+    code, out, err = run_cli(["weak-value", "--angle", "45", "--K", "1e-17"], capsys)
+    assert (code, out) == (EXIT_DEGENERATE, "")
+    assert "weak value diverges" in err
+
+
 @pytest.mark.parametrize("cmd, key, value", [
     ("fig2", "seed", "1.9"), ("fig2", "seed", "true"),
     ("fig2", "workers", ".inf"), ("gate-verify", "trials", "2.5"),

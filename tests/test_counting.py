@@ -36,6 +36,7 @@ from weakpol.counting import (
     _rekey,
     format_fig2_csv,
     stream_for,
+    write_with_sidecar,
 )
 from weakpol.imperfection import channel_joint_grid, channel_postselected_grid, imperfect_channel
 from weakpol.weak_values import antidiagonal, diagonal
@@ -180,6 +181,53 @@ def test_weak_value_estimator_rejects_degenerate_inputs():
     with pytest.raises(ZeroStrengthError):
         estimate_weak_value(CountSample(counts={"H": 5, "V": 3}, duration=1.0),
                             k_estimate(0.0, 0.01))
+
+
+_GOOD_CAL = {"HH": 300, "VV": 290, "HV": 200, "VH": 210}
+
+
+@pytest.mark.parametrize("outcome, count", [
+    ("HV", -40), ("HV", 2.5), ("HV", True), ("VV", np.True_), ("HH", math.nan),
+    ("HH", math.inf), ("VH", "5"), ("VH", None), ("VV", -1.0)])
+def test_knowledge_rejects_impossible_counts(outcome, count):
+    counts = dict(_GOOD_CAL, **{outcome: count})
+    with pytest.raises(ValueError, match=f"calibration.*{outcome}"):
+        estimate_knowledge(CountSample(counts=counts, duration=1.0))
+
+
+@pytest.mark.parametrize("outcome, count", [
+    ("V", -10), ("H", 2.5), ("V", True), ("H", math.nan), ("V", -math.inf), ("H", 3j)])
+def test_weak_value_rejects_impossible_counts(outcome, count):
+    counts = dict({"H": 30, "V": 10}, **{outcome: count})
+    with pytest.raises(ValueError, match=f"weak-value.*{outcome}"):
+        estimate_weak_value(CountSample(counts=counts, duration=1.0), k_estimate(0.1, 0.01))
+
+
+def test_estimators_name_a_missing_outcome():
+    with pytest.raises(ValueError, match="calibration sample missing outcome 'VH'"):
+        estimate_knowledge(CountSample(counts={"HH": 3, "HV": 1, "VV": 2}, duration=1.0))
+    with pytest.raises(ValueError, match="weak-value sample missing outcome 'V'"):
+        estimate_weak_value(CountSample(counts={"H": 3}, duration=1.0), k_estimate(0.1, 0.01))
+
+
+@pytest.mark.parametrize("value, sigma", [
+    (math.nan, 0.1), (math.inf, 0.1), (0.1, math.nan), (0.1, math.inf), (0.1, -0.01)])
+def test_weak_value_rejects_an_unusable_strength_estimate(value, sigma):
+    sample = CountSample(counts={"H": 30, "V": 10}, duration=1.0)
+    with pytest.raises(ValueError, match="strength estimate"):
+        estimate_weak_value(sample, Estimate(value, sigma, value - sigma, value + sigma))
+
+
+def test_estimators_take_numpy_and_integral_float_counts():
+    want = estimate_knowledge(CountSample(counts=_GOOD_CAL, duration=1.0))
+    for convert in (np.int64, np.uint16, float, np.float64):
+        counts = {k: convert(v) for k, v in _GOOD_CAL.items()}
+        assert estimate_knowledge(CountSample(counts=counts, duration=1.0)) == want
+    k_est = k_estimate(0.1, 0.01)
+    want = estimate_weak_value(CountSample(counts={"H": 270, "V": 250}, duration=1.0), k_est)
+    got = estimate_weak_value(CountSample(counts={"H": 270.0, "V": np.int32(250)}, duration=1.0),
+                              k_est)
+    assert got == want
 
 
 def test_weak_value_sigma_poisson_only():
@@ -342,6 +390,41 @@ def test_one_sigma_interval_coverage():
             cov_wv += 1
     assert 0.62 <= cov_k / 1000 <= 0.75
     assert 0.62 <= cov_wv / 1000 <= 0.75
+
+
+@pytest.mark.parametrize("k", [0.006, 0.125])
+def test_unbounded_share_matches_the_one_sigma_interval_reaching_zero(k):
+    # a row's 1-sigma strength interval reaches 0 with probability
+    # P(|K_hat| <= s) = Phi(1 - K/s) - Phi(-1 - K/s) for K_hat ~ N(K, s^2),
+    # s = sqrt((1 - K^2)/N): 0.645 at K = 0.006 and 0 at K = 0.125. Such a
+    # row is flagged unbounded, or no_data when K_hat is exactly 0 (about
+    # 0.7% of rows at K = 0.006). The grid repeats K and each row draws from
+    # its own substream, so the rows are independent runs. The normal
+    # approximation reads about 0.01 high at K = 0.006 (0.633-0.639 over
+    # seeds 0-2); the band, 4 binomial standard errors at p = 1/2 (0.045),
+    # covers that bias.
+    n_runs = 2000
+    plan = RunPlan(seed=0)
+    sigma = math.sqrt((1.0 - k * k) / (plan.unpostselected_rate * plan.duration_k))
+
+    def phi(x):
+        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+    predicted = phi(1.0 - k / sigma) - phi(-1.0 - k / sigma)
+    result = run_fig2(plan, PSI_42, ImperfectionParams(), [k] * n_runs)
+    zero_k = result.metadata["no_data_rows"]["zero_strength_estimate"]
+    assert [i for i, r in enumerate(result.rows) if r.no_data] == zero_k
+    share = (sum(r.unbounded for r in result.rows) + len(zero_k)) / n_runs
+    assert abs(share - predicted) <= 4.0 * math.sqrt(0.25 / n_runs)
+
+
+def test_write_with_sidecar_names_the_sidecar_after_any_path(tmp_path):
+    for name, meta_name in (("t.csv", "t.meta.json"), ("t.dat", "t.dat.meta.json"),
+                            ("t", "t.meta.json")):
+        meta_path = write_with_sidecar(tmp_path / name, "x\n", {"seed": 1})
+        assert meta_path == str(tmp_path / meta_name)
+        assert (tmp_path / name).read_text() == "x\n"
+        assert json.loads(Path(meta_path).read_text()) == {"seed": 1}
 
 
 def test_error_model_calibrated_over_many_runs():

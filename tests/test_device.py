@@ -277,6 +277,13 @@ def test_meter_negative_strength_is_flagged_not_rejected():
     assert abs(out.success_prob - 1.0 / 9.0) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["interfering_eta", "balance_eta", "hadamard_eta"])
+@pytest.mark.parametrize("eta", [-0.1, 1.5, math.nan])
+def test_device_config_rejects_eta_outside_the_unit_interval(name, eta):
+    with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1\]"):
+        DeviceConfig(**{name: eta})
+
+
 def test_non_normalized_inputs_rejected():
     with pytest.raises(ValueError):
         Polarization(1.0, 1.0)

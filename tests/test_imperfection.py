@@ -15,6 +15,7 @@ from weakpol import (
     PostselectionImpossibleError,
     RunPlan,
     TwoQubitChannel,
+    ZeroStrengthError,
     distinguishable_device,
     fit_visibility,
     imperfect_channel,
@@ -39,6 +40,7 @@ from weakpol.imperfection import (
     channel_joint_grid,
     channel_postselected_grid,
     channel_postselected_probs,
+    format_chi_csv,
     labeled_kraus,
 )
 from weakpol.weak_values import (
@@ -165,6 +167,11 @@ def test_channel_is_cp_and_trace_nonincreasing_on_grid():
 def test_rejects_trace_increasing_kraus():
     with pytest.raises(ValueError):
         TwoQubitChannel([np.eye(4) * 1.2])
+
+
+def test_channel_needs_an_effect_operator():
+    with pytest.raises(ValueError, match="at least one effect operator"):
+        TwoQubitChannel([])
 
 
 def test_meter_argument_validated_but_map_independent():
@@ -309,6 +316,18 @@ def test_fit_and_inversion_keep_the_trace_guard(monkeypatch):
 def test_fit_below_ideal_floor_is_infeasible():
     with pytest.raises(InfeasibleTargetError):
         fit_visibility(0.001, PSI_42, K_SMALL)  # ideal floor is ~0.00275
+
+
+def test_fit_above_the_model_ceiling_is_infeasible():
+    with pytest.raises(InfeasibleTargetError, match="above the model ceiling"):
+        fit_visibility(0.5, PSI_42, K_SMALL)
+
+
+def test_inversion_refuses_a_strength_that_rounds_to_zero():
+    meter = MeterSetting(math.sqrt(0.5))  # gamma^2 - gammabar^2 is about 2e-16
+    assert 0.0 < abs(meter.strength) < 1e-15
+    with pytest.raises(ZeroStrengthError, match="inversion undefined"):
+        invert_s1(1.0, 0.01, ImperfectionParams(), meter)
 
 
 def test_fit_rejects_non_finite_target():
@@ -636,15 +655,32 @@ def test_chi_apply_matches_superoperator_form():
     assert np.max(np.abs(chi.apply(rhos.reshape(2, 3, 4, 4)) - want.reshape(2, 3, 4, 4))) < 1e-15
 
 
-def test_psd_projection_clips_and_keeps_trace():
-    rng = np.random.default_rng(80)
-    channel = random_channel(rng)
-    chi = process_tomography(channel)
-    projected = process_tomography(channel, psd_project=True)
-    assert np.min(projected.eigenvalues()) > -1e-12
-    assert abs(projected.trace() - chi.trace()) < 1e-8
-    # noiseless inputs: projection is a no-op up to float error
-    assert np.max(np.abs(projected.matrix - chi.matrix)) < 1e-9
+def _format_chi_csv_per_value(chi):
+    """Reference chi writer: one format() call per real and imaginary part."""
+    lines = []
+    for row in chi.matrix:
+        flat = []
+        for z in row:
+            flat.append(format(float(z.real), ".17g"))
+            flat.append(format(float(z.imag), ".17g"))
+        lines.append(",".join(flat))
+    return "\n".join(lines) + "\n"
+
+
+def test_format_chi_csv_matches_the_per_value_writer():
+    rng = np.random.default_rng(18)
+    planted = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0]
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-20, 20, size=(2, 16, 16))
+        m = rng.standard_normal((16, 16)) * scale[0] + 1j * rng.standard_normal((16, 16)) * scale[1]
+        flat = m.reshape(-1)
+        at = rng.choice(256, size=12, replace=False)
+        flat[at[:6]] = rng.choice(planted, size=6) + 0j
+        flat[at[6:]] = 1j * rng.choice(planted, size=6) + rng.choice(planted, size=6)
+        # as given, transposed and reversed (both non-contiguous views) and real-only
+        for variant in (m, m.T, m[::-1, ::-1], m.real):
+            chi = ChiMatrix(variant)
+            assert format_chi_csv(chi) == _format_chi_csv_per_value(chi)
 
 
 def test_chi_csv_roundtrip(tmp_path):
