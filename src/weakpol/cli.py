@@ -144,6 +144,7 @@ def _parse_k_grid(text: str):
 
 
 def _check_angle(angle: float) -> float:
+    """The CLI's angle contract: degrees in [0, 360), so NaN and inf fail too (exit 5)."""
     if not 0.0 <= angle < 360.0:
         raise CliError(EXIT_RANGE, f"angle must lie in [0, 360), got {angle}")
     return angle

@@ -330,6 +330,8 @@ def _count_row(sample: CountSample, outcomes, run: str) -> np.ndarray:
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
             raise ValueError(f"{run} sample: {key!r} count {count!r} is not a non-negative integer")
         row.append(int(count))
+        if sum(row) > 2**53:  # float64 holds every integer only up to 2**53 (see MAX_MEAN_COUNT)
+            raise ValueError(f"{run} sample: {key!r} count takes the total past 2**53")
     return np.array([row])
 
 
@@ -339,8 +341,9 @@ def estimate_knowledge(sample: CountSample) -> Estimate:
     K_hat = (N_HH + N_VV - N_HV - N_VH) / N with the delta-method error
     sqrt((1 - K_hat^2)/N) for independent Poisson counts; near zero
     strength this is 1/sqrt(N). Each count must be a non-negative integer:
-    an int, a numpy integer or an integral finite float, not a bool. Any
-    other count raises ValueError naming the run and the outcome.
+    an int, a numpy integer or an integral finite float, not a bool, and
+    the counts may total at most 2**53, where float64 stops holding every
+    integer. Any other count raises ValueError naming the run and the outcome.
     """
     k_hat, sigma, empty = _knowledge_columns(_count_row(sample, _CAL_OUTCOMES, "calibration"))
     if empty[0]:
@@ -356,8 +359,9 @@ def estimate_weak_value(sample: CountSample, k_est: Estimate) -> Estimate:
     only the Poisson error of the meter counts (the plotted bars); the
     strength error is reported separately through ``worst_case`` and,
     when the 1-sigma strength interval reaches zero, the
-    ``unbounded_above`` flag. Counts follow :func:`estimate_knowledge`'s rule, and a
-    ``k_est`` whose value or sigma is not finite, or whose sigma is negative, raises ValueError.
+    ``unbounded_above`` flag. Counts follow :func:`estimate_knowledge`'s rule
+    (non-negative integers totalling at most 2**53), and a ``k_est`` whose
+    value or sigma is not finite, or whose sigma is negative, raises ValueError.
     """
     if not (math.isfinite(k_est.value) and math.isfinite(k_est.sigma) and k_est.sigma >= 0):
         raise ValueError(f"strength estimate {k_est.value} +- {k_est.sigma}: need finite, sigma >= 0")

@@ -22,7 +22,8 @@ as control, i.e. it maps |psi>(gamma|H> + gammabar|V>) onto
 
 up to overall normalization. Correctness is defined by that contract (up
 to per-qubit phases), not by the layout. The splitters fix the gate, so a
-``DeviceConfig`` builds it once and every function here reads it.
+``DeviceConfig`` builds it once, as read-only direct and exchange parts and
+their coherent sum, and every function here reads them.
 """
 
 from __future__ import annotations
@@ -103,10 +104,12 @@ class DeviceConfig:
         k = transfer_matrix(self)[:4, :4].reshape(2, 2, 2, 2)  # the parts of labeled_kraus
         parts = np.stack([k[0, :, None, 0, :, None] * k[1, None, :, 1, None, :],
                           k[0, :, None, 1, None, :] * k[1, None, :, 0, :, None]]).reshape(2, 4, 4)
-        parts.flags.writeable = False
+        gate = parts[0] + parts[1]
+        parts.flags.writeable = gate.flags.writeable = False
         object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_gate", gate)
 
-    def __reduce__(self):  # copies and pickles rebuild the read-only parts from the etas
+    def __reduce__(self):  # copies and pickles rebuild the read-only parts and gate from the etas
         return DeviceConfig, (self.interfering_eta, self.balance_eta, self.hadamard_eta)
 
 
@@ -129,13 +132,15 @@ def input_state(signal: Polarization, meter: MeterSetting, registry: ModeRegistr
 
 
 def run_device(signal: Polarization, meter: MeterSetting, cfg: DeviceConfig = DeviceConfig()) -> TwoQubitState:
-    """Run the gate on a product input and condition on coincidence.
+    """Run the gate ``cfg`` carries on a product input and condition on coincidence.
 
-    A zero coincidence weight gives the flagged empty state, as the
+    The input enters as its four amplitude products (HH, HV, VH, VV). A
+    zero coincidence weight gives the flagged empty state, as the
     Fock-level ``project_coincidence`` does.
     """
-    amps = coincidence_operator(cfg) @ (signal.ket()[:, None] * meter.ket()).reshape(4)
-    prob = float(np.sum(np.abs(amps) ** 2))
+    a, b, g, gb = signal.alpha, signal.beta, meter.gamma, meter.gammabar
+    amps = coincidence_operator(cfg) @ np.array([a * g, a * gb, b * g, b * gb], dtype=complex)
+    prob = float((np.abs(amps) ** 2).sum())
     if prob <= PRUNE_TOL**2:
         return TwoQubitState(np.zeros((2, 2), dtype=complex), 0.0, empty=True)
     return TwoQubitState(amps / math.sqrt(prob), prob)
@@ -231,12 +236,13 @@ def labeled_kraus(cfg: DeviceConfig = DeviceConfig()):
 def coincidence_operator(cfg: DeviceConfig = DeviceConfig()) -> np.ndarray:
     """4x4 operator of the gate on the kept two-qubit subspace.
 
-    The sum of the parts ``cfg`` carries. Columns are indexed by product
-    inputs |signal, meter> in (HH, HV, VH, VV) order and carry the
-    unnormalized coincidence amplitudes, so the squared column norm is the
-    success probability; for the default configuration, controlled-NOT / 3.
+    The coherent sum of the parts, returned as the read-only array ``cfg``
+    carries. Columns are indexed by product inputs |signal, meter> in (HH,
+    HV, VH, VV) order and carry the unnormalized coincidence amplitudes, so
+    the squared column norm is the success probability; for the default
+    configuration, controlled-NOT / 3.
     """
-    return np.add(*labeled_kraus(cfg))
+    return cfg._gate
 
 
 def concurrence(state: TwoQubitState) -> float:

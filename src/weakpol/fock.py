@@ -219,7 +219,7 @@ class TwoQubitState:
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(2, 2)
         if not self.empty:
-            n = np.sum(np.abs(self.amplitudes) ** 2)
+            n = np.vdot(self.amplitudes, self.amplitudes).real
             if not abs(n - 1.0) <= 1e-9:  # written so that NaN fails
                 raise ValueError(f"amplitudes not normalized (|psi|^2 = {n})")
         if not 0.0 <= self.success_prob <= 1.0 + 1e-12:

@@ -94,6 +94,25 @@ def test_weak_value_rejects_out_of_range_angle(capsys):
     assert code == EXIT_RANGE
 
 
+@pytest.mark.parametrize("command", ["weak-value", "fig2"])
+def test_angle_range_is_a_cli_contract(command, tmp_path, capsys):
+    # the CLI takes angles in [0, 360) degrees, though Polarization.from_degrees takes any
+    out = tmp_path / "fig2.csv"
+    rest = ["--K", "0.5"] if command == "weak-value" else ["--k-grid", "0.5", "--out", str(out)]
+    assert run_cli([command, "--angle", "0", *rest], capsys)[0] == EXIT_OK
+    out.unlink(missing_ok=True)
+    as_text, as_float = tmp_path / "text.yaml", tmp_path / "float.yaml"
+    for value, yaml_float in (("360", "360.0"), ("-1e-9", "-1.0e-9"), ("nan", ".nan"),
+                              ("inf", ".inf")):
+        as_text.write_text(f"angle: '{value}'\n")
+        as_float.write_text(f"angle: {yaml_float}\n")
+        for argv in (["--angle", value], ["--config", str(as_text)], ["--config", str(as_float)]):
+            code, stdout, err = run_cli([command, *argv, *rest], capsys)
+            assert (code, stdout) == (EXIT_RANGE, "")
+            assert "angle must lie in [0, 360)" in err
+    assert not out.exists()
+
+
 def test_povm_projective_output(capsys):
     code, out, _ = run_cli(["povm", "--K", "1"], capsys)
     assert code == EXIT_OK

@@ -203,6 +203,30 @@ def test_weak_value_rejects_impossible_counts(outcome, count):
         estimate_weak_value(CountSample(counts=counts, duration=1.0), k_estimate(0.1, 0.01))
 
 
+@pytest.mark.parametrize("run, counts, outcome", [
+    ("weak-value", {"H": 10**120, "V": 5}, "H"), ("weak-value", {"H": 1e120, "V": 5}, "H"),
+    ("weak-value", {"H": 5, "V": 2**53 - 4}, "V"), ("weak-value", {"H": 2.0**53, "V": 1}, "V"),
+    ("calibration", dict(_GOOD_CAL, HH=10**400), "HH"),
+    ("calibration", dict(_GOOD_CAL, VH=1e300), "VH"),
+    ("calibration", {"HH": 2**51, "HV": 2**51, "VH": 2**51, "VV": 2**51 + 1}, "VV")])
+def test_estimators_refuse_a_total_past_float64_exactness(run, counts, outcome):
+    # the estimators compute in float64, which holds every integer only up to 2**53
+    sample = CountSample(counts=counts, duration=1.0)
+    with pytest.raises(ValueError, match=f"{run} sample: {outcome!r} .*2\\*\\*53"):
+        if run == "calibration":
+            estimate_knowledge(sample)
+        else:
+            estimate_weak_value(sample, k_estimate(0.1, 0.01))
+
+
+def test_estimators_take_a_total_of_exactly_2_to_the_53():
+    cal = {"HH": 2**51, "HV": 2**51, "VH": 2**51, "VV": 2**51}
+    assert estimate_knowledge(CountSample(counts=cal, duration=1.0)).value == 0.0
+    est = estimate_weak_value(CountSample(counts={"H": 2**52, "V": 2**52}, duration=1.0),
+                              k_estimate(0.1, 0.01))
+    assert est.value == 0.0 and est.sigma == pytest.approx(2.0**-26.5 / 0.1, rel=1e-15)
+
+
 def test_estimators_name_a_missing_outcome():
     with pytest.raises(ValueError, match="calibration sample missing outcome 'VH'"):
         estimate_knowledge(CountSample(counts={"HH": 3, "HV": 1, "VV": 2}, duration=1.0))

@@ -438,13 +438,18 @@ def test_device_config_keeps_its_value_semantics_and_carries_a_read_only_gate():
     assert labeled_kraus(moved)[0].tobytes() != labeled_kraus(cfg)[0].tobytes()
     for got, want in zip(labeled_kraus(moved), labeled_kraus(fresh)):
         assert got.tobytes() == want.tobytes()
+    direct, exchange = labeled_kraus(cfg)
+    assert coincidence_operator(cfg).tobytes() == (direct + exchange).tobytes()
     for twin in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
         assert twin == cfg
-        for got, want in zip(labeled_kraus(twin), labeled_kraus(cfg)):
+        for got, want in zip((*labeled_kraus(twin), coincidence_operator(twin)),
+                             (direct, exchange, coincidence_operator(cfg))):
             assert not got.flags.writeable
             assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         labeled_kraus(cfg)[0][0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        coincidence_operator(cfg)[0, 0] = 1.0
 
 
 def test_kernel_and_fock_oracle_flag_zero_coincidence_weight():

@@ -172,6 +172,14 @@ def test_two_qubit_state_rejects_nan_amplitudes():
             TwoQubitState(amps, 0.5)
 
 
+def test_two_qubit_state_rejects_inf_and_unnormalized_amplitudes():
+    inf, nan = math.inf, math.nan
+    for amps in ([[inf, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, -inf]], [[inf, nan], [0.0, 0.0]],
+                 [[complex(inf, inf), 0.0], [0.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]]):  # last: norm 2
+        with pytest.raises(ValueError, match="not normalized"):
+            TwoQubitState(amps, 0.5)
+
+
 def test_prune_keeps_interference_nulls_clean():
     reg = two_mode_registry()
     out = apply_beam_splitter(fock_11(reg), BeamSplitterSpec("a", "b", 0.5))
