@@ -211,7 +211,7 @@ def _cmd_povm(given: dict) -> int:
 def _cmd_weak_value(given: dict) -> int:
     angle = _check_angle(given.get("angle", 42.0))
     k = given.get("k", 0.006)
-    if k == 0.0:  # the closed form stays finite at K = 0 for a real input, so refuse it here
+    if k == 0.0:  # the closed form stays finite at K = 0, so refuse it here
         raise CliError(EXIT_DEGENERATE, "K = 0: the weak value is undefined (unbounded)")
     signal = Polarization.from_degrees(angle)
     meter = MeterSetting.from_strength(k)

@@ -19,7 +19,8 @@ calibration run of grid point ``i`` is exactly ``stream_for(seed, i,
 K_RUN)`` and its postselected run ``stream_for(seed, i, WV_RUN)``, so
 tables are reproducible bit for bit. A Philox stream is fixed by its
 128-bit key, so :func:`run_fig2` derives the keys of all its streams in
-one batch (numpy's ``SeedSequence`` hash replayed on arrays) instead of
+one batch (the seed's ``SeedSequence`` pool, then the rounds of numpy's
+hash that mix in the index and run type, replayed on arrays) instead of
 building a ``SeedSequence`` and a ``Philox`` per stream.
 :func:`sample_counts`, :func:`estimate_knowledge` and
 :func:`estimate_weak_value` are one-row views of the same kernels. The
@@ -148,10 +149,13 @@ def _philox_keys(master_seed: int, indices, run_type: int) -> np.ndarray:
     Row ``j`` equals ``SeedSequence(entropy=master_seed, spawn_key=(i_j,
     run_type)).generate_state(2, np.uint64)``. The entropy is the seed's
     32-bit words, zero-padded to the pool size, then one word for the
-    index and one for the run type. The pool fill and the full pool mix
-    depend on the seed alone and run once on scalars; only the rounds that
-    mix in the index, the run-type round and the output hash act on arrays.
-    An index of 2**32 or more would take two words, so it is rejected.
+    index and one for the run type. Everything before the index word
+    depends on the seed alone: that pool is ``SeedSequence(master_seed).pool``,
+    and the hash constant has taken one step per hashed word, 4 to fill
+    the pool, 12 to mix it and 4 for each seed word past the pool size.
+    Only the rounds that mix in the index, the run-type round and the
+    output hash are replayed, on arrays. An index of 2**32 or more would
+    take two words, so it is rejected.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and not (idx.min() >= 0 and idx.max() < _WORD):
@@ -159,24 +163,11 @@ def _philox_keys(master_seed: int, indices, run_type: int) -> np.ndarray:
     seed = int(master_seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    words = [seed % _WORD]
-    while seed >= _WORD:
-        seed //= _WORD
-        words.append(seed % _WORD)
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.uint32(w) for w in words] + [idx.astype(np.uint32), np.uint32(run_type)]
+    pool = list(np.random.SeedSequence(seed).pool)
+    steps = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - _POOL_SIZE)
     with np.errstate(over="ignore"):
-        hash_const = _INIT_A
-        pool = []
-        for word in entropy[:_POOL_SIZE]:
-            value, hash_const = _hashmix(word, hash_const)
-            pool.append(value)
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    value, hash_const = _hashmix(pool[src], hash_const)
-                    pool[dst] = _mix(pool[dst], value)
-        for word in entropy[_POOL_SIZE:]:
+        hash_const = _INIT_A * np.uint32(pow(int(_MULT_A), steps, _WORD))
+        for word in (idx.astype(np.uint32), np.uint32(run_type)):
             for dst in range(_POOL_SIZE):
                 value, hash_const = _hashmix(word, hash_const)
                 pool[dst] = _mix(pool[dst], value)

@@ -15,13 +15,9 @@ losses). Layout, in propagation order:
   5. coincidence projection.
 
 Within the kept subspace this acts as controlled-NOT / 3 with the signal
-as control, i.e. it maps |psi>(gamma|H> + gammabar|V>) onto
-
-  (alpha gamma |H> + beta gammabar |V>)|H>_m
-  + (alpha gammabar |H> + beta gamma |V>)|V>_m
-
-up to overall normalization. Correctness is defined by that contract (up
-to per-qubit phases), not by the layout. The splitters fix the gate, so a
+as control, up to overall normalization. Correctness is defined by the
+gate's contract, which :func:`weakpol.weak_values.target_state` states
+(up to per-qubit phases), not by the layout. The splitters fix the gate, so a
 ``DeviceConfig`` builds it once, as read-only direct and exchange parts and
 their coherent sum, and every function here reads them.
 """
@@ -37,7 +33,7 @@ import numpy as np
 from . import fock
 from .errors import ZeroNormError
 from .fock import PRUNE_TOL, BeamSplitterSpec, FockState, ModeRegistry, TwoQubitState
-from .weak_values import MeterSetting, Polarization
+from .weak_values import MeterSetting, Polarization, target_state
 
 SIGNAL_MODES = ("sH", "sV")
 METER_MODES = ("mH", "mV")
@@ -122,10 +118,9 @@ def network_steps(cfg: DeviceConfig = DeviceConfig()):
     return [BeamSplitterSpec(a, b, getattr(cfg, field)) for a, b, field in _NETWORK]
 
 
-def input_state(signal: Polarization, meter: MeterSetting, registry: ModeRegistry | None = None) -> FockState:
+def input_state(signal: Polarization, meter: MeterSetting) -> FockState:
     """Two-photon product input on the signal and meter rails."""
-    reg = registry or device_registry()
-    state = fock.vacuum(reg)
+    state = fock.vacuum(device_registry())
     state = fock.create_photon(state, {"sH": signal.alpha, "sV": signal.beta})
     state = fock.create_photon(state, {"mH": meter.gamma, "mV": meter.gammabar})
     return state
@@ -150,13 +145,6 @@ def device_meter_distribution(state: TwoQubitState):
     """Joint outcome probabilities (P_HH, P_HV, P_VH, P_VV)."""
     p = np.abs(state.amplitudes.reshape(4)) ** 2
     return tuple(float(x) for x in p)
-
-
-def target_state(signal: Polarization, meter: MeterSetting) -> np.ndarray:
-    """The contractual post-gate amplitudes, indexed [signal, meter]."""
-    a, b = signal.alpha, signal.beta
-    g, gb = meter.gamma, meter.gammabar
-    return np.array([[a * g, a * gb], [b * gb, b * g]], dtype=complex)
 
 
 def _scaled_entries(name: str, x) -> list:

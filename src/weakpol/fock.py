@@ -117,8 +117,8 @@ class FockState:
             raise ValueError("non-finite amplitude")
         self.terms[occ] = self.terms.get(occ, 0j) + amp
 
-    def prune(self, tol: float = PRUNE_TOL):
-        self.terms = {occ: a for occ, a in self.terms.items() if abs(a) >= tol}
+    def prune(self):
+        self.terms = {occ: a for occ, a in self.terms.items() if abs(a) >= PRUNE_TOL}
         return self
 
     def norm_sq(self) -> float:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceConfig, labeled_kraus
+from .device import DeviceConfig, coincidence_operator, labeled_kraus
 from .errors import (
     InfeasibleTargetError,
     InversionRangeError,
@@ -242,8 +242,7 @@ def _mixture(cfg: DeviceConfig, visibilities):
     """The seven mixture operators of ``cfg`` and their amplitude weights, one row per visibility.
 
     Gate, direct and exchange parts, gate after each unit projector P_0..P_3 (rail dephasing)."""
-    direct, exchange = labeled_kraus(cfg)
-    gate = direct + exchange
+    gate, (direct, exchange) = coincidence_operator(cfg), labeled_kraus(cfg)
     ops = np.concatenate([[gate, direct, exchange], gate @ _UNIT_PROJECTORS])
     return ops, np.array([[math.sqrt(v)] + [math.sqrt((1.0 - v) / 2.0)] * 6 for v in visibilities])
 

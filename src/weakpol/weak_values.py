@@ -7,9 +7,10 @@ K = 0 extracts nothing. Conditioning the meter record on a signal
 postselection produces weak values (pH - pV)/K that can lie far outside
 the spectrum when the postselection is nearly orthogonal to the input.
 
-Everything here is closed-form; the Fock-level network in
-:mod:`weakpol.device` must reproduce these statistics, and the tests hold
-the two layers against each other.
+Everything here is closed-form. The gate's two-qubit contract is stated
+once, by :func:`target_state`; the Fock-level network in
+:mod:`weakpol.device` must reproduce it, and the tests hold the two layers
+against each other.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import PostselectionImpossibleError, ZeroStrengthError
 
-_REAL_TOL = 1e-12
 # strengths below this are operationally zero: gamma = sqrt(1/2) does not
 # square back to exactly 0.5 in floats, and ratios over such strengths are
 # pure rounding noise
@@ -49,10 +49,6 @@ class Polarization:
     @classmethod
     def from_degrees(cls, theta_deg: float) -> "Polarization":
         return cls.from_angle(math.radians(theta_deg))
-
-    @property
-    def is_real(self) -> bool:
-        return abs(complex(self.alpha).imag) < _REAL_TOL and abs(complex(self.beta).imag) < _REAL_TOL
 
     def ket(self) -> np.ndarray:
         return np.array([self.alpha, self.beta], dtype=complex)
@@ -170,30 +166,27 @@ def expectation_s1_from_meter(psi: Polarization, meter: MeterSetting) -> float:
     return (p_h - p_v) / k
 
 
-def _joint_meter_amplitudes(psi: Polarization, meter: MeterSetting, post: Polarization):
-    """Amplitudes for (postselection hit, meter = H/V) on the post-gate state.
+def target_state(signal: Polarization, meter: MeterSetting) -> np.ndarray:
+    """The gate's contractual post-gate amplitudes, indexed [signal, meter].
 
     The gate maps |psi>|m> onto
-    (alpha g |H> + beta gbar |V>)|H> + (alpha gbar |H> + beta g |V>)|V>,
-    so projecting the signal on <post| leaves one meter amplitude per
-    outcome; the amplitudes add before squaring, which is where the
-    postselection interference lives.
+    (alpha g |H> + beta gbar |V>)|H> + (alpha gbar |H> + beta g |V>)|V>.
     """
+    a, b = signal.alpha, signal.beta
     g, gb = meter.gamma, meter.gammabar
-    xc = np.conj(post.alpha)
-    yc = np.conj(post.beta)
-    a_h = xc * psi.alpha * g + yc * psi.beta * gb
-    a_v = xc * psi.alpha * gb + yc * psi.beta * g
-    return a_h, a_v
+    return np.array([[a * g, a * gb], [b * gb, b * g]], dtype=complex)
 
 
 def postselected_probs(psi: Polarization, meter: MeterSetting, post: Polarization):
     """(P(meter H | post), P(meter V | post), P(post)).
 
-    Raises PostselectionImpossibleError when P(post) = 0, where the
-    conditionals are undefined.
+    Projecting the signal of :func:`target_state` on <post| leaves one
+    meter amplitude per outcome; the amplitudes add before squaring, which
+    is where the postselection interference lives. Raises
+    PostselectionImpossibleError when P(post) = 0, where the conditionals
+    are undefined.
     """
-    a_h, a_v = _joint_meter_amplitudes(psi, meter, post)
+    a_h, a_v = post.ket().conj() @ target_state(psi, meter)
     p_post = abs(a_h) ** 2 + abs(a_v) ** 2
     if p_post <= _P_POST_TOL:
         raise PostselectionImpossibleError(
@@ -219,28 +212,29 @@ def weak_value_from_probs(p_h: float, p_v: float, strength: float) -> float:
 def weak_value_analytic(psi: Polarization, meter: MeterSetting, post: Polarization) -> float:
     """Postselected value of s1 for preparation ``psi`` and meter ``meter``.
 
-    For real amplitudes the closed form
+    With post = x|H> + y|V>, A = conj(x) alpha and B = conj(y) beta, the
+    closed form
 
-        [(x a)^2 - (y b)^2] / [(x a)^2 + (y b)^2 + 4 g gbar (x a)(y b)]
+        (|A|^2 - |B|^2) / (|A|^2 + |B|^2 + 4 g gbar Re(A conj(B)))
 
-    (post = x|H> + y|V>) holds at every strength including K = 0, where
-    it reduces for post = A to (a + b)/(a - b) and can be arbitrarily
-    large. Complex inputs route through the conditional probabilities and
-    so need K != 0. A vanishing denominator means the postselection is
-    impossible in the weak limit and raises instead of returning inf.
+    is (pH - pV)/K with K cancelled by hand, since |a_h|^2 - |a_v|^2 =
+    K (|A|^2 - |B|^2). It holds for every input, complex or real, at every
+    strength including K = 0, where for a real input and the antidiagonal
+    postselection it is (alpha + beta)/(alpha - beta) and can be
+    arbitrarily large. A denominator that vanishes against |A|^2 + |B|^2
+    (or 0 over 0, for an input orthogonal to the postselection) means the
+    postselection is impossible in the weak limit and raises instead of
+    returning inf.
     """
-    if psi.is_real and post.is_real:
-        xa = float(np.real(post.alpha)) * float(np.real(psi.alpha))
-        yb = float(np.real(post.beta)) * float(np.real(psi.beta))
-        num = xa**2 - yb**2
-        den = xa**2 + yb**2 + 4.0 * meter.gamma * meter.gammabar * xa * yb
-        if abs(den) < 1e-14 * (xa**2 + yb**2):
-            raise PostselectionImpossibleError(
-                "weak value diverges: postselection orthogonal in the weak limit"
-            )
-        return num / den
-    p_h, p_v, _ = postselected_probs(psi, meter, post)
-    return weak_value_from_probs(p_h, p_v, meter.strength)
+    a = complex(post.alpha).conjugate() * psi.alpha
+    b = complex(post.beta).conjugate() * psi.beta
+    aa, bb = abs(a) ** 2, abs(b) ** 2
+    den = aa + bb + (4.0 * meter.gamma * meter.gammabar * a * b.conjugate()).real
+    if not den > 1e-14 * (aa + bb):
+        raise PostselectionImpossibleError(
+            "weak value diverges: postselection orthogonal in the weak limit"
+        )
+    return (aa - bb) / den
 
 
 def knowledge_from_probs(p_hh: float, p_vv: float, p_hv: float, p_vh: float) -> float:

@@ -536,7 +536,7 @@ def test_run_plan_accepts_numpy_integer_seed(tmp_path):
 
 # --- batched stream keys ----------------------------------------------------------------
 
-KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**70]
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**70, 2**96, 2**128, 2**200 - 1]
 KEY_INDICES = [0, 1, 399, 2**32 - 1]
 
 

@@ -288,7 +288,7 @@ def test_a_config_builds_its_gate_once_and_every_call_reads_it(monkeypatch):
 
 
 def test_fit_and_inversion_keep_the_trace_guard(monkeypatch):
-    import weakpol.imperfection as imperfection
+    import weakpol.device as device
 
     # without balancing loss the gate's largest effect eigenvalue is exactly 1,
     # so gate parts scaled by 1.5 make a trace-increasing model
@@ -304,8 +304,11 @@ def test_fit_and_inversion_keep_the_trace_guard(monkeypatch):
         antidiagonal(),
     )[2]
     assert fit_visibility(target, PSI_42, meter, cfg).visibility == pytest.approx(0.5, abs=1e-12)
-    monkeypatch.setattr(imperfection, "labeled_kraus",
-                        lambda cfg: tuple(1.5 * part for part in labeled_kraus(cfg)))
+    # every array a config carries is a product of two transfer-matrix entries, so the
+    # config built below carries gate parts scaled by 1.5
+    build = device.transfer_matrix
+    monkeypatch.setattr(device, "transfer_matrix", lambda c: math.sqrt(1.5) * build(c))
+    cfg = DeviceConfig(balance_eta=1.0)
     with pytest.raises(ValueError, match="channel increases trace"):
         fit_visibility(target, PSI_42, meter, cfg)
     for model in (ImperfectionParams(), params):

@@ -158,6 +158,11 @@ def test_diagonal_input_weak_value_zero():
 def test_orthogonal_weak_limit_diverges_with_typed_error():
     with pytest.raises(PostselectionImpossibleError):
         weak_value_analytic(diagonal(), meter_k(0.0), antidiagonal())
+    # an input orthogonal to the postselection leaves 0 over 0 at every strength
+    for psi, post in ((horizontal(), vertical()), (vertical(), horizontal())):
+        for k in (0.0, 0.006, 0.5, 1.0):
+            with pytest.raises(PostselectionImpossibleError):
+                weak_value_analytic(psi, meter_k(k), post)
 
 
 def test_weak_value_from_probs_examples():
@@ -188,18 +193,21 @@ def test_weak_value_from_probs_rejects_nan():
 
 def test_probability_route_matches_closed_form():
     rng = np.random.default_rng(17)
-    for _ in range(1000):
-        psi = Polarization.from_angle(rng.uniform(0, math.pi))
-        k = rng.uniform(1e-4, 1.0)
-        try:
-            p_h, p_v, _ = postselected_probs(psi, meter_k(k), antidiagonal())
-        except PostselectionImpossibleError:
-            continue
-        via_probs = weak_value_from_probs(p_h, p_v, k)
-        closed = weak_value_analytic(psi, meter_k(k), antidiagonal())
-        # 1e-10 absolute for in-spectrum values, relative once the weak
-        # value blows up and cancellation limits the probability route
-        assert abs(via_probs - closed) < 1e-10 * max(1.0, abs(closed))
+    for random_phase in (False, True):
+        for _ in range(1000):
+            psi = Polarization.from_angle(rng.uniform(0, math.pi))
+            if random_phase:
+                psi = Polarization(psi.alpha, psi.beta * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+            k = rng.uniform(1e-4, 1.0)
+            try:
+                p_h, p_v, _ = postselected_probs(psi, meter_k(k), antidiagonal())
+            except PostselectionImpossibleError:
+                continue
+            via_probs = weak_value_from_probs(p_h, p_v, k)
+            closed = weak_value_analytic(psi, meter_k(k), antidiagonal())
+            # 1e-10 absolute for in-spectrum values, relative once the weak
+            # value blows up and cancellation limits the probability route
+            assert abs(via_probs - closed) < 1e-10 * max(1.0, abs(closed))
 
 
 def test_complex_inputs_route_through_probabilities():
@@ -208,6 +216,8 @@ def test_complex_inputs_route_through_probabilities():
     wv = weak_value_analytic(psi, meter, antidiagonal())
     p_h, p_v, _ = postselected_probs(psi, meter, antidiagonal())
     assert abs(wv - (p_h - p_v) / 0.3) < 1e-12
+    # Re(A conj(B)) = 0 here, so the weak value is <s1> at every strength, K = 0 included
+    assert weak_value_analytic(psi, meter_k(0.0), antidiagonal()) == pytest.approx(-0.28)
 
 
 # --- knowledge -----------------------------------------------------------------
