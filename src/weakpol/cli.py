@@ -261,13 +261,13 @@ def _cmd_tomo(given: dict) -> int:
 _COMMANDS = {
     "gate-verify": (_cmd_gate_verify, "check the gate against its two-qubit contract",
                     ("seed", "trials")),
-    "povm": (_cmd_povm, "print the induced measurement operators", ("seed", "k")),
-    "weak-value": (_cmd_weak_value, "print the postselected value", ("seed", "angle", "k")),
+    "povm": (_cmd_povm, "print the induced measurement operators", ("k",)),
+    "weak-value": (_cmd_weak_value, "print the postselected value", ("angle", "k")),
     "fig2": (_cmd_fig2, "simulate the counting experiment (CSV)",
              ("seed", "angle", "k_grid", "visibility", "depol", "unpostselected_rate",
               "postselected_rate", "duration_k", "duration_wv", "workers", "out")),
     "tomo": (_cmd_tomo, "export the device process matrix (CSV)",
-             ("seed", "visibility", "depol", "out")),
+             ("visibility", "depol", "out")),
 }
 
 # the first matching class wins, so subclasses come first (InfeasibleTargetError is a ValueError)

@@ -33,13 +33,14 @@ diagonal input at v = 1, K = 0.006 from 8e-12 to 5e-10.
 Every probability comes from one kernel: the weights of six events (post
 and meter H, post and meter V, HH, HV, VH, VV), each a sum of
 |<e|k|p>|^2 over operators k, on a stack of product kets |p> = |a> (x)
-|m>. The channel views read it on a channel's Kraus stack. The model
-(the Fig. 2 sweep, the model curve, the fit and the inversion) reads it
-on the seven mixture operators (gate, direct, exchange, gate P_0..P_3)
-of one gate build, weighted sqrt(v) and sqrt((1-v)/2), and applies
-white noise by one rule for every event, W -> (1-p) W + (p/4) W_ok.
-``imperfect_channel`` builds the same weighted mixture and adds the
-noise as Kraus operators.
+|m>. The channel views ``channel_joint_distribution`` and
+``channel_postselected_probs`` read it on a channel's Kraus stack at one
+meter setting. The model (the Fig. 2 sweep, the model curve, the fit and
+the inversion) reads it on the seven mixture operators (gate, direct,
+exchange, gate P_0..P_3) of one gate build, weighted sqrt(v) and
+sqrt((1-v)/2), and applies white noise by one rule for every event,
+W -> (1-p) W + (p/4) W_ok. ``imperfect_channel`` builds the same
+weighted mixture and adds the noise as Kraus operators.
 
 Process tomography reconstructs the chi matrix of any such channel by
 linear inversion from the 16 product preparations over {H, V, D, R} per
@@ -211,19 +212,6 @@ def _postselected_probs(w: np.ndarray) -> np.ndarray:
     if np.any(p_post <= 1e-300):
         raise PostselectionImpossibleError("postselection probability is zero under the channel")
     return np.stack([w[..., 0] / post_weight, w[..., 1] / post_weight, p_post], axis=-1)
-
-
-def channel_joint_grid(channel: TwoQubitChannel, signal: Polarization, strengths) -> np.ndarray:
-    """(P_HH, P_HV, P_VH, P_VV) conditioned on success, one row per strength."""
-    weights = _event_weights(channel.kraus, signal.ket()[None], _meter_kets(strengths))
-    return _joint_probs(weights[0])
-
-
-def channel_postselected_grid(channel: TwoQubitChannel, signal: Polarization, strengths,
-                              post: Polarization) -> np.ndarray:
-    """(P(meter H | post), P(meter V | post), P(post | success)), one row per strength."""
-    weights = _event_weights(channel.kraus, signal.ket()[None], _meter_kets(strengths), post)
-    return _postselected_probs(weights[0])
 
 
 def channel_joint_distribution(channel, signal, meter):
@@ -534,6 +522,8 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
                         ("measured_p_a", measured_p_a)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if not 0.0 <= measured_p_a <= 1.0:
+        raise ValueError(f"measured_p_a is a probability in [0, 1], got {measured_p_a}")
     if not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting")
     k = meter.strength

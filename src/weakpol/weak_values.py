@@ -256,10 +256,9 @@ def expectation_decomposition(psi: Polarization, meter: MeterSetting):
 
     Returns (term_A, term_D, total) with term_X = (weak value | X) * P(X);
     the total equals |alpha|^2 - |beta|^2 identically, however extreme the
-    individual weak values are.
+    individual weak values are, at K = 0 too. An input orthogonal to A or D
+    in the weak limit (a real +-45 degree input) raises PostselectionImpossibleError.
     """
-    if abs(meter.strength) < ZERO_STRENGTH_TOL:
-        raise ZeroStrengthError("strength K = 0: decomposition terms undefined")
     term = {}
     for label in ("A", "D"):
         post = postselect_state(label)

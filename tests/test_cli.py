@@ -1,7 +1,9 @@
 """Command-line interface tests: parsing, outputs, exit codes."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ from weakpol.cli import (
     EXIT_OK,
     EXIT_RANGE,
     EXIT_VERIFY,
+    build_parser,
     main,
 )
 
@@ -323,13 +326,33 @@ def test_tomo_sidecar_records_chi_physicality(tmp_path, capsys):
     assert 0.0 < meta["chi_min_eigenvalue"] < 0.02
 
 
-def test_tomo_output_does_not_depend_on_seed(tmp_path, capsys):
-    for seed in ("1", "2"):
-        argv = ["tomo", "--seed", seed, "--out", str(tmp_path / f"{seed}.csv")]
-        code, _, _ = run_cli(argv, capsys)
-        assert code == EXIT_OK
-    for name in ("{}.csv", "{}.meta.json"):
-        assert (tmp_path / name.format(1)).read_bytes() == (tmp_path / name.format(2)).read_bytes()
+@pytest.mark.parametrize("command", ["povm", "weak-value", "tomo"])
+def test_seed_is_refused_where_nothing_is_drawn(command, tmp_path, capsys, monkeypatch):
+    # these subcommands draw no random numbers, so they take no seed
+    monkeypatch.setenv("WEAKPOL_OUT_DIR", str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("seed: 1\n")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert f"config key seed is not an option of {command}" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
+
+
+def test_readme_options_table_matches_the_parser():
+    # each row of the README's subcommand/options table lists the flags build_parser() gives
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| subcommand | options |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    documented = {name: re.findall(r"`(--[\w-]+)`", options)
+                  for name, options in re.findall(r"^\| `([\w-]+)` \| (.+) \|$", table, re.M)}
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert documented == {
+        name: [flag for action in sub._actions for flag in action.option_strings
+               if flag not in ("-h", "--help", "--config")]
+        for name, sub in subcommands.items()}
 
 
 def test_runtime_imports_no_scipy():

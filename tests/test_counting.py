@@ -38,7 +38,11 @@ from weakpol.counting import (
     stream_for,
     write_with_sidecar,
 )
-from weakpol.imperfection import channel_joint_grid, channel_postselected_grid, imperfect_channel
+from weakpol.imperfection import (
+    channel_joint_distribution,
+    channel_postselected_probs,
+    imperfect_channel,
+)
 from weakpol.weak_values import antidiagonal, diagonal
 
 PSI_42 = Polarization.from_degrees(42.0)
@@ -462,12 +466,12 @@ def test_error_model_calibrated_over_many_runs():
     plan = RunPlan()
     channel = imperfect_channel(None, ImperfectionParams(visibility=0.96))
     strengths = [0.006, 0.125, 0.5, 1.0]
-    joint = channel_joint_grid(channel, diagonal(), strengths)
-    cond = channel_postselected_grid(channel, PSI_42, strengths, antidiagonal())
-    for i in range(len(strengths)):
-        cal_probs = dict(zip(("HH", "HV", "VH", "VV"), joint[i]))
-        k_model = joint[i, 0] - joint[i, 1] - joint[i, 2] + joint[i, 3]
-        meter_probs = {"H": cond[i, 0], "V": cond[i, 1]}
+    for i, meter in enumerate(map(MeterSetting.from_strength, strengths)):
+        joint = channel_joint_distribution(channel, diagonal(), meter)
+        cond = channel_postselected_probs(channel, PSI_42, meter, antidiagonal())
+        cal_probs = dict(zip(("HH", "HV", "VH", "VV"), joint))
+        k_model = joint[0] - joint[1] - joint[2] + joint[3]
+        meter_probs = {"H": cond[0], "V": cond[1]}
         cal_rng, wv_rng = stream_for(2024, i, K_RUN), stream_for(2024, i, WV_RUN)
         k_hats, k_sigmas, asyms, asym_sigmas = [], [], [], []
         for _ in range(N_RUNS):
@@ -613,8 +617,9 @@ def ref_estimate_weak_value(counts, k_hat, k_sigma):
 def ref_fig2(plan, params, grid):
     """(rows, no_data reasons, largest meter count) as the per-run code made them."""
     channel = imperfect_channel(None, params)
-    joint = channel_joint_grid(channel, diagonal(), grid).tolist()
-    cond = channel_postselected_grid(channel, PSI_42, grid, antidiagonal()).tolist()
+    meters = [MeterSetting.from_strength(k) for k in grid]
+    joint = [channel_joint_distribution(channel, diagonal(), meter) for meter in meters]
+    cond = [channel_postselected_probs(channel, PSI_42, meter, antidiagonal()) for meter in meters]
     rows, reasons, max_meter = [], {}, 0
     for i, k_true in enumerate(grid):
         row = [k_true] + [math.nan] * 5 + [False, True]

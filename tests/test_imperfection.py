@@ -37,8 +37,6 @@ from weakpol.imperfection import (
     _model_weights,
     _vec,
     channel_joint_distribution,
-    channel_joint_grid,
-    channel_postselected_grid,
     channel_postselected_probs,
     format_chi_csv,
     labeled_kraus,
@@ -409,12 +407,13 @@ def test_complementary_decomposition_holds_under_every_channel(v, p):
     rng = np.random.default_rng(17)
     for _ in range(20):
         psi = random_polarization(rng)
-        joint = channel_joint_grid(channel, psi, ks)
-        imbalance = joint[:, 0] - joint[:, 1] + joint[:, 2] - joint[:, 3]
-        for pair in ((antidiagonal(), diagonal()), (circular_right(), circular_left)):
-            grids = [channel_postselected_grid(channel, psi, ks, post) for post in pair]
-            total = sum(g[:, 2] * (g[:, 0] - g[:, 1]) for g in grids)
-            assert np.max(np.abs(total - imbalance)) < 1e-14
+        for meter in map(MeterSetting.from_strength, ks):
+            p_hh, p_hv, p_vh, p_vv = channel_joint_distribution(channel, psi, meter)
+            imbalance = p_hh - p_hv + p_vh - p_vv
+            for pair in ((antidiagonal(), diagonal()), (circular_right(), circular_left)):
+                probs = [channel_postselected_probs(channel, psi, meter, post) for post in pair]
+                total = sum(p_post * (p_h - p_v) for p_h, p_v, p_post in probs)
+                assert abs(total - imbalance) < 1e-14
 
 
 def test_grid_kernel_matches_per_point_loop():
@@ -433,14 +432,9 @@ def test_grid_kernel_matches_per_point_loop():
     for v, depol in ((1.0, 0.0), (0.96, 0.0), (0.9, 0.02)):
         channel = imperfect_channel(None, ImperfectionParams(v, depol))
         for psi in inputs:
-            joint = channel_joint_grid(channel, psi, strengths)
             for post in (antidiagonal(), diagonal()):
-                cond = channel_postselected_grid(channel, psi, strengths, post)
-                for k, joint_k, cond_k in zip(strengths, joint, cond):
-                    meter = MeterSetting.from_strength(k)
+                for meter in map(MeterSetting.from_strength, strengths):
                     want_joint, want_cond = per_point(channel, psi, meter, post)
-                    assert np.max(np.abs(joint_k - want_joint)) < 1e-14
-                    assert np.max(np.abs(cond_k - want_cond)) < 1e-14
                     assert np.max(np.abs(np.subtract(
                         channel_joint_distribution(channel, psi, meter), want_joint))) < 1e-14
                     assert np.max(np.abs(np.subtract(
@@ -452,13 +446,7 @@ def test_zero_weight_anywhere_in_the_grid_raises():
     # (K = -1), and its output is never postselected on V
     keep_hh = TwoQubitChannel(np.diag([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(PostselectionImpossibleError, match="zero weight"):
-        channel_joint_grid(keep_hh, horizontal(), [0.5, -1.0])
-    with pytest.raises(PostselectionImpossibleError, match="zero weight"):
-        channel_postselected_grid(keep_hh, horizontal(), [0.5, -1.0], antidiagonal())
-    with pytest.raises(PostselectionImpossibleError, match="zero weight"):
         channel_postselected_probs(keep_hh, horizontal(), MeterSetting(0.0), antidiagonal())
-    with pytest.raises(PostselectionImpossibleError, match="postselection probability is zero"):
-        channel_postselected_grid(keep_hh, horizontal(), [0.5, 1.0], vertical())
     with pytest.raises(PostselectionImpossibleError, match="postselection probability is zero"):
         channel_postselected_probs(keep_hh, horizontal(), MeterSetting(1.0), vertical())
 
@@ -940,9 +928,12 @@ def test_endpoint_weights_match_the_channel_path(cfg, monkeypatch):
             fed.clear()
             run_fig2(RunPlan(seed=5), psi, params, grid, cfg)
             cal, meter_probs = fed
-            assert np.max(np.abs(cal - channel_joint_grid(channel, diagonal(), grid))) < 1e-15
-            want = channel_postselected_grid(channel, psi, grid, antidiagonal())[:, :2]
-            assert np.max(np.abs(meter_probs - want)) < 1e-15
+            for k, cal_k, meter_k in zip(grid, cal, meter_probs):
+                meter = MeterSetting.from_strength(k)
+                want = channel_joint_distribution(channel, diagonal(), meter)
+                assert np.max(np.abs(cal_k - want)) < 1e-15
+                want = channel_postselected_probs(channel, psi, meter, antidiagonal())[:2]
+                assert np.max(np.abs(meter_k - want)) < 1e-15
     inverted = 0
     for k in (0.006, 0.2, 0.9, -0.5):
         meter = MeterSetting.from_strength(k)

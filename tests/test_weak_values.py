@@ -257,9 +257,19 @@ def test_decomposition_eigenstates():
     assert abs(total_v + 1.0) < 1e-12
 
 
-def test_decomposition_zero_strength_rejected():
-    with pytest.raises(ZeroStrengthError):
-        expectation_decomposition(PSI_42, meter_k(0.0))
+def test_decomposition_identity_holds_at_zero_strength():
+    # each term w P(X) is finite at K = 0, where the meter extracts nothing
+    rng = np.random.default_rng(5)
+    phased = [Polarization(math.cos(t), math.sin(t) * np.exp(1j * phi))
+              for t, phi in rng.uniform(0.0, math.pi / 2.0, (10, 2)) * (1.0, 4.0)]
+    for psi in [PSI_42, horizontal(), vertical(), *phased]:
+        term_a, term_d, total = expectation_decomposition(psi, meter_k(0.0))
+        assert abs(term_a + term_d - expectation_s1(psi)) < 1e-12
+        assert total == term_a + term_d
+    # a D input is orthogonal to the A post at K = 0, and an A input to the D post
+    for psi in (diagonal(), antidiagonal()):
+        with pytest.raises(PostselectionImpossibleError):
+            expectation_decomposition(psi, meter_k(0.0))
 
 
 def test_decomposition_identity_over_random_states():
