@@ -73,15 +73,12 @@ from .weak_values import (
     diagonal,
     expectation_decomposition,
     expectation_s1,
-    expectation_s1_from_meter,
     horizontal,
-    knowledge_from_probs,
     postselect_state,
     postselected_probs,
     povm_elements,
     vertical,
     weak_value_analytic,
-    weak_value_from_probs,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

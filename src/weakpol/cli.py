@@ -18,7 +18,6 @@ strength lies in [-1, 1]. Exit codes:
   0  success
   2  usage error (argparse)
   3  malformed config file / unknown key / key the subcommand does not take
-  4  conflicting values
   5  out-of-range parameter
   6  degenerate input (e.g. K = 0 weak value)
   7  infeasible model fit
@@ -63,7 +62,6 @@ from .weak_values import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
-EXIT_CONFLICT = 4
 EXIT_RANGE = 5
 EXIT_DEGENERATE = 6
 EXIT_INFEASIBLE = 7
@@ -305,8 +303,6 @@ def main(argv=None) -> int:
     flags = vars(args)
     try:
         given = _load_config(args.config) if args.config else {}
-        if "k" in given and "k_grid" in given:
-            raise CliError(EXIT_CONFLICT, "config sets both k and k_grid; give one")
         for key in given:
             if key not in keys:
                 raise CliError(EXIT_CONFIG, f"config key {key} is not an option of {args.command}")

@@ -24,11 +24,11 @@ symmetry that keeps the weak value of a diagonal signal at zero. Both
 reduce to the ideal gate at v = 1. White noise, rho -> (1-p) rho + p
 tr(rho) I/4, follows the mixture.
 
-A channel is one stack of Kraus operators, shape (n, 4, 4); its action,
-superoperator and chi matrix are all derived from it. A stored
-superoperator would cancel the rare-postselection interference in
-probabilities rather than amplitudes, which moved the weak value of a
-diagonal input at v = 1, K = 0.006 from 8e-12 to 5e-10.
+A channel is one stack of Kraus operators, shape (n, 4, 4); its action
+and its chi matrix are derived from it. A stored superoperator would
+cancel the rare-postselection interference in probabilities rather than
+amplitudes, which moved the weak value of a diagonal input at v = 1,
+K = 0.006 from 8e-12 to 5e-10.
 
 Every probability comes from one kernel: the weights of six events (post
 and meter H, post and meter V, HH, HV, VH, VV), each a sum of
@@ -47,8 +47,8 @@ linear inversion from the 16 product preparations over {H, V, D, R} per
 qubit, which span the two-qubit operator space. Each output is
 sum_k (k|p>)(k|p>)^dag over the amplitudes of the Kraus stack on a
 product ket |p>, one linear solve gives the superoperator, and one fixed
-Pauli change of basis maps it to chi; ``ChiMatrix.superoperator`` maps
-back with the same basis matrix.
+Pauli change of basis maps it to chi. ``ChiMatrix.apply`` acts with chi
+itself, sum_mn chi_mn P_m rho P_n^dag.
 """
 
 from __future__ import annotations
@@ -156,10 +156,6 @@ class TwoQubitChannel:
         """E(rho) for one 4x4 density matrix, or for each of a stack (..., 4, 4)."""
         rho = np.asarray(rho, dtype=complex)[..., None, :, :]
         return (self.kraus @ rho @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=-3)
-
-    def superoperator(self) -> np.ndarray:
-        """Column-stacking superoperator: vec(E(rho)) = S vec(rho)."""
-        return np.einsum("kab,kij->aibj", self.kraus.conj(), self.kraus).reshape(16, 16)
 
 
 def _meter_kets(strengths) -> np.ndarray:
@@ -328,22 +324,12 @@ class ChiMatrix:
     def rank(self, tol: float = 1e-9) -> int:
         return int(np.sum(np.abs(self.eigenvalues()) > tol))
 
-    def superoperator(self) -> np.ndarray:
-        """sum_mn chi_mn kron(P_n^T, P_m): column-stacking form of sum chi_mn P_m rho P_n^dag."""
-        return _superoperator_from_chi(self.matrix)
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """sum_mn chi_mn P_m rho P_n^dag for one 4x4 matrix, or for each of a stack (..., 4, 4)."""
         rho = np.asarray(rho, dtype=complex)
         # contract chi with P_m first: 16 products with rho instead of 256
         return np.einsum("mn,mij,...jk,nlk->...il", self.matrix, PAULI_2, rho, PAULI_2.conj(),
                          optimize=["einsum_path", (0, 1), (0, 1), (0, 1)])
-
-
-def _superoperator_from_chi(chi: np.ndarray) -> np.ndarray:
-    """S of a chi matrix: B^T chi B, regrouped from [(i, j), (b, a)] to [(a, i), (b, j)]."""
-    pairs = _PAULI_ROWS.T @ chi @ _PAULI_ROWS
-    return pairs.reshape(4, 4, 4, 4).transpose(3, 0, 2, 1).reshape(16, 16)
 
 
 def _chi_from_superoperator(s: np.ndarray) -> np.ndarray:
@@ -358,10 +344,10 @@ def process_tomography(channel: TwoQubitChannel) -> ChiMatrix:
     Evaluates the channel on the 16 preparations {H, V, D, R} x {H, V, D,
     R} from the amplitudes k|p> of its Kraus operators on the product
     kets, solves vec(E(rho_ab)) = S vec(rho_ab) for the superoperator S
-    in one step, and maps S to the Pauli product basis (the inverse of
-    ``ChiMatrix.superoperator``). The evaluations are exact, so chi is
-    returned as reconstructed, with no projection onto physical matrices;
-    its trace, Hermiticity and eigenvalues show how physical it is.
+    in one step, and maps S to the Pauli product basis. The evaluations
+    are exact, so chi is returned as reconstructed, with no projection
+    onto physical matrices; its trace, Hermiticity and eigenvalues show
+    how physical it is.
     """
     # amps[p, k, a] = (k|p>)_a, so conj(amps[p])^T @ amps[p] contracts the Kraus
     # axis into E(|p><p|)^T, whose row-major flattening is vec(E(|p><p|))
@@ -450,10 +436,12 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
 
     a monotone linear-fractional function solved for v in closed form.
     A target below the model floor (or above the ceiling) set by the two
-    end points raises InfeasibleTargetError, as does an input whose
-    P(post | success) does not depend on v (an H or V input), since then
-    no target fixes the visibility. An input that never succeeds at either
-    end point raises PostselectionImpossibleError.
+    end points raises InfeasibleTargetError. So does an input whose end
+    points lo <= hi differ by at most 1e-4 hi (an H or V input, or 42
+    degrees with an H post at K = 0.006): a relative target error e moves
+    v by about e hi / (hi - lo), and the bound caps that gain at 1e4. An
+    input that never succeeds at either end point raises
+    PostselectionImpossibleError.
     """
     if not math.isfinite(target_p_a):
         raise ValueError(f"target_p_a must be finite, got {target_p_a}")
@@ -464,7 +452,7 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
     (a1, s1), (a0, s0) = ((w[0] + w[1], sum(w[2:])) for w in ends.tolist())
     _checked_success(np.array([s1, s0]))
     lo_val, hi_val = sorted((a1 / s1, a0 / s0))
-    if hi_val - lo_val <= 1e-9:
+    if hi_val - lo_val <= 1e-4 * hi_val:
         raise InfeasibleTargetError(
             f"P(post) is {lo_val:.6g} at every visibility: no target fixes v"
         )

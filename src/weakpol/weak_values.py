@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PostselectionImpossibleError, ZeroStrengthError
+from .errors import PostselectionImpossibleError
 
 # strengths below this are operationally zero: gamma = sqrt(1/2) does not
 # square back to exactly 0.5 in floats, and ratios over such strengths are
@@ -151,21 +151,6 @@ def expectation_s1(psi: Polarization) -> float:
     return float(abs(psi.alpha) ** 2 - abs(psi.beta) ** 2)
 
 
-def expectation_s1_from_meter(psi: Polarization, meter: MeterSetting) -> float:
-    """<s1> recovered from meter-outcome probabilities, (P(H)-P(V))/K.
-
-    Undefined at K = 0 (the meter record carries no information).
-    """
-    k = meter.strength
-    if abs(k) < ZERO_STRENGTH_TOL:
-        raise ZeroStrengthError("strength K = 0: expectation not recoverable from the meter")
-    povm = povm_elements(meter)
-    ket = psi.ket()
-    p_h = float(np.real(ket.conj() @ povm.pi_h @ ket))
-    p_v = float(np.real(ket.conj() @ povm.pi_v @ ket))
-    return (p_h - p_v) / k
-
-
 def target_state(signal: Polarization, meter: MeterSetting) -> np.ndarray:
     """The gate's contractual post-gate amplitudes, indexed [signal, meter].
 
@@ -195,20 +180,6 @@ def postselected_probs(psi: Polarization, meter: MeterSetting, post: Polarizatio
     return abs(a_h) ** 2 / p_post, abs(a_v) ** 2 / p_post, float(p_post)
 
 
-def weak_value_from_probs(p_h: float, p_v: float, strength: float) -> float:
-    """Postselected mean of s1 from conditional meter probabilities.
-
-    (pH - pV)/K; exact for projective strength, a weak value for small K.
-    """
-    if p_h < -1e-12 or p_v < -1e-12:
-        raise ValueError("probabilities must be non-negative")
-    if not abs(p_h + p_v - 1.0) <= 1e-9:  # written so that NaN fails
-        raise ValueError(f"conditional probabilities must sum to 1, got {p_h + p_v}")
-    if abs(strength) < ZERO_STRENGTH_TOL:
-        raise ZeroStrengthError("strength K = 0: weak value unbounded")
-    return (p_h - p_v) / strength
-
-
 def weak_value_analytic(psi: Polarization, meter: MeterSetting, post: Polarization) -> float:
     """Postselected value of s1 for preparation ``psi`` and meter ``meter``.
 
@@ -235,20 +206,6 @@ def weak_value_analytic(psi: Polarization, meter: MeterSetting, post: Polarizati
             "weak value diverges: postselection orthogonal in the weak limit"
         )
     return (aa - bb) / den
-
-
-def knowledge_from_probs(p_hh: float, p_vv: float, p_hv: float, p_vh: float) -> float:
-    """Strength K recovered from unpostselected joint outcome rates.
-
-    K = P_HH + P_VV - P_HV - P_VH, measured with a diagonally polarized
-    signal so the correlation is entirely the device's doing.
-    """
-    probs = (p_hh, p_vv, p_hv, p_vh)
-    if any(p < -1e-12 for p in probs):
-        raise ValueError(f"probabilities must be non-negative: {probs}")
-    if not abs(sum(probs) - 1.0) <= 1e-9:  # written so that NaN fails
-        raise ValueError(f"joint probabilities must sum to 1, got {sum(probs)}")
-    return p_hh + p_vv - p_hv - p_vh
 
 
 def expectation_decomposition(psi: Polarization, meter: MeterSetting):

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import weakpol.cli as cli
 from weakpol.cli import (
     EXIT_CONFIG,
-    EXIT_CONFLICT,
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_RANGE,
@@ -21,6 +21,8 @@ from weakpol.cli import (
     build_parser,
     main,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -160,7 +162,9 @@ def test_config_file_conflict_detected(tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("k: 0.5\nk_grid: '0.5,1'\n")
     code, _, err = run_cli(["fig2", "--config", str(cfg), "--out", str(tmp_path / "x.csv")], capsys)
-    assert code == EXIT_CONFLICT
+    # no subcommand takes both k and k_grid, so the first one is refused as a key
+    assert code == EXIT_CONFIG
+    assert "config key k is not an option of fig2" in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -343,8 +347,7 @@ def test_seed_is_refused_where_nothing_is_drawn(command, tmp_path, capsys, monke
 
 def test_readme_options_table_matches_the_parser():
     # each row of the README's subcommand/options table lists the flags build_parser() gives
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    table = readme.split("| subcommand | options |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    table = README.read_text().split("| subcommand | options |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
     documented = {name: re.findall(r"`(--[\w-]+)`", options)
                   for name, options in re.findall(r"^\| `([\w-]+)` \| (.+) \|$", table, re.M)}
     subcommands = next(action.choices for action in build_parser()._actions
@@ -353,6 +356,28 @@ def test_readme_options_table_matches_the_parser():
         name: [flag for action in sub._actions for flag in action.option_strings
                if flag not in ("-h", "--help", "--config")]
         for name, sub in subcommands.items()}
+
+
+def test_exit_code_tables_match_the_constants():
+    # README's exit-code table and the cli docstring's list hold exactly the EXIT_* codes
+    codes = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
+    table = README.read_text().split("| code | meaning |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    assert [int(code) for code in re.findall(r"^\| (\d+) \|", table, re.M)] == codes
+    listed = cli.__doc__.split("Exit codes:\n", 1)[1]
+    assert [int(code) for code in re.findall(r"^  (\d+)  ", listed, re.M)] == codes
+
+
+def test_readme_quick_start_runs_as_documented(tmp_path, monkeypatch):
+    # the README's one python block runs as written, and its numeric comments hold
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(block, scope)
+    shown = re.findall(r"^(wp\.\w+\(.*\)) +#[^\d\n]*(\d+\.\d+)$", block, re.M)
+    assert [value for _, value in shown] == ["19.019", "0.1045"]
+    weak_value, (_, _, total) = (eval(call, scope) for call, _ in shown)
+    assert (round(weak_value, 3), round(total, 4)) == (19.019, 0.1045)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2.csv", "fig2.meta.json"]
 
 
 def test_runtime_imports_no_scipy():

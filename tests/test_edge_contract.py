@@ -13,17 +13,26 @@ from weakpol import (
     DeviceConfig,
     ImperfectionParams,
     InfeasibleTargetError,
+    InversionRangeError,
     MeterSetting,
     Polarization,
+    RunPlan,
+    ZeroStrengthError,
+    antidiagonal,
     expectation_decomposition,
     expectation_s1,
     fit_visibility,
+    horizontal,
     invert_s1,
+    model_weak_value_curve,
+    run_fig2,
+    weak_value_analytic,
 )
 
 PSI_42 = Polarization.from_degrees(42.0)
 K_005 = MeterSetting.from_strength(0.05)
 V_096 = ImperfectionParams(visibility=0.96)
+NOISE_ONLY = ImperfectionParams(visibility=0.96, depol=1.0)
 # the postselected value of PSI_42 at K = 0.05 and v = 0.96, whose P(A) is 0.0132923
 WV_42 = 3.8573258213873007
 
@@ -36,6 +45,33 @@ ROWS = {
     "expectation_decomposition-K=0": (
         lambda: sum(expectation_decomposition(PSI_42, MeterSetting.from_strength(0.0))[:2]),
         expectation_s1(PSI_42)),
+    # projective in either meter basis, the postselected value is <s1> = 0.1045285
+    **{f"weak_value_analytic-K={k}": (
+        lambda k=k: weak_value_analytic(PSI_42, MeterSetting.from_strength(k), antidiagonal()),
+        expectation_s1(PSI_42)) for k in (1.0, -1.0)},
+    **{f"expectation_decomposition-K={k}": (
+        lambda k=k: expectation_decomposition(PSI_42, MeterSetting.from_strength(k))[2],
+        expectation_s1(PSI_42)) for k in (1.0, -1.0)},
+    # at depol = 1 every output is proportional to I/4: the meter outcomes are even for any input
+    "model_weak_value_curve-depol=1": (
+        lambda: model_weak_value_curve(NOISE_ONLY, PSI_42, [0.05])[0][1], 0.0),
+    "invert_s1-depol=1": (lambda: invert_s1(WV_42, 0.25, NOISE_ONLY, K_005),
+                          (InversionRangeError, "does not depend on the input")),
+    "model_weak_value_curve-K=0": (lambda: model_weak_value_curve(V_096, PSI_42, [0.0]),
+                                   (ZeroStrengthError, "K = 0")),
+    **{f"model_weak_value_curve-K={k}": (lambda k=k: model_weak_value_curve(V_096, PSI_42, [k]),
+                                         (ValueError, "strength must lie in"))
+       for k in (math.nan, math.inf)},
+    "run_fig2-k_grid=nan": (lambda: run_fig2(RunPlan(seed=1), PSI_42, V_096, [math.nan]),
+                            (ValueError, "strength must lie in")),
+    "run_fig2-k_grid=empty": (lambda: run_fig2(RunPlan(seed=1), PSI_42, V_096, []),
+                              (ValueError, "grid is empty")),
+    # an H post at K = 0.006 moves P(post) by 4.45e-6 of 0.5523 over v in [0, 1]:
+    # a target error of 1e-7 would move the fitted v by 0.02
+    "fit_visibility-post=H,K=0.006": (
+        lambda: fit_visibility(0.552262, PSI_42, MeterSetting.from_strength(0.006),
+                               post=horizontal()),
+        (InfeasibleTargetError, r"P\(post\) is 0.55226 at every visibility")),
     # with either splitter at 0 no target fixes v
     **{f"fit_visibility-{eta}=0": (lambda eta=eta: fit_visibility(0.3, PSI_42, K_005,
                                                                   DeviceConfig(**{eta: 0.0})),

@@ -9,16 +9,12 @@ from weakpol import (
     MeterSetting,
     Polarization,
     PostselectionImpossibleError,
-    ZeroStrengthError,
     expectation_decomposition,
     expectation_s1,
-    expectation_s1_from_meter,
-    knowledge_from_probs,
     postselect_state,
     postselected_probs,
     povm_elements,
     weak_value_analytic,
-    weak_value_from_probs,
 )
 from weakpol.weak_values import antidiagonal, diagonal, horizontal, vertical
 
@@ -64,20 +60,6 @@ def test_expectation_basics():
     assert abs(expectation_s1(diagonal())) < 1e-15
     assert abs(expectation_s1(PSI_42) - COS84) < 1e-12
     assert abs(expectation_s1(PSI_42) - 0.10452846326765346) < 1e-12
-
-
-def test_expectation_from_meter_agrees_with_direct():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        theta = rng.uniform(0, math.pi)
-        psi = Polarization.from_angle(theta)
-        k = rng.uniform(0.05, 1.0)
-        assert abs(expectation_s1_from_meter(psi, meter_k(k)) - expectation_s1(psi)) < 1e-12
-
-
-def test_expectation_from_meter_rejects_zero_strength():
-    with pytest.raises(ZeroStrengthError):
-        expectation_s1_from_meter(PSI_42, meter_k(0.0))
 
 
 # --- postselected probabilities ----------------------------------------------
@@ -165,32 +147,6 @@ def test_orthogonal_weak_limit_diverges_with_typed_error():
                 weak_value_analytic(psi, meter_k(k), post)
 
 
-def test_weak_value_from_probs_examples():
-    assert abs(weak_value_from_probs(0.55, 0.45, 0.01) - 10.0) < 1e-12
-    assert weak_value_from_probs(1.0, 0.0, 1.0) == 1.0
-    assert weak_value_from_probs(0.5, 0.5, 0.37) == 0.0
-
-
-def test_weak_value_from_probs_zero_strength_error_carries_code():
-    with pytest.raises(ZeroStrengthError) as excinfo:
-        weak_value_from_probs(0.6, 0.4, 0.0)
-    assert excinfo.value.code == "weak_value_unbounded"
-
-
-def test_weak_value_from_probs_validates_distribution():
-    with pytest.raises(ValueError):
-        weak_value_from_probs(0.7, 0.7, 0.5)
-    with pytest.raises(ValueError):
-        weak_value_from_probs(-0.1, 1.1, 0.5)
-
-
-def test_weak_value_from_probs_rejects_nan():
-    # NaN would pass a sum-to-one check written as abs(x - 1) > tol
-    for p_h, p_v in ((math.nan, 0.5), (0.5, math.nan)):
-        with pytest.raises(ValueError, match="sum to 1"):
-            weak_value_from_probs(p_h, p_v, 0.5)
-
-
 def test_probability_route_matches_closed_form():
     rng = np.random.default_rng(17)
     for random_phase in (False, True):
@@ -203,7 +159,7 @@ def test_probability_route_matches_closed_form():
                 p_h, p_v, _ = postselected_probs(psi, meter_k(k), antidiagonal())
             except PostselectionImpossibleError:
                 continue
-            via_probs = weak_value_from_probs(p_h, p_v, k)
+            via_probs = (p_h - p_v) / k
             closed = weak_value_analytic(psi, meter_k(k), antidiagonal())
             # 1e-10 absolute for in-spectrum values, relative once the weak
             # value blows up and cancellation limits the probability route
@@ -218,26 +174,6 @@ def test_complex_inputs_route_through_probabilities():
     assert abs(wv - (p_h - p_v) / 0.3) < 1e-12
     # Re(A conj(B)) = 0 here, so the weak value is <s1> at every strength, K = 0 included
     assert weak_value_analytic(psi, meter_k(0.0), antidiagonal()) == pytest.approx(-0.28)
-
-
-# --- knowledge -----------------------------------------------------------------
-
-def test_knowledge_examples():
-    assert abs(knowledge_from_probs(0.375, 0.375, 0.125, 0.125) - 0.5) < 1e-12
-    assert knowledge_from_probs(0.25, 0.25, 0.25, 0.25) == 0.0
-    assert knowledge_from_probs(0.5, 0.5, 0.0, 0.0) == 1.0
-
-
-def test_knowledge_rejects_malformed_distribution():
-    with pytest.raises(ValueError):
-        knowledge_from_probs(0.5, 0.5, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        knowledge_from_probs(-0.1, 0.6, 0.3, 0.2)
-
-
-def test_knowledge_rejects_nan():
-    with pytest.raises(ValueError, match="sum to 1"):
-        knowledge_from_probs(math.nan, 0.2, 0.3, 0.1)
 
 
 # --- decomposition over complementary postselections -----------------------------
