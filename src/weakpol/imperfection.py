@@ -42,13 +42,12 @@ sqrt((1-v)/2), and applies white noise by one rule for every event,
 W -> (1-p) W + (p/4) W_ok. ``imperfect_channel`` builds the same
 weighted mixture and adds the noise as Kraus operators.
 
-Process tomography reconstructs the chi matrix of any such channel by
-linear inversion from the 16 product preparations over {H, V, D, R} per
-qubit, which span the two-qubit operator space. Each output is
-sum_k (k|p>)(k|p>)^dag over the amplitudes of the Kraus stack on a
-product ket |p>, one linear solve gives the superoperator, and one fixed
-Pauli change of basis maps it to chi. ``ChiMatrix.apply`` acts with chi
-itself, sum_mn chi_mn P_m rho P_n^dag.
+Process tomography gives the chi matrix of any such channel in closed
+form from its Kraus stack: each operator k is sum_m c_km P_m over the
+16 Pauli products, and chi = C^T conj(C) (Nielsen & Chuang, section
+8.4.2), the matrix that tomography on exact outputs reconstructs. No
+superoperator is formed. ``ChiMatrix.apply`` acts with chi itself,
+sum_mn chi_mn P_m rho P_n^dag.
 """
 
 from __future__ import annotations
@@ -70,31 +69,13 @@ from .errors import (
 from .weak_values import ZERO_STRENGTH_TOL, MeterSetting, Polarization, antidiagonal
 
 
-def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kron(a_i, b_j) for every pair of 2x2 stacks, i-major: shape (len a * len b, 4, 4)."""
-    return np.einsum("aij,bkl->abikjl", a, b).reshape(len(a) * len(b), 4, 4)
-
-
-def _vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectors of a stack of 4x4 matrices, one per row."""
-    return m.swapaxes(-1, -2).reshape(-1, 16)
-
-
-def _outer(kets: np.ndarray) -> np.ndarray:
-    """|k><k| for each row k of a stack of kets."""
-    return np.einsum("ai,aj->aij", kets, kets.conj())
-
-
 def _product_kets(signals: np.ndarray, meters: np.ndarray) -> np.ndarray:
     """|a> (x) |m> for every row a of one stack of 2-kets and m of another, a-major: (A * M, 4)."""
     return (signals[:, None, :, None] * meters[None, :, None, :]).reshape(-1, 4)
 
 
-# H, V, D, R; the 16 tomography inputs are their products (H,H), (H,V), ..., (R,R)
-_PREP_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]], dtype=complex)
-_PREP_KETS /= np.sqrt([1, 1, 2, 2])[:, None]
-_PREP_PRODUCT_KETS = _product_kets(_PREP_KETS, _PREP_KETS)
-PREPARATIONS = _outer(_PREP_PRODUCT_KETS)
+# H, V and D, the inputs whose weights fix a quadratic form's harmonics in invert_s1
+_PREP_KETS = np.array([[1, 0], [0, 1], [1, 1]], dtype=complex) / np.sqrt([1, 1, 2])[:, None]
 
 _PAULI_1 = np.array([
     [[1, 0], [0, 1]],
@@ -102,14 +83,11 @@ _PAULI_1 = np.array([
     [[0, -1j], [1j, 0]],
     [[1, 0], [0, -1]],
 ], dtype=complex)
-# II, IX, ..., ZZ
-PAULI_2 = _kron_pairs(_PAULI_1, _PAULI_1)
-# Pauli change of basis B, one flattened PAULI_2 matrix per row. The
-# superoperator S[(a, i), (b, j)] = sum_mn chi_mn P_n[b, a] P_m[i, j],
-# regrouped as [(i, j), (b, a)], is B^T chi B; B B^dag = 4 I inverts it.
-_PAULI_ROWS = PAULI_2.reshape(16, 16)
+# II, IX, ..., ZZ: kron(P_a, P_b), a-major
+PAULI_2 = np.einsum("aij,bkl->abikjl", _PAULI_1, _PAULI_1).reshape(16, 4, 4)
 _EYE_2, _EYE_4 = np.eye(2), np.eye(4)
-_UNIT_PROJECTORS = _outer(np.eye(4, dtype=complex))
+# |i><i|, complex so that gate @ _UNIT_PROJECTORS casts nothing
+_UNIT_PROJECTORS = np.einsum("ai,aj->aij", _EYE_4, _EYE_4).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -150,6 +128,8 @@ class TwoQubitChannel:
         self.kraus = np.asarray(kraus, dtype=complex).reshape(-1, 4, 4)
         if not len(self.kraus):
             raise ValueError("a channel needs at least one effect operator")
+        if not np.isfinite(self.kraus).all():
+            raise ValueError("Kraus operators must be finite")
         _check_trace(self.kraus, np.ones((1, len(self.kraus))))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -311,6 +291,8 @@ class ChiMatrix:
 
     def __post_init__(self):
         self.matrix = np.ascontiguousarray(self.matrix, dtype=complex).reshape(16, 16)
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("chi entries must be finite")
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
@@ -332,29 +314,17 @@ class ChiMatrix:
                          optimize=["einsum_path", (0, 1), (0, 1), (0, 1)])
 
 
-def _chi_from_superoperator(s: np.ndarray) -> np.ndarray:
-    """chi of a superoperator: S regrouped as [(i, j), (b, a)], then B* (.) B^dag / 16."""
-    pairs = s.reshape(4, 4, 4, 4).transpose(1, 3, 2, 0).reshape(16, 16)
-    return _PAULI_ROWS.conj() @ pairs @ _PAULI_ROWS.conj().T / 16.0
-
-
 def process_tomography(channel: TwoQubitChannel) -> ChiMatrix:
-    """Reconstruct the chi matrix by linear inversion from product inputs.
+    """The chi matrix of a channel, from the Pauli coefficients of its Kraus operators.
 
-    Evaluates the channel on the 16 preparations {H, V, D, R} x {H, V, D,
-    R} from the amplitudes k|p> of its Kraus operators on the product
-    kets, solves vec(E(rho_ab)) = S vec(rho_ab) for the superoperator S
-    in one step, and maps S to the Pauli product basis. The evaluations
-    are exact, so chi is returned as reconstructed, with no projection
-    onto physical matrices; its trace, Hermiticity and eigenvalues show
-    how physical it is.
+    Each Kraus operator k is sum_m c_km P_m with c_km = tr(P_m^dag k) / 4,
+    so sum_k k rho k^dag = sum_mn chi_mn P_m rho P_n^dag with chi = C^T
+    conj(C). This is the chi that linear-inversion tomography from exact
+    outputs reconstructs. It is returned with no projection onto physical
+    matrices; its trace, Hermiticity and eigenvalues show how physical it is.
     """
-    # amps[p, k, a] = (k|p>)_a, so conj(amps[p])^T @ amps[p] contracts the Kraus
-    # axis into E(|p><p|)^T, whose row-major flattening is vec(E(|p><p|))
-    amps = (channel.kraus @ _PREP_PRODUCT_KETS.T).transpose(2, 0, 1)
-    outputs = (amps.swapaxes(-1, -2).conj() @ amps).reshape(16, 16)
-    s = np.linalg.solve(_vec(PREPARATIONS), outputs).T
-    return ChiMatrix(_chi_from_superoperator(s))
+    c = channel.kraus.reshape(-1, 16) @ PAULI_2.reshape(16, 16).conj().T / 4.0
+    return ChiMatrix(c.T @ c.conj())
 
 
 _CHI_ROW_FORMAT = ",".join(["%.17g"] * 32)
@@ -517,7 +487,7 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
     k = meter.strength
     if abs(k) < ZERO_STRENGTH_TOL:
         raise ZeroStrengthError("strength K = 0: inversion undefined")
-    weights = _model_weights([params], _PREP_KETS[:3], meter.ket()[None], post, cfg)
+    weights = _model_weights([params], _PREP_KETS, meter.ket()[None], post, cfg)
     # harmonics q0 = (W(H) + W(V))/2, q1 = (W(H) - W(V))/2, q2 = W(D) - q0 of W_H - W_V,
     # W_H + W_V and the success weight, from their values at the inputs H, V and D
     probes = [(w_h - w_v, w_h + w_v, sum(joint)) for w_h, w_v, *joint in weights[0].tolist()]

@@ -92,8 +92,7 @@ class MeterSetting:
 
     gammabar = sqrt(1 - gamma^2) by construction, so gamma^2 + gammabar^2
     = 1 identically. The strength K = 2 gamma^2 - 1 lies in [-1, 1];
-    gamma < 1/sqrt(2) gives negative strength, which is legal but flagged
-    via :attr:`negative_strength`.
+    gamma < 1/sqrt(2) gives negative strength, which is legal.
     """
 
     gamma: float
@@ -115,10 +114,6 @@ class MeterSetting:
     @property
     def strength(self) -> float:
         return 2.0 * self.gamma**2 - 1.0
-
-    @property
-    def negative_strength(self) -> bool:
-        return self.strength < 0.0
 
     def ket(self) -> np.ndarray:
         return np.array([self.gamma, self.gammabar], dtype=complex)

@@ -269,9 +269,8 @@ def test_local_phase_fidelity_rejects_non_finite_entries(bad):
         local_phase_fidelity(eye, broken)
 
 
-def test_meter_negative_strength_is_flagged_not_rejected():
+def test_meter_negative_strength_is_legal_not_rejected():
     meter = MeterSetting(0.5)  # gamma < 1/sqrt(2)
-    assert meter.negative_strength
     assert meter.strength < 0.0
     out = run_device(diagonal(), meter)
     assert abs(out.success_prob - 1.0 / 9.0) < 1e-10

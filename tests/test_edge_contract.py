@@ -7,9 +7,11 @@ input that has no row yet is a decision still to be written down.
 
 import math
 
+import numpy as np
 import pytest
 
 from weakpol import (
+    ChiMatrix,
     DeviceConfig,
     ImperfectionParams,
     InfeasibleTargetError,
@@ -17,6 +19,7 @@ from weakpol import (
     MeterSetting,
     Polarization,
     RunPlan,
+    TwoQubitChannel,
     ZeroStrengthError,
     antidiagonal,
     expectation_decomposition,
@@ -35,6 +38,14 @@ V_096 = ImperfectionParams(visibility=0.96)
 NOISE_ONLY = ImperfectionParams(visibility=0.96, depol=1.0)
 # the postselected value of PSI_42 at K = 0.05 and v = 0.96, whose P(A) is 0.0132923
 WV_42 = 3.8573258213873007
+
+
+def with_entry(shape, value):
+    """Zeros of ``shape`` with ``value`` in the first entry."""
+    out = np.zeros(shape, dtype=complex)
+    out.flat[0] = value
+    return out
+
 
 # row id -> (call, expectation): an (error, message pattern) pair, or the value to hold to
 ROWS = {
@@ -77,6 +88,12 @@ ROWS = {
                                                                   DeviceConfig(**{eta: 0.0})),
                                    (InfeasibleTargetError, r"P\(post\) is 0.5 at every visibility"))
        for eta in ("balance_eta", "interfering_eta")},
+    # a non-finite entry is refused by name, before any spectrum or product is taken
+    **{f"TwoQubitChannel-entry={bad}": (lambda bad=bad: TwoQubitChannel(with_entry((1, 4, 4), bad)),
+                                        (ValueError, "finite"))
+       for bad in (math.nan, math.inf)},
+    "ChiMatrix-entry=nan": (lambda: ChiMatrix(with_entry((16, 16), math.nan)),
+                            (ValueError, "finite")),
 }
 
 

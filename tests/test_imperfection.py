@@ -32,10 +32,8 @@ from weakpol.errors import InversionRangeError
 from weakpol.imperfection import (
     _PREP_KETS,
     PAULI_2,
-    PREPARATIONS,
     _event_weights,
     _model_weights,
-    _vec,
     channel_joint_distribution,
     channel_postselected_probs,
     format_chi_csv,
@@ -578,10 +576,21 @@ def test_white_noise_channel_holds_23_operators():
     assert np.linalg.matrix_rank(effect, tol=1e-12) == 2
 
 
+# the 16 product preparations over {H, V, D, R} per qubit, which span the operator space
+_TOMO_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]]) / np.sqrt([1, 1, 2, 2])[:, None]
+_TOMO_PRODUCTS = np.einsum("ai,bj->abij", _TOMO_KETS, _TOMO_KETS).reshape(16, 4)
+PREPARATIONS = np.einsum("ai,aj->aij", _TOMO_PRODUCTS, _TOMO_PRODUCTS.conj())
+
+
+def vec(m):
+    """Column-stacking vectors of a stack of 4x4 matrices, one per row."""
+    return m.swapaxes(-1, -2).reshape(-1, 16)
+
+
 def apply_einsum_chi(channel):
-    """Reference: the batched apply and three-operand einsum tomography replaced."""
+    """Reference: linear-inversion tomography, a solve for the superoperator, einsum to chi."""
     outputs = channel.apply(PREPARATIONS)
-    s = np.linalg.solve(_vec(PREPARATIONS), _vec(outputs)).T
+    s = np.linalg.solve(vec(PREPARATIONS), vec(outputs)).T
     return np.einsum("nba,mij,aibj->mn", PAULI_2.conj(), PAULI_2.conj(),
                      s.reshape(4, 4, 4, 4)) / 16.0
 
@@ -857,7 +866,7 @@ def channel_weights(params, cfg, signals, meter_kets, post):
 
 def reference_invert(wv, p_a, params, meter, cfg, post):
     """The inversion on channel-path weights, with the harmonics as 3-vectors."""
-    weights = channel_weights(params, cfg, _PREP_KETS[:3], meter.ket()[None], post)
+    weights = channel_weights(params, cfg, _PREP_KETS, meter.ket()[None], post)
     w_h, w_v, w_ok = weights[:, 0], weights[:, 1], weights[:, 2:].sum(axis=1)
     to_harmonics = np.array([[0.5, 0.5, 0.0], [0.5, -0.5, 0.0], [-0.5, -0.5, 1.0]])
     d, s, ok = to_harmonics @ (w_h - w_v), to_harmonics @ (w_h + w_v), to_harmonics @ w_ok
@@ -893,7 +902,7 @@ def test_endpoint_weights_match_the_channel_path(cfg, monkeypatch):
     posts = (antidiagonal(), horizontal(), Polarization.from_degrees(17.0),
              random_polarization(rng))
     signals = (Polarization.from_degrees(35.0), Polarization.from_degrees(-60.0))
-    inputs = np.concatenate([_PREP_KETS[:3], [PSI_42.ket(), random_polarization(rng).ket()]])
+    inputs = np.concatenate([_PREP_KETS, [PSI_42.ket(), random_polarization(rng).ket()]])
     grid = [0.006, 0.2, 0.9, -0.5, 1.0, -1.0]
     for v, p in REFERENCE_MODELS:
         params = ImperfectionParams(v, p)
