@@ -48,7 +48,7 @@ from .imperfection import (
     _postselected_probs,
     _write_atomic,
 )
-from .weak_values import ZERO_STRENGTH_TOL, Polarization, antidiagonal, diagonal
+from .weak_values import Polarization, antidiagonal, diagonal
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -398,27 +398,23 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
              cfg: DeviceConfig = DeviceConfig(), workers: int = 1) -> Fig2Result:
     """Simulate calibration and weak-value runs over a strength grid.
 
-    The model probabilities come first, for the whole grid at once and
-    from one gate build: the joint distribution of a diagonal input
-    (calibration, no postselection) and the meter probabilities of
-    ``psi`` postselected on A. Grid point ``i`` then draws its
-    calibration counts and its postselected meter counts from its two
-    substreams of the master seed, ``stream_for(plan.seed, i, K_RUN)``
-    and ``stream_for(plan.seed, i, WV_RUN)``, so the table depends on the
-    seed alone. The keys of all those streams are derived in one batch,
-    one generator is re-keyed for each run, and the estimators run on the
-    whole grid. ``workers`` is accepted for compatibility and ignored: the runs are
-    drawn serially. Rows where an estimator has nothing to work with are
-    flagged ``no_data`` instead of carrying sentinel numbers; the
-    metadata's ``no_data_rows`` lists them under the first reason that
-    applies: no calibration counts, no postselected counts, or a
-    strength estimate of exactly 0.
+    The grid is checked as the model curve's is, by ``_meter_kets``: an empty grid
+    raises ValueError, a K = 0 point ZeroStrengthError, and a point outside [-1, 1]
+    or NaN ValueError, in that order. The model probabilities come first, for the
+    whole grid at once and from one gate build: the joint distribution of a
+    diagonal input (calibration, no postselection) and the meter probabilities
+    of ``psi`` postselected on A. Grid point ``i`` then draws its calibration
+    counts and its postselected meter counts from its two substreams of the master
+    seed, ``stream_for(plan.seed, i, K_RUN)`` and ``stream_for(plan.seed, i,
+    WV_RUN)``, so the table depends on the seed alone. The keys of all those
+    streams are derived in one batch, one generator is re-keyed for each run, and
+    the estimators run on the whole grid. ``workers`` is accepted for compatibility
+    and ignored: the runs are drawn serially. Rows where an estimator has nothing
+    to work with are flagged ``no_data`` instead of carrying sentinel numbers; the
+    metadata's ``no_data_rows`` lists them under the first reason that applies: no
+    calibration counts, no postselected counts, or a strength estimate of exactly 0.
     """
     k_grid = [float(k) for k in k_grid]
-    if not k_grid:
-        raise ValueError("strength grid is empty")
-    if any(abs(k) < ZERO_STRENGTH_TOL for k in k_grid):
-        raise ZeroStrengthError("strength K = 0 in grid: weak value undefined")
     signals = np.array([diagonal().ket(), psi.ket()])
     weights = _model_weights([params], signals, _meter_kets(k_grid), antidiagonal(), cfg)[0]
     cal, post = np.split(weights, 2)

@@ -66,12 +66,7 @@ from .errors import (
     PostselectionImpossibleError,
     ZeroStrengthError,
 )
-from .weak_values import ZERO_STRENGTH_TOL, MeterSetting, Polarization, antidiagonal
-
-
-def _product_kets(signals: np.ndarray, meters: np.ndarray) -> np.ndarray:
-    """|a> (x) |m> for every row a of one stack of 2-kets and m of another, a-major: (A * M, 4)."""
-    return (signals[:, None, :, None] * meters[None, :, None, :]).reshape(-1, 4)
+from .weak_values import _P_POST_TOL, ZERO_STRENGTH_TOL, MeterSetting, Polarization, antidiagonal
 
 
 # H, V and D, the inputs whose weights fix a quadratic form's harmonics in invert_s1
@@ -139,13 +134,20 @@ class TwoQubitChannel:
 
 
 def _meter_kets(strengths) -> np.ndarray:
-    """Meter kets (gamma, gammabar) of ``MeterSetting.from_strength``, one row per strength."""
+    """Meter kets (gamma, gammabar) of ``MeterSetting.from_strength``, bit for bit, one row per K.
+
+    The one strength-grid check, in order: empty (ValueError), |K| < ZERO_STRENGTH_TOL
+    (ZeroStrengthError), outside [-1, 1] or NaN (ValueError)."""
     k = np.asarray(strengths, dtype=float)
+    if not k.size:
+        raise ValueError("strength grid is empty")
+    if np.any(np.abs(k) < ZERO_STRENGTH_TOL):
+        raise ZeroStrengthError("strength K = 0 in grid: weak value unbounded")
     outside = ~(np.abs(k) <= 1.0)  # written so that NaN is outside
     if outside.any():
         raise ValueError(f"strength must lie in [-1, 1], got {k[outside][0]}")
     gamma = np.sqrt((1.0 + k) / 2.0)
-    return np.stack([gamma, np.sqrt(np.maximum(0.0, 1.0 - gamma**2))], axis=-1)
+    return np.stack([gamma, np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))], axis=-1)
 
 
 def _event_weights(ops: np.ndarray, signals: np.ndarray, meter_kets: np.ndarray,
@@ -153,24 +155,25 @@ def _event_weights(ops: np.ndarray, signals: np.ndarray, meter_kets: np.ndarray,
     """Weights of six events for each row of operator weights and product ket: (R, P, 6).
 
     The events e are post and meter H, post and meter V, HH, HV, VH and
-    VV, with ``post`` A by default; the kets p are ``_product_kets(signals,
-    meter_kets)``. Row r weighs operator k of ``ops`` by the amplitude
-    weight rows[r, k] (one row of 1 by default): W = sum_k |rows[r, k]
-    <e|k|p>|^2, so rare-postselection interference cancels in amplitudes.
+    VV, with ``post`` A by default; the kets p are |a> (x) |m>, a-major, over
+    the rows a of ``signals`` and m of ``meter_kets``. Row r weighs operator k
+    of ``ops`` by the amplitude weight rows[r, k] (one row of 1 by default):
+    W = sum_k |rows[r, k] <e|k|p>|^2, so rare-postselection interference cancels in amplitudes.
     """
     post = post if post is not None else antidiagonal()
     sq = np.ones((1, len(ops))) if rows is None else rows * rows
     # the event bras <post| (x) <x| for the meter outcomes x, then <ab|
     bras = np.concatenate([(post.ket().conj()[:, None] * _EYE_2[:, None, :]).reshape(2, 4),
                            _EYE_4])
-    amps = (bras @ ops) @ _product_kets(signals, meter_kets).T  # (n, event, P)
+    kets = (signals[:, None, :, None] * meter_kets[None, :, None, :]).reshape(-1, 4)
+    amps = (bras @ ops) @ kets.T  # (n, event, P)
     re, im = amps.real, amps.imag
     return np.einsum("rk,kxp,kxp->rpx", sq, re, re) + np.einsum("rk,kxp,kxp->rpx", sq, im, im)
 
 
 def _checked_success(success: np.ndarray) -> np.ndarray:
     """The success weights; raises where the channel never succeeds."""
-    if np.any(success <= 1e-300):
+    if np.any(success <= _P_POST_TOL):
         raise PostselectionImpossibleError("channel output has zero weight")
     return success
 
@@ -185,7 +188,7 @@ def _postselected_probs(w: np.ndarray) -> np.ndarray:
     """(P(meter H | post), P(meter V | post), P(post | success)) from six event weights (..., 6)."""
     post_weight = w[..., 0] + w[..., 1]
     p_post = post_weight / _checked_success(w[..., 2:].sum(axis=-1))
-    if np.any(p_post <= 1e-300):
+    if np.any(p_post <= _P_POST_TOL):
         raise PostselectionImpossibleError("postselection probability is zero under the channel")
     return np.stack([w[..., 0] / post_weight, w[..., 1] / post_weight, p_post], axis=-1)
 
@@ -441,10 +444,8 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
 def model_weak_value_curve(params: ImperfectionParams, psi: Polarization, k_grid,
                            cfg: DeviceConfig = DeviceConfig(),
                            post: Polarization | None = None):
-    """[(K, predicted postselected value)] for each strength in the grid."""
+    """[(K, predicted postselected value)] for each strength; the grid is checked as run_fig2's."""
     k = np.asarray(list(k_grid), dtype=float)
-    if np.any(np.abs(k) < ZERO_STRENGTH_TOL):
-        raise ZeroStrengthError("strength K = 0 in grid: weak value unbounded")
     weights = _model_weights([params], psi.ket()[None], _meter_kets(k), post, cfg)[0]
     probs = _postselected_probs(weights)
     return list(zip(k.tolist(), ((probs[:, 0] - probs[:, 1]) / k).tolist()))

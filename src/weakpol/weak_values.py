@@ -109,7 +109,7 @@ class MeterSetting:
 
     @property
     def gammabar(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.gamma**2))
+        return math.sqrt(max(0.0, 1.0 - self.gamma * self.gamma))
 
     @property
     def strength(self) -> float:

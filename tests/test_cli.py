@@ -81,11 +81,10 @@ def test_negative_seed_is_a_range_error(tmp_path, capsys):
 
 
 def test_weak_value_prints_analytic_value(capsys):
+    # README documents this exact token
     code, out, _ = run_cli(["weak-value", "--angle", "42", "--K", "0.006"], capsys)
     assert code == EXIT_OK
-    value = last_number(out)
-    assert abs(value - 19.018985734711585) < 1e-9
-    assert round(value, 2) == 19.02
+    assert out.split()[-1] == "19.018985734711585"
 
 
 def test_weak_value_rejects_zero_strength(capsys):
@@ -116,6 +115,14 @@ def test_angle_range_is_a_cli_contract(command, tmp_path, capsys):
             assert (code, stdout) == (EXIT_RANGE, "")
             assert "angle must lie in [0, 360)" in err
     assert not out.exists()
+
+
+def test_povm_output_is_pinned_byte_for_byte(capsys):
+    code, out, _ = run_cli(["povm", "--K", "0.5"], capsys)
+    assert code == EXIT_OK
+    assert out == ("# povm K=0.5\n"
+                   "pi_H\n  0.74999999999999989  0\n  0  0.25000000000000011\n"
+                   "pi_V\n  0.25000000000000011  0\n  0  0.74999999999999989\n")
 
 
 def test_povm_projective_output(capsys):

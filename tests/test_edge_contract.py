@@ -18,23 +18,29 @@ from weakpol import (
     InversionRangeError,
     MeterSetting,
     Polarization,
+    PostselectionImpossibleError,
     RunPlan,
     TwoQubitChannel,
     ZeroStrengthError,
     antidiagonal,
+    diagonal,
     expectation_decomposition,
     expectation_s1,
     fit_visibility,
     horizontal,
+    imperfect_channel,
     invert_s1,
     model_weak_value_curve,
+    postselected_probs,
     run_fig2,
     weak_value_analytic,
 )
+from weakpol.imperfection import channel_postselected_probs
 
 PSI_42 = Polarization.from_degrees(42.0)
 K_005 = MeterSetting.from_strength(0.05)
 V_096 = ImperfectionParams(visibility=0.96)
+V_1 = ImperfectionParams(visibility=1.0)
 NOISE_ONLY = ImperfectionParams(visibility=0.96, depol=1.0)
 # the postselected value of PSI_42 at K = 0.05 and v = 0.96, whose P(A) is 0.0132923
 WV_42 = 3.8573258213873007
@@ -73,6 +79,26 @@ ROWS = {
     **{f"model_weak_value_curve-K={k}": (lambda k=k: model_weak_value_curve(V_096, PSI_42, [k]),
                                          (ValueError, "strength must lie in"))
        for k in (math.nan, math.inf)},
+    "model_weak_value_curve-k_grid=empty": (lambda: model_weak_value_curve(V_096, PSI_42, []),
+                                            (ValueError, "grid is empty")),
+    # the coherent model at v = 1 is the closed form, and so is its inversion
+    "model_weak_value_curve-v=1": (lambda: model_weak_value_curve(V_1, PSI_42, [0.05])[0][1],
+                                   weak_value_analytic(PSI_42, K_005, antidiagonal())),
+    "invert_s1-v=1": (lambda: invert_s1(weak_value_analytic(PSI_42, K_005, antidiagonal()),
+                                        postselected_probs(PSI_42, K_005, antidiagonal())[2],
+                                        V_1, K_005),
+                      expectation_s1(PSI_42)),
+    # the channel's own P(A | success) at either end point fits back to that end point
+    **{f"fit_visibility-v={v}": (
+        lambda v=v: fit_visibility(channel_postselected_probs(
+            imperfect_channel(None, ImperfectionParams(v)), PSI_42, K_005, antidiagonal())[2],
+            PSI_42, K_005).visibility, v) for v in (1.0, 0.0)},
+    # a diagonal input meets post A only through K: at K = 0 the ideal channel leaves
+    # rounding residue (1.7e-32), not a probability to condition on
+    "channel_postselected_probs-diagonal,post=A,K=0": (
+        lambda: channel_postselected_probs(imperfect_channel(None, V_1), diagonal(),
+                                           MeterSetting.from_strength(0.0), antidiagonal()),
+        (PostselectionImpossibleError, "zero")),
     "run_fig2-k_grid=nan": (lambda: run_fig2(RunPlan(seed=1), PSI_42, V_096, [math.nan]),
                             (ValueError, "strength must lie in")),
     "run_fig2-k_grid=empty": (lambda: run_fig2(RunPlan(seed=1), PSI_42, V_096, []),

@@ -33,6 +33,7 @@ from weakpol.imperfection import (
     _PREP_KETS,
     PAULI_2,
     _event_weights,
+    _meter_kets,
     _model_weights,
     channel_joint_distribution,
     channel_postselected_probs,
@@ -455,6 +456,14 @@ def test_zero_strength_in_grid_rejected():
 
     with pytest.raises(ZeroStrengthError):
         model_weak_value_curve(ImperfectionParams(), PSI_42, [0.0, 0.5])
+
+
+def test_meter_kets_equal_the_meter_setting_kets_bit_for_bit():
+    # the grid path and the one-strength path square gamma alike, so no row rounds apart
+    ks = np.concatenate([np.random.default_rng(0).uniform(-1.0, 1.0, 20_000),
+                         np.geomspace(1e-3, 1.0, 400)])
+    want = np.array([MeterSetting.from_strength(k).ket().real for k in ks.tolist()])
+    assert np.array_equal(_meter_kets(ks), want)
 
 
 # --- process tomography -----------------------------------------------------------
