@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .device import (
     DeviceConfig,
+    TwoQubitState,
     concurrence,
     device_meter_distribution,
     equivalence_fidelity,
@@ -32,7 +33,6 @@ from .fock import (
     BeamSplitterSpec,
     FockState,
     ModeRegistry,
-    TwoQubitState,
     apply_beam_splitter,
     create_photon,
     number_expectation,
@@ -51,7 +51,6 @@ from .imperfection import (
     model_weak_value_curve,
     process_tomography,
     read_chi_csv,
-    write_chi_csv,
 )
 from .counting import (
     CountSample,

@@ -19,7 +19,7 @@ strength lies in [-1, 1]. Exit codes:
   2  usage error (argparse)
   3  malformed config file / unknown key / key the subcommand does not take
   5  out-of-range parameter
-  6  degenerate input (e.g. K = 0 weak value)
+  6  degenerate input (e.g. |K| < 1e-14, the K = 0 weak value)
   7  infeasible model fit
   8  gate verification exceeded tolerance
   9  output I/O failure
@@ -52,6 +52,7 @@ from .imperfection import (
     process_tomography,
 )
 from .weak_values import (
+    ZERO_STRENGTH_TOL,
     MeterSetting,
     Polarization,
     antidiagonal,
@@ -209,8 +210,8 @@ def _cmd_povm(given: dict) -> int:
 def _cmd_weak_value(given: dict) -> int:
     angle = _check_angle(given.get("angle", 42.0))
     k = given.get("k", 0.006)
-    if k == 0.0:  # the closed form stays finite at K = 0, so refuse it here
-        raise CliError(EXIT_DEGENERATE, "K = 0: the weak value is undefined (unbounded)")
+    if abs(k) < ZERO_STRENGTH_TOL:  # the grid's zero rule; the closed form stays finite at K = 0
+        raise CliError(EXIT_DEGENERATE, f"|K| < {ZERO_STRENGTH_TOL:g}: weak value undefined (unbounded)")
     signal = Polarization.from_degrees(angle)
     meter = MeterSetting.from_strength(k)
     try:

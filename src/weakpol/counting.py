@@ -85,9 +85,6 @@ class CountSample:
     counts: dict
     duration: float
 
-    def total(self) -> int:
-        return int(sum(self.counts.values()))
-
 
 @dataclass
 class Estimate:

@@ -14,6 +14,9 @@ losses). Layout, in propagation order:
   4. the inverse 50:50 splitter restoring mH/mV,
   5. coincidence projection.
 
+The gate is heralded: an input that can never give a coincidence has no
+conditional state, so ``run_device`` raises ``PostselectionImpossibleError``.
+
 Within the kept subspace this acts as controlled-NOT / 3 with the signal
 as control, up to overall normalization. Correctness is defined by the
 gate's contract, which :func:`weakpol.weak_values.target_state` states
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import ZeroNormError
-from .fock import PRUNE_TOL, BeamSplitterSpec, FockState, ModeRegistry, TwoQubitState
+from .errors import PostselectionImpossibleError, ZeroNormError
+from .fock import PRUNE_TOL, BeamSplitterSpec, FockState, ModeRegistry
 from .weak_values import MeterSetting, Polarization, target_state
 
 SIGNAL_MODES = ("sH", "sV")
@@ -109,6 +112,31 @@ class DeviceConfig:
         return DeviceConfig, (self.interfering_eta, self.balance_eta, self.hadamard_eta)
 
 
+@dataclass
+class TwoQubitState:
+    """Joint signal (x) meter polarization state kept by coincidence.
+
+    ``amplitudes[s, m]`` indexes signal and meter polarization with
+    0 = H, 1 = V; stored normalized, with the coincidence probability in
+    ``success_prob``.
+    """
+
+    amplitudes: np.ndarray
+    success_prob: float
+
+    def __post_init__(self):
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(2, 2)
+        n = np.vdot(self.amplitudes, self.amplitudes).real
+        if not abs(n - 1.0) <= 1e-9:  # written so that NaN fails
+            raise ValueError(f"amplitudes not normalized (|psi|^2 = {n})")
+        if not 0.0 <= self.success_prob <= 1.0 + 1e-12:
+            raise ValueError(f"success probability out of range: {self.success_prob}")
+
+    def density_matrix(self) -> np.ndarray:
+        v = self.amplitudes.reshape(4)
+        return np.outer(v, v.conj())
+
+
 def device_registry() -> ModeRegistry:
     return ModeRegistry(ALL_MODES)
 
@@ -130,14 +158,14 @@ def run_device(signal: Polarization, meter: MeterSetting, cfg: DeviceConfig = De
     """Run the gate ``cfg`` carries on a product input and condition on coincidence.
 
     The input enters as its four amplitude products (HH, HV, VH, VV). A
-    zero coincidence weight gives the flagged empty state, as the
-    Fock-level ``project_coincidence`` does.
+    coincidence weight at or below ``PRUNE_TOL**2`` means the gate never
+    fires on this input, and raises ``PostselectionImpossibleError``.
     """
     a, b, g, gb = signal.alpha, signal.beta, meter.gamma, meter.gammabar
     amps = coincidence_operator(cfg) @ np.array([a * g, a * gb, b * g, b * gb], dtype=complex)
     prob = float((np.abs(amps) ** 2).sum())
     if prob <= PRUNE_TOL**2:
-        return TwoQubitState(np.zeros((2, 2), dtype=complex), 0.0, empty=True)
+        raise PostselectionImpossibleError("coincidence probability is zero: the gate never fires")
     return TwoQubitState(amps / math.sqrt(prob), prob)
 
 

@@ -6,6 +6,8 @@ emission is neglected). Networks are sequences of two-mode beam splitters.
 Losses are beam splitters into ancilla modes that are never detected, so
 lost photons drop out at coincidence projection instead of requiring
 density matrices: sub-normalized states represent conditioned branches.
+Coincidence projection returns the kept amplitudes unnormalized, and
+leaves judging a zero weight to the caller.
 
 Beam-splitter convention (real, orthogonal):
 
@@ -20,7 +22,7 @@ two-qubit comparison helpers quotient out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,41 +204,13 @@ def apply_network(state: FockState, steps) -> FockState:
     return state
 
 
-@dataclass
-class TwoQubitState:
-    """Joint signal (x) meter polarization state kept by coincidence.
-
-    ``amplitudes[s, m]`` indexes signal and meter polarization with
-    0 = H, 1 = V; stored normalized, with the branch weight in
-    ``success_prob``. A zero-norm projection yields the flagged empty
-    state rather than an exception.
-    """
-
-    amplitudes: np.ndarray
-    success_prob: float
-    empty: bool = field(default=False)
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(2, 2)
-        if not self.empty:
-            n = np.vdot(self.amplitudes, self.amplitudes).real
-            if not abs(n - 1.0) <= 1e-9:  # written so that NaN fails
-                raise ValueError(f"amplitudes not normalized (|psi|^2 = {n})")
-        if not 0.0 <= self.success_prob <= 1.0 + 1e-12:
-            raise ValueError(f"success probability out of range: {self.success_prob}")
-
-    def density_matrix(self) -> np.ndarray:
-        v = self.amplitudes.reshape(4)
-        return np.outer(v, v.conj())
-
-
-def project_coincidence(state: FockState, signal_modes, meter_modes):
+def project_coincidence(state: FockState, signal_modes, meter_modes) -> np.ndarray:
     """Project onto one photon in each of the signal and meter mode pairs.
 
     All ancilla modes are forced to zero occupation by photon-number
-    accounting. Returns ``(TwoQubitState, success_prob)`` where the state
-    is renormalized; a zero-norm kept component gives a flagged empty
-    state with probability 0.
+    accounting. Returns the kept amplitudes as a 2x2 complex array indexed
+    [signal, meter] with 0 = H, 1 = V, not renormalized: their squared norm
+    is the coincidence probability, and all zeros means no coincidence.
     """
     s0, s1 = (state.registry.index(m) for m in signal_modes)
     m0, m1 = (state.registry.index(m) for m in meter_modes)
@@ -253,12 +227,7 @@ def project_coincidence(state: FockState, signal_modes, meter_modes):
         if ns != 1 or nm != 1:
             continue
         amps[occ[s1], occ[m1]] += amp  # occ[s1] = 1 means signal V, etc.
-
-    prob = float(np.sum(np.abs(amps) ** 2))
-    if prob <= PRUNE_TOL**2:
-        out = TwoQubitState(np.zeros((2, 2), dtype=complex), 0.0, empty=True)
-        return out, 0.0
-    return TwoQubitState(amps / math.sqrt(prob), prob), prob
+    return amps
 
 
 def number_expectation(state: FockState, mode) -> float:

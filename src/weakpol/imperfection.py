@@ -306,9 +306,6 @@ class ChiMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))
 
-    def rank(self, tol: float = 1e-9) -> int:
-        return int(np.sum(np.abs(self.eigenvalues()) > tol))
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """sum_mn chi_mn P_m rho P_n^dag for one 4x4 matrix, or for each of a stack (..., 4, 4)."""
         rho = np.asarray(rho, dtype=complex)
@@ -336,11 +333,6 @@ _CHI_ROW_FORMAT = ",".join(["%.17g"] * 32)
 def format_chi_csv(chi: ChiMatrix) -> str:
     """Row-major CSV: each complex row as 32 floats (real, imag, ...), as read_chi_csv reads it."""
     return "".join(_CHI_ROW_FORMAT % tuple(row) + "\n" for row in chi.matrix.view(float).tolist())
-
-
-def write_chi_csv(chi: ChiMatrix, path):
-    """Write ``format_chi_csv(chi)`` to ``path`` atomically."""
-    _write_atomic({os.fspath(path): format_chi_csv(chi)})
 
 
 def _write_atomic(files: dict) -> None:

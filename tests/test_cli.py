@@ -93,6 +93,17 @@ def test_weak_value_rejects_zero_strength(capsys):
     assert "undefined" in err
 
 
+@pytest.mark.parametrize("k", ["1e-15", "-1e-15", "9.9e-15"])
+def test_weak_value_and_fig2_share_the_zero_strength_rule(k, tmp_path, capsys):
+    # a strength below ZERO_STRENGTH_TOL is K = 0 for both subcommands
+    out = tmp_path / "x.csv"
+    assert run_cli(["fig2", "--k-grid", k, "--out", str(out)], capsys)[0] == EXIT_DEGENERATE
+    code, stdout, err = run_cli(["weak-value", "--K", k], capsys)
+    assert (code, stdout) == (EXIT_DEGENERATE, "")
+    assert "|K| < 1e-14: weak value undefined" in err
+    assert not out.exists()
+
+
 def test_weak_value_rejects_out_of_range_angle(capsys):
     code, _, _ = run_cli(["weak-value", "--angle", "400", "--K", "0.5"], capsys)
     assert code == EXIT_RANGE
@@ -242,8 +253,8 @@ def test_unparsable_strength_grid_is_a_config_error(tmp_path, capsys, grid, mess
 
 def test_weak_value_with_orthogonal_weak_limit_is_degenerate(capsys):
     # at 45 degrees the input is orthogonal to the postselection, and a
-    # nonzero K of 1e-17 is still the weak limit
-    code, out, err = run_cli(["weak-value", "--angle", "45", "--K", "1e-17"], capsys)
+    # nonzero K of 1e-12, above the zero-strength bound, is still the weak limit
+    code, out, err = run_cli(["weak-value", "--angle", "45", "--K", "1e-12"], capsys)
     assert (code, out) == (EXIT_DEGENERATE, "")
     assert "weak value diverges" in err
 
@@ -335,6 +346,20 @@ def test_tomo_sidecar_records_chi_physicality(tmp_path, capsys):
     assert meta["chi_min_eigenvalue"] == min(chi.eigenvalues())
     # white noise makes chi full rank, so its smallest eigenvalue is positive
     assert 0.0 < meta["chi_min_eigenvalue"] < 0.02
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("tomo_default", []),
+    ("tomo_v0.96_depol0.02", ["--visibility", "0.96", "--depol", "0.02"]),
+])
+def test_tomo_csv_and_sidecar_match_golden_bytes(name, argv, tmp_path, capsys):
+    code, _, _ = run_cli(["tomo", *argv, "--out", str(tmp_path / f"{name}.csv")], capsys)
+    assert code == EXIT_OK
+    for suffix in (".csv", ".meta.json"):
+        assert (tmp_path / (name + suffix)).read_bytes() == (DATA / (name + suffix)).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["povm", "weak-value", "tomo"])

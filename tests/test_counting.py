@@ -65,13 +65,13 @@ def test_fixed_seed_reproduces_counts():
 
 def test_zero_duration_gives_zero_counts():
     sample = sample_counts(calibration_probs(0.3), 44.6, 0.0, 1)
-    assert sample.total() == 0
+    assert sum(sample.counts.values()) == 0
 
 
 def test_poisson_moments_at_calibration_scale():
     # mean 4460, sd sqrt(4460) ~ 66.8 for the total count
     totals = np.array([
-        sample_counts(calibration_probs(0.0), 44.6, 100.0, s).total()
+        sum(sample_counts(calibration_probs(0.0), 44.6, 100.0, s).counts.values())
         for s in range(10_000)
     ])
     mean, sd = totals.mean(), totals.std()
@@ -121,7 +121,7 @@ def test_knowledge_at_paper_calibration_scale():
     # ~4460 total counts puts the strength error near 0.015
     sample = sample_counts(calibration_probs(0.006), 44.6, 100.0, 3)
     est = estimate_knowledge(sample)
-    assert abs(est.sigma - 1.0 / math.sqrt(sample.total())) < 1e-4
+    assert abs(est.sigma - 1.0 / math.sqrt(sum(sample.counts.values()))) < 1e-4
     assert 0.012 < est.sigma < 0.018
 
 

@@ -9,6 +9,7 @@ from weakpol import (
     DeviceConfig,
     MeterSetting,
     Polarization,
+    PostselectionImpossibleError,
     ZeroNormError,
     concurrence,
     device_meter_distribution,
@@ -158,11 +159,10 @@ def test_local_phase_fidelity_quotients_per_qubit_phases():
 
 
 def test_fidelity_of_a_zero_norm_state_is_a_typed_error():
-    # no balancing transmission: an H signal photon never reaches a coincidence
-    empty = run_device(horizontal(), MeterSetting(1.0), DeviceConfig(balance_eta=0.0))
-    assert empty.empty
-    with pytest.raises(ZeroNormError, match="got"):
-        equivalence_fidelity(empty, horizontal(), MeterSetting(1.0))
+    # no balancing transmission: an H signal photon never reaches a coincidence, so the
+    # device has no state to hand to the fidelity
+    with pytest.raises(PostselectionImpossibleError, match="zero"):
+        run_device(horizontal(), MeterSetting(1.0), DeviceConfig(balance_eta=0.0))
     with pytest.raises(ZeroNormError, match="got"):
         local_phase_fidelity(np.zeros((2, 2)), np.eye(2) / math.sqrt(2.0))
     with pytest.raises(ZeroNormError, match="want"):
@@ -329,9 +329,9 @@ def fock_transfer_matrix(cfg):
 
 
 def fock_run(signal, meter, cfg):
+    """The Fock engine's kept coincidence amplitudes, unnormalized."""
     state = fock.apply_network(input_state(signal, meter), network_steps(cfg))
-    out, _ = fock.project_coincidence(state, SIGNAL_MODES, METER_MODES)
-    return out
+    return fock.project_coincidence(state, SIGNAL_MODES, METER_MODES)
 
 
 def fock_coincidence_operator(cfg):
@@ -339,8 +339,7 @@ def fock_coincidence_operator(cfg):
     op = np.zeros((4, 4), dtype=complex)
     for col, (s, m) in enumerate((s, m) for s in (horizontal(), vertical())
                                  for m in (MeterSetting(1.0), MeterSetting(0.0))):
-        out = fock_run(s, m, cfg)
-        op[:, col] = out.amplitudes.reshape(4) * math.sqrt(out.success_prob)
+        op[:, col] = fock_run(s, m, cfg).reshape(4)
     return op
 
 
@@ -356,9 +355,9 @@ def test_kernel_matches_fock_oracle(cfg):
         signal = random_signal(rng)
         meter = MeterSetting(rng.uniform(0.0, 1.0))
         got, want = run_device(signal, meter, cfg), fock_run(signal, meter, cfg)
-        assert not got.empty and not want.empty
-        assert abs(got.success_prob - want.success_prob) < 1e-12
-        assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+        prob = np.vdot(want, want).real
+        assert abs(got.success_prob - prob) < 1e-12
+        assert np.max(np.abs(got.amplitudes - want / math.sqrt(prob))) < 1e-12
 
 
 def numpy_row_update_transfer_matrix(cfg):
@@ -402,22 +401,27 @@ def test_gate_build_matches_kron_reference_bitwise():
     random_configs = [DeviceConfig(*rng.uniform(0.0, 1.0, 3)) for _ in range(200)]
     edge_configs = [DeviceConfig(0.0, 0.0, 0.0), DeviceConfig(1.0, 1.0, 1.0),
                     DeviceConfig(interfering_eta=1.0, balance_eta=0.0)]
-    inputs = np.random.default_rng(13)
+    inputs, raised = np.random.default_rng(13), 0
     for cfg in (*ORACLE_CONFIGS, *random_configs, *edge_configs):
         want = kron_reference_labeled_kraus(cfg)
         for got, part in zip(labeled_kraus(cfg), want):
             assert got.dtype == part.dtype and got.tobytes() == part.tobytes()
         gate = want[0] + want[1]
         assert coincidence_operator(cfg).tobytes() == gate.tobytes()
-        for _ in range(2):
-            signal, meter = random_signal(inputs), MeterSetting(inputs.uniform(0.0, 1.0))
+        # two random inputs, then an H signal, which a device without balancing never passes
+        pairs = [(random_signal(inputs), MeterSetting(inputs.uniform(0.0, 1.0))) for _ in range(2)]
+        for signal, meter in (*pairs, (horizontal(), MeterSetting(1.0))):
             amps = gate @ (signal.ket()[:, None] * meter.ket()).reshape(4)
             prob = float(np.sum(np.abs(amps) ** 2))
+            if prob <= fock.PRUNE_TOL**2:
+                raised += 1
+                with pytest.raises(PostselectionImpossibleError):
+                    run_device(signal, meter, cfg)
+                continue
             out = run_device(signal, meter, cfg)
-            assert out.empty == (prob <= fock.PRUNE_TOL**2)
-            if not out.empty:
-                assert out.success_prob == prob
-                assert out.amplitudes.tobytes() == (amps / math.sqrt(prob)).reshape(2, 2).tobytes()
+            assert out.success_prob == prob
+            assert out.amplitudes.tobytes() == (amps / math.sqrt(prob)).reshape(2, 2).tobytes()
+    assert raised == 2  # the two edge configs with balance_eta = 0
 
 
 def test_device_config_keeps_its_value_semantics_and_carries_a_read_only_gate():
@@ -453,9 +457,10 @@ def test_device_config_keeps_its_value_semantics_and_carries_a_read_only_gate():
 
 def test_kernel_and_fock_oracle_flag_zero_coincidence_weight():
     # no balancing transmission and no interference: an H signal photon is
-    # always lost, so no coincidence is possible
+    # always lost, so no coincidence is possible; the kernel refuses to condition
+    # on it, and the oracle keeps exact zeros
     cfg = DeviceConfig(interfering_eta=1.0, balance_eta=0.0)
     for meter in (MeterSetting(1.0), MeterSetting(0.8)):
-        for out in (run_device(horizontal(), meter, cfg), fock_run(horizontal(), meter, cfg)):
-            assert out.empty
-            assert out.success_prob == 0.0
+        with pytest.raises(PostselectionImpossibleError, match="coincidence probability is zero"):
+            run_device(horizontal(), meter, cfg)
+        assert np.array_equal(fock_run(horizontal(), meter, cfg), np.zeros((2, 2)))

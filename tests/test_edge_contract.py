@@ -32,6 +32,7 @@ from weakpol import (
     invert_s1,
     model_weak_value_curve,
     postselected_probs,
+    run_device,
     run_fig2,
     weak_value_analytic,
 )
@@ -44,6 +45,8 @@ V_1 = ImperfectionParams(visibility=1.0)
 NOISE_ONLY = ImperfectionParams(visibility=0.96, depol=1.0)
 # the postselected value of PSI_42 at K = 0.05 and v = 0.96, whose P(A) is 0.0132923
 WV_42 = 3.8573258213873007
+# with no balancing transmission the gate never succeeds on HH or HV
+NO_BALANCE = DeviceConfig(balance_eta=0.0)
 
 
 def with_entry(shape, value):
@@ -120,6 +123,33 @@ ROWS = {
        for bad in (math.nan, math.inf)},
     "ChiMatrix-entry=nan": (lambda: ChiMatrix(with_entry((16, 16), math.nan)),
                             (ValueError, "finite")),
+    # the DeviceConfig eta end points: an H signal never gives a coincidence, so it
+    # has no conditional state; what does succeed carries no input dependence
+    "run_device-H,balance_eta=0": (
+        lambda: run_device(horizontal(), MeterSetting(1.0), NO_BALANCE),
+        (PostselectionImpossibleError, "coincidence probability is zero")),
+    "model_weak_value_curve-balance_eta=0": (
+        lambda: model_weak_value_curve(V_096, PSI_42, [0.05], NO_BALANCE)[0][1], 0.0),
+    "channel_postselected_probs-balance_eta=0": (
+        lambda: channel_postselected_probs(imperfect_channel(None, V_096, NO_BALANCE), PSI_42,
+                                           K_005, antidiagonal())[2], 0.49999999999999967),
+    "invert_s1-balance_eta=0": (lambda: invert_s1(0.0, 0.5, V_096, K_005, NO_BALANCE),
+                                (InversionRangeError, "does not depend on the input")),
+    **{f"model_weak_value_curve-hadamard_eta={eta}": (
+        lambda eta=eta: model_weak_value_curve(V_096, PSI_42, [0.05],
+                                               DeviceConfig(hadamard_eta=eta))[0][1], want)
+       for eta, want in ((0.0, 19.53948157416521), (1.0, -19.438859294945114))},
+    # each constructor refuses a non-finite field by name
+    "Polarization-alpha=nan": (lambda: Polarization(math.nan, 0.0),
+                               (ValueError, "not normalized")),
+    "MeterSetting-gamma=nan": (lambda: MeterSetting(math.nan),
+                               (ValueError, r"gamma must lie in \[0, 1\]")),
+    "DeviceConfig-balance_eta=nan": (lambda: DeviceConfig(balance_eta=math.nan),
+                                     (ValueError, r"balance_eta must lie in \[0, 1\]")),
+    "ImperfectionParams-depol=nan": (lambda: ImperfectionParams(depol=math.nan),
+                                     (ValueError, r"depol must lie in \[0, 1\]")),
+    "RunPlan-duration_wv=inf": (lambda: RunPlan(duration_wv=math.inf),
+                                (ValueError, "duration_wv must be finite")),
 }
 
 
