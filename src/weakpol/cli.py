@@ -19,7 +19,7 @@ strength lies in [-1, 1]. Exit codes:
   2  usage error (argparse)
   3  malformed config file / unknown key / key the subcommand does not take
   5  out-of-range parameter
-  6  degenerate input (e.g. |K| < 1e-14, the K = 0 weak value)
+  6  degenerate input: |K| < 1e-14 (K = 0), or a postselection that never succeeds
   7  infeasible model fit
   8  gate verification exceeded tolerance
   9  output I/O failure
@@ -212,12 +212,8 @@ def _cmd_weak_value(given: dict) -> int:
     k = given.get("k", 0.006)
     if abs(k) < ZERO_STRENGTH_TOL:  # the grid's zero rule; the closed form stays finite at K = 0
         raise CliError(EXIT_DEGENERATE, f"|K| < {ZERO_STRENGTH_TOL:g}: weak value undefined (unbounded)")
-    signal = Polarization.from_degrees(angle)
-    meter = MeterSetting.from_strength(k)
-    try:
-        value = weak_value_analytic(signal, meter, antidiagonal())
-    except PostselectionImpossibleError as exc:
-        raise CliError(EXIT_DEGENERATE, str(exc))
+    value = weak_value_analytic(Polarization.from_degrees(angle), MeterSetting.from_strength(k),
+                                antidiagonal())
     print(f"# weak-value angle={format(angle, '.17g')} K={format(k, '.17g')}")
     print(format(value, ".17g"))
     return EXIT_OK
@@ -269,10 +265,11 @@ _COMMANDS = {
              ("visibility", "depol", "out")),
 }
 
-# the first matching class wins, so subclasses come first (InfeasibleTargetError is a ValueError)
+# the first matching class wins, so the ValueError subclasses come first
 _EXIT_CODES = {
     InfeasibleTargetError: EXIT_INFEASIBLE,
     ZeroStrengthError: EXIT_DEGENERATE,
+    PostselectionImpossibleError: EXIT_DEGENERATE,
     ValueError: EXIT_RANGE,
     WeakpolError: EXIT_RANGE,
     OSError: EXIT_IO,

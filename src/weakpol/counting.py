@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -46,7 +47,6 @@ from .imperfection import (
     _meter_kets,
     _model_weights,
     _postselected_probs,
-    _write_atomic,
 )
 from .weak_values import Polarization, antidiagonal, diagonal
 
@@ -488,3 +488,29 @@ def write_with_sidecar(path, text: str, metadata: dict) -> str:
     meta_path = path.removesuffix(".csv") + ".meta.json"
     _write_atomic({path: text, meta_path: json.dumps(metadata, indent=2, sort_keys=True) + "\n"})
     return meta_path
+
+
+def _write_atomic(files: dict) -> None:
+    """Write each ``{path: text}`` item so that a failure leaves no partial file.
+
+    Every text goes to ``<path>.tmp`` and the temp files are renamed into
+    place only once all are written and no target is a directory; on any
+    exception the temp files are removed and the exception is re-raised.
+    """
+    tmps = []
+    try:
+        for target, body in files.items():
+            if os.path.isdir(target):
+                raise IsADirectoryError(f"{target} is a directory")
+            tmps.append(target + ".tmp")
+            with open(tmps[-1], "w", newline="") as fh:
+                fh.write(body)
+        for target, tmp in zip(files, tmps):
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp in tmps:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+        raise

@@ -21,8 +21,8 @@ Within the kept subspace this acts as controlled-NOT / 3 with the signal
 as control, up to overall normalization. Correctness is defined by the
 gate's contract, which :func:`weakpol.weak_values.target_state` states
 (up to per-qubit phases), not by the layout. The splitters fix the gate, so a
-``DeviceConfig`` builds it once, as read-only direct and exchange parts and
-their coherent sum, and every function here reads them.
+``DeviceConfig`` builds it once, as the read-only direct and exchange ``parts``
+and their coherent sum ``gate``, and every function here reads them.
 """
 
 from __future__ import annotations
@@ -89,7 +89,19 @@ def transfer_matrix(cfg: DeviceConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DeviceConfig:
-    """Splitter transmissivities (defaults: the balanced 1/9 gate) and their gate, built once."""
+    """Splitter transmissivities (defaults: the balanced 1/9 gate) and their gate, built once.
+
+    The gate is carried as two read-only arrays that are not dataclass
+    fields, so ``==``, ``hash`` and ``repr`` see only the three etas.
+    ``parts`` (2x4x4) holds the direct and the exchange term of the 2x2
+    permanent of the transfer matrix U over the two photons' modes: U_ss
+    (x) U_mm (each photon exits on its own side) and (U_sm (x) U_ms) SWAP
+    (they swap sides), which add incoherently with hidden photon labels.
+    ``gate`` (4x4) is their coherent sum, controlled-NOT / 3 at the
+    defaults. Its columns are the product inputs |signal, meter> in (HH,
+    HV, VH, VV) order and hold unnormalized coincidence amplitudes, so the
+    squared norm of a column is the success probability.
+    """
 
     interfering_eta: float = 1.0 / 3.0
     balance_eta: float = 1.0 / 3.0
@@ -100,13 +112,15 @@ class DeviceConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        k = transfer_matrix(self)[:4, :4].reshape(2, 2, 2, 2)  # the parts of labeled_kraus
+        # the kept block of U as k[out side, out pol., in side, in pol.]; each part is a
+        # broadcast product over it, with the exchange SWAP in the index pattern
+        k = transfer_matrix(self)[:4, :4].reshape(2, 2, 2, 2)
         parts = np.stack([k[0, :, None, 0, :, None] * k[1, None, :, 1, None, :],
                           k[0, :, None, 1, None, :] * k[1, None, :, 0, :, None]]).reshape(2, 4, 4)
         gate = parts[0] + parts[1]
         parts.flags.writeable = gate.flags.writeable = False
-        object.__setattr__(self, "_parts", parts)
-        object.__setattr__(self, "_gate", gate)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "gate", gate)
 
     def __reduce__(self):  # copies and pickles rebuild the read-only parts and gate from the etas
         return DeviceConfig, (self.interfering_eta, self.balance_eta, self.hadamard_eta)
@@ -162,7 +176,7 @@ def run_device(signal: Polarization, meter: MeterSetting, cfg: DeviceConfig = De
     fires on this input, and raises ``PostselectionImpossibleError``.
     """
     a, b, g, gb = signal.alpha, signal.beta, meter.gamma, meter.gammabar
-    amps = coincidence_operator(cfg) @ np.array([a * g, a * gb, b * g, b * gb], dtype=complex)
+    amps = cfg.gate @ np.array([a * g, a * gb, b * g, b * gb], dtype=complex)
     prob = float((np.abs(amps) ** 2).sum())
     if prob <= PRUNE_TOL**2:
         raise PostselectionImpossibleError("coincidence probability is zero: the gate never fires")
@@ -232,33 +246,6 @@ def local_phase_fidelity(got: np.ndarray, want: np.ndarray) -> float:
 def equivalence_fidelity(state: TwoQubitState, signal: Polarization, meter: MeterSetting) -> float:
     """Fidelity of a device output against the contractual state."""
     return local_phase_fidelity(state.amplitudes, target_state(signal, meter))
-
-
-def labeled_kraus(cfg: DeviceConfig = DeviceConfig()):
-    """Direct and exchange parts of the gate operator on the kept subspace.
-
-    The coincidence amplitude of two photons is the 2x2 permanent of the
-    transfer matrix U over their input and output modes. Its direct term
-    (each photon exits on its own side) is U_ss (x) U_mm, and its
-    exchange term (photons swap sides) is (U_sm (x) U_ms) SWAP. With
-    hidden photon labels the two add incoherently; their coherent sum is
-    the gate operator. ``DeviceConfig`` builds each part once, a broadcast
-    product over the kept block of U as k[out side, out pol., in side, in
-    pol.] with the exchange SWAP in the index pattern; this reads them.
-    """
-    return tuple(cfg._parts)
-
-
-def coincidence_operator(cfg: DeviceConfig = DeviceConfig()) -> np.ndarray:
-    """4x4 operator of the gate on the kept two-qubit subspace.
-
-    The coherent sum of the parts, returned as the read-only array ``cfg``
-    carries. Columns are indexed by product inputs |signal, meter> in (HH,
-    HV, VH, VV) order and carry the unnormalized coincidence amplitudes, so
-    the squared column norm is the success probability; for the default
-    configuration, controlled-NOT / 3.
-    """
-    return cfg._gate
 
 
 def concurrence(state: TwoQubitState) -> float:

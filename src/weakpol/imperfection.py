@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceConfig, coincidence_operator, labeled_kraus
+from .device import DeviceConfig
 from .errors import (
     InfeasibleTargetError,
     InversionRangeError,
@@ -209,8 +208,7 @@ def _mixture(cfg: DeviceConfig, visibilities):
     """The seven mixture operators of ``cfg`` and their amplitude weights, one row per visibility.
 
     Gate, direct and exchange parts, gate after each unit projector P_0..P_3 (rail dephasing)."""
-    gate, (direct, exchange) = coincidence_operator(cfg), labeled_kraus(cfg)
-    ops = np.concatenate([[gate, direct, exchange], gate @ _UNIT_PROJECTORS])
+    ops = np.concatenate([[cfg.gate, *cfg.parts], cfg.gate @ _UNIT_PROJECTORS])
     return ops, np.array([[math.sqrt(v)] + [math.sqrt((1.0 - v) / 2.0)] * 6 for v in visibilities])
 
 
@@ -250,7 +248,7 @@ def distinguishable_device(signal: Polarization, meter: MeterSetting,
     traverses the network exactly as in the ideal device; only the
     direct/exchange cross terms are dropped.
     """
-    amps = TwoQubitChannel(labeled_kraus(cfg)).kraus @ np.kron(signal.ket(), meter.ket())
+    amps = TwoQubitChannel(cfg.parts).kraus @ np.kron(signal.ket(), meter.ket())
     rho = amps.T @ amps.conj()
     prob = float(_checked_success(np.trace(rho).real))
     joint = tuple(float(x) for x in rho.diagonal().real / prob)
@@ -333,32 +331,6 @@ _CHI_ROW_FORMAT = ",".join(["%.17g"] * 32)
 def format_chi_csv(chi: ChiMatrix) -> str:
     """Row-major CSV: each complex row as 32 floats (real, imag, ...), as read_chi_csv reads it."""
     return "".join(_CHI_ROW_FORMAT % tuple(row) + "\n" for row in chi.matrix.view(float).tolist())
-
-
-def _write_atomic(files: dict) -> None:
-    """Write each ``{path: text}`` item so that a failure leaves no partial file.
-
-    Every text goes to ``<path>.tmp`` and the temp files are renamed into
-    place only once all are written and no target is a directory; on an
-    OSError the temp files are removed and the error is re-raised.
-    """
-    tmps = []
-    try:
-        for target, body in files.items():
-            if os.path.isdir(target):
-                raise IsADirectoryError(f"{target} is a directory")
-            tmps.append(target + ".tmp")
-            with open(tmps[-1], "w", newline="") as fh:
-                fh.write(body)
-        for target, tmp in zip(files, tmps):
-            os.replace(tmp, target)
-    except OSError:
-        for tmp in tmps:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-        raise
 
 
 def read_chi_csv(path) -> ChiMatrix:

@@ -259,6 +259,17 @@ def test_weak_value_with_orthogonal_weak_limit_is_degenerate(capsys):
     assert "weak value diverges" in err
 
 
+def test_fig2_impossible_postselection_is_degenerate_as_in_weak_value(tmp_path, capsys):
+    # the same orthogonal weak-limit input through the closed form and through the channel
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(["fig2", "--angle", "45", "--k-grid", "1e-13", "--visibility", "1",
+                                 "--out", str(out)], capsys)
+    assert (code, stdout) == (EXIT_DEGENERATE, "")
+    assert "postselection probability is zero under the channel" in err
+    assert not out.exists()
+    assert run_cli(["weak-value", "--angle", "45", "--K", "1e-13"], capsys)[0] == EXIT_DEGENERATE
+
+
 @pytest.mark.parametrize("cmd, key, value", [
     ("fig2", "seed", "1.9"), ("fig2", "seed", "true"),
     ("fig2", "workers", ".inf"), ("gate-verify", "trials", "2.5"),
@@ -481,7 +492,7 @@ def test_config_key_the_subcommand_does_not_take_is_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("error, want", [
     ("InfeasibleTargetError", 7),
     ("ZeroStrengthError", 6),
-    ("PostselectionImpossibleError", 5),
+    ("PostselectionImpossibleError", 6),
     ("ZeroCountsError", 5),
     ("InversionRangeError", 5),
     ("ValueError", 5),

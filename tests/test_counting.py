@@ -455,6 +455,16 @@ def test_write_with_sidecar_names_the_sidecar_after_any_path(tmp_path):
         assert json.loads(Path(meta_path).read_text()) == {"seed": 1}
 
 
+def test_a_write_failing_with_any_exception_leaves_no_temp_file(tmp_path):
+    # a lone surrogate cannot be encoded, so the CSV's open temp file fails mid-write
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_with_sidecar(path, "x\ud800", {})
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
 def test_error_model_calibrated_over_many_runs():
     # a quoted sigma must match the spread of its estimate over repeated runs,
     # which no single-run test can show; bands are Z standard errors of the

@@ -22,10 +22,8 @@ from weakpol.device import (
     ALL_MODES,
     METER_MODES,
     SIGNAL_MODES,
-    coincidence_operator,
     device_registry,
     input_state,
-    labeled_kraus,
     local_phase_fidelity,
     network_steps,
     target_state,
@@ -298,8 +296,8 @@ def test_transfer_matrix_unitary_and_balanced():
         assert abs(abs(u[i, i]) - 1.0 / math.sqrt(3.0)) < 1e-12
 
 
-def test_coincidence_operator_is_controlled_not_over_three():
-    op = coincidence_operator(DeviceConfig())
+def test_gate_is_controlled_not_over_three():
+    op = DeviceConfig().gate
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     assert np.allclose(op, cnot / 3.0, atol=1e-12)
 
@@ -334,7 +332,7 @@ def fock_run(signal, meter, cfg):
     return fock.project_coincidence(state, SIGNAL_MODES, METER_MODES)
 
 
-def fock_coincidence_operator(cfg):
+def fock_gate(cfg):
     """Two-photon propagation of the four product basis inputs."""
     op = np.zeros((4, 4), dtype=complex)
     for col, (s, m) in enumerate((s, m) for s in (horizontal(), vertical())
@@ -349,7 +347,7 @@ def test_kernel_matches_fock_oracle(cfg):
     assert np.max(np.abs(u - want_u)) < 1e-12
     # interference nulls are exact zeros on both paths, as counting runs rely on
     assert np.array_equal(u == 0, want_u == 0)
-    assert np.max(np.abs(coincidence_operator(cfg) - fock_coincidence_operator(cfg))) < 1e-12
+    assert np.max(np.abs(cfg.gate - fock_gate(cfg))) < 1e-12
     rng = np.random.default_rng(11)
     for _ in range(50):
         signal = random_signal(rng)
@@ -383,7 +381,7 @@ def test_scalar_walk_matches_numpy_row_update_bitwise():
         assert np.array_equal(u == 0, want == 0)
 
 
-def kron_reference_labeled_kraus(cfg):
+def kron_reference_parts(cfg):
     """Reference: the Kronecker-product parts that the index patterns replaced."""
     u = numpy_row_update_transfer_matrix(cfg)
 
@@ -403,11 +401,11 @@ def test_gate_build_matches_kron_reference_bitwise():
                     DeviceConfig(interfering_eta=1.0, balance_eta=0.0)]
     inputs, raised = np.random.default_rng(13), 0
     for cfg in (*ORACLE_CONFIGS, *random_configs, *edge_configs):
-        want = kron_reference_labeled_kraus(cfg)
-        for got, part in zip(labeled_kraus(cfg), want):
+        want = kron_reference_parts(cfg)
+        for got, part in zip(cfg.parts, want):
             assert got.dtype == part.dtype and got.tobytes() == part.tobytes()
         gate = want[0] + want[1]
-        assert coincidence_operator(cfg).tobytes() == gate.tobytes()
+        assert cfg.gate.tobytes() == gate.tobytes()
         # two random inputs, then an H signal, which a device without balancing never passes
         pairs = [(random_signal(inputs), MeterSetting(inputs.uniform(0.0, 1.0))) for _ in range(2)]
         for signal, meter in (*pairs, (horizontal(), MeterSetting(1.0))):
@@ -438,21 +436,23 @@ def test_device_config_keeps_its_value_semantics_and_carries_a_read_only_gate():
     assert cfg == DeviceConfig(0.3, 0.4, 0.45) and cfg != DeviceConfig()
     assert hash(cfg) == hash((0.3, 0.4, 0.45))  # the generated hash of the three fields
     moved, fresh = dataclasses.replace(cfg, balance_eta=0.3), DeviceConfig(0.3, 0.3, 0.45)
-    assert labeled_kraus(moved)[0].tobytes() != labeled_kraus(cfg)[0].tobytes()
-    for got, want in zip(labeled_kraus(moved), labeled_kraus(fresh)):
+    assert moved.parts.tobytes() != cfg.parts.tobytes()
+    for got, want in ((moved.parts, fresh.parts), (moved.gate, fresh.gate)):
         assert got.tobytes() == want.tobytes()
-    direct, exchange = labeled_kraus(cfg)
-    assert coincidence_operator(cfg).tobytes() == (direct + exchange).tobytes()
+    assert (cfg.parts.shape, cfg.gate.shape) == ((2, 4, 4), (4, 4))
+    assert cfg.gate.tobytes() == (cfg.parts[0] + cfg.parts[1]).tobytes()
     for twin in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
         assert twin == cfg
-        for got, want in zip((*labeled_kraus(twin), coincidence_operator(twin)),
-                             (direct, exchange, coincidence_operator(cfg))):
+        for got, want in ((twin.parts, cfg.parts), (twin.gate, cfg.gate)):
             assert not got.flags.writeable
             assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="read-only"):
-        labeled_kraus(cfg)[0][0, 0] = 1.0
+        cfg.parts[0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        coincidence_operator(cfg)[0, 0] = 1.0
+        cfg.gate[0, 0] = 1.0
+    for name in ("parts", "gate"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, np.zeros((4, 4)))
 
 
 def test_kernel_and_fock_oracle_flag_zero_coincidence_weight():

@@ -45,8 +45,13 @@ V_1 = ImperfectionParams(visibility=1.0)
 NOISE_ONLY = ImperfectionParams(visibility=0.96, depol=1.0)
 # the postselected value of PSI_42 at K = 0.05 and v = 0.96, whose P(A) is 0.0132923
 WV_42 = 3.8573258213873007
+# the default device's P(A) at PSI_42, K = 0.05 and v = 0.96
+P_A_42 = 0.013292260460991408
 # with no balancing transmission the gate never succeeds on HH or HV
 NO_BALANCE = DeviceConfig(balance_eta=0.0)
+# without interfering or balancing reflection: (curve, success probability, fit floor)
+FULL_TRANSMISSION = {"interfering_eta": (1.4630769541293898, 0.21087137320492721, "0.0456111"),
+                     "balance_eta": (1.7087396364120733, 0.7012170092225111, "0.0909193")}
 
 
 def with_entry(shape, value):
@@ -139,6 +144,22 @@ ROWS = {
         lambda eta=eta: model_weak_value_curve(V_096, PSI_42, [0.05],
                                                DeviceConfig(hadamard_eta=eta))[0][1], want)
        for eta, want in ((0.0, 19.53948157416521), (1.0, -19.438859294945114))},
+    # at the other end point every value is finite, but the default device's target lies
+    # below the model floor and its weak value outside the model's range
+    **{f"model_weak_value_curve-{eta}=1": (lambda eta=eta: model_weak_value_curve(
+        V_096, PSI_42, [0.05], DeviceConfig(**{eta: 1.0}))[0][1], curve)
+       for eta, (curve, _, _) in FULL_TRANSMISSION.items()},
+    **{f"run_device-{eta}=1": (
+        lambda eta=eta: run_device(PSI_42, K_005, DeviceConfig(**{eta: 1.0})).success_prob, prob)
+       for eta, (_, prob, _) in FULL_TRANSMISSION.items()},
+    **{f"fit_visibility-{eta}=1": (
+        lambda eta=eta: fit_visibility(P_A_42, PSI_42, K_005, DeviceConfig(**{eta: 1.0})),
+        (InfeasibleTargetError, f"below the model floor {floor}$"))
+       for eta, (_, _, floor) in FULL_TRANSMISSION.items()},
+    **{f"invert_s1-{eta}=1": (
+        lambda eta=eta: invert_s1(WV_42, P_A_42, V_096, K_005, DeviceConfig(**{eta: 1.0})),
+        (InversionRangeError, "outside the model's range"))
+       for eta in FULL_TRANSMISSION},
     # each constructor refuses a non-finite field by name
     "Polarization-alpha=nan": (lambda: Polarization(math.nan, 0.0),
                                (ValueError, "not normalized")),

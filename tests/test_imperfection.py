@@ -27,6 +27,7 @@ from weakpol import (
     run_fig2,
     weak_value_analytic,
 )
+from weakpol.counting import _write_atomic
 from weakpol.errors import InversionRangeError
 from weakpol.imperfection import (
     _PREP_KETS,
@@ -34,11 +35,9 @@ from weakpol.imperfection import (
     _event_weights,
     _meter_kets,
     _model_weights,
-    _write_atomic,
     channel_joint_distribution,
     channel_postselected_probs,
     format_chi_csv,
-    labeled_kraus,
 )
 from weakpol.weak_values import (
     antidiagonal,
@@ -86,11 +85,9 @@ def random_polarization(rng):
 
 # --- distinguishable propagation ------------------------------------------------
 
-def test_labeled_kraus_sum_to_the_coherent_gate():
-    from weakpol.device import coincidence_operator
-
-    direct, exchange = labeled_kraus(DeviceConfig())
-    assert np.allclose(direct + exchange, coincidence_operator(DeviceConfig()), atol=1e-12)
+def test_parts_sum_to_the_coherent_gate():
+    direct, exchange = DeviceConfig().parts
+    assert np.allclose(direct + exchange, DeviceConfig().gate, atol=1e-12)
 
 
 def test_distinguishable_h_input_projective_meter_matches_ideal():
@@ -217,44 +214,40 @@ def test_fit_hits_observed_anomaly():
 
 
 def test_fit_builds_the_gate_once(monkeypatch):
+    import weakpol.device as device
     import weakpol.imperfection as imperfection
 
-    calls, channels = [], []
+    builds, channels, build = [], [], device.transfer_matrix
 
     def counted(cfg):
-        calls.append(cfg)
-        return labeled_kraus(cfg)
+        builds.append(cfg)
+        return build(cfg)
 
     class CountedChannel(TwoQubitChannel):
         def __init__(self, kraus):
             channels.append(len(kraus))
             super().__init__(kraus)
 
-    monkeypatch.setattr(imperfection, "labeled_kraus", counted)
+    monkeypatch.setattr(device, "transfer_matrix", counted)
     monkeypatch.setattr(imperfection, "TwoQubitChannel", CountedChannel)
-    params = fit_visibility(0.012, PSI_42, K_SMALL)
-    assert (len(calls), channels) == (1, [])
+    cfg = DeviceConfig()
+    assert (builds, channels) == ([cfg], [])  # the one build: constructing the config
+    params = fit_visibility(0.012, PSI_42, K_SMALL, cfg)
     assert params.visibility == pytest.approx(V_FITTED, abs=1e-9)
     for model in (params, ImperfectionParams(visibility=0.9, depol=0.02)):
-        calls.clear()
-        assert -1.0 <= invert_s1(0.5, 0.012, model, K_SMALL) <= 1.0
-        assert (len(calls), channels) == (1, [])
-        # the Fig. 2 sweep and the model curve read the same kernel, two grids from one build
-        calls.clear()
-        run_fig2(RunPlan(seed=3), PSI_42, model, [0.006, 0.5, 1.0])
-        assert (len(calls), channels) == (1, [])
-        calls.clear()
-        model_weak_value_curve(model, PSI_42, [0.006, 0.5, 1.0])
-        assert (len(calls), channels) == (1, [])
-    imperfect_channel(None, params)  # the channel path itself is counted
-    assert channels == [7]
+        assert -1.0 <= invert_s1(0.5, 0.012, model, K_SMALL, cfg) <= 1.0
+        # the Fig. 2 sweep and the model curve read the same kernel on two grids
+        run_fig2(RunPlan(seed=3), PSI_42, model, [0.006, 0.5, 1.0], cfg)
+        model_weak_value_curve(model, PSI_42, [0.006, 0.5, 1.0], cfg)
+    assert (builds, channels) == ([cfg], [])
+    imperfect_channel(None, params, cfg)  # the channel path itself is counted
+    assert (builds, channels) == ([cfg], [7])
     with pytest.raises(TypeError, match="meter must be a MeterSetting"):
         fit_visibility(0.012, PSI_42, None)
 
 
 def test_a_config_builds_its_gate_once_and_every_call_reads_it(monkeypatch):
     import weakpol.device as device
-    from weakpol.device import coincidence_operator
 
     cfg, calls, build = OFF_BALANCE[0], [], device.transfer_matrix
 
@@ -265,8 +258,6 @@ def test_a_config_builds_its_gate_once_and_every_call_reads_it(monkeypatch):
     monkeypatch.setattr(device, "transfer_matrix", counted)
     meter, model = MeterSetting.from_strength(0.2), ImperfectionParams(visibility=0.9, depol=0.02)
     run_device(PSI_42, meter, cfg)
-    coincidence_operator(cfg)
-    labeled_kraus(cfg)
     distinguishable_device(PSI_42, meter, cfg)
     p_h, p_v, p_a = channel_postselected_probs(
         imperfect_channel(None, model, cfg), PSI_42, meter, antidiagonal()
@@ -678,7 +669,7 @@ def test_chi_csv_roundtrip(tmp_path):
 
 
 def test_failed_chi_write_leaves_old_file(tmp_path, monkeypatch):
-    import weakpol.imperfection as imp
+    import weakpol.counting as counting
 
     chi = process_tomography(imperfect_channel(None, ImperfectionParams(visibility=0.9)))
     path = tmp_path / "chi.csv"
@@ -689,7 +680,7 @@ def test_failed_chi_write_leaves_old_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     # the new text reaches its temp file; the rename into place then fails
-    monkeypatch.setattr(imp.os, "replace", fail)
+    monkeypatch.setattr(counting.os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
         _write_atomic({str(path): format_chi_csv(process_tomography(imperfect_channel(
             None, ImperfectionParams(visibility=0.5))))})
