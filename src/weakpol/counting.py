@@ -48,7 +48,7 @@ from .imperfection import (
     _model_weights,
     _postselected_probs,
 )
-from .weak_values import Polarization, antidiagonal, diagonal
+from .weak_values import NORM_TOL, Polarization, antidiagonal, diagonal
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -158,8 +158,6 @@ def _philox_keys(master_seed: int, indices, run_type: int) -> np.ndarray:
     if idx.size and not (idx.min() >= 0 and idx.max() < _WORD):
         raise ValueError(f"grid indices must lie in [0, 2**32), got {idx.min()}..{idx.max()}")
     seed = int(master_seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     pool = list(np.random.SeedSequence(seed).pool)
     steps = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - _POOL_SIZE)
     with np.errstate(over="ignore"):
@@ -211,7 +209,7 @@ def _poisson_means(probs, outcomes, rate, duration) -> np.ndarray:
     """Poisson means ``rate * duration * max(p, 0)`` of a (G, n) probability grid.
 
     Each row is a distribution over ``outcomes``: finite, no entry below
-    -1e-12 and a sum within 1e-9 of 1. ``rate`` and ``duration`` must be
+    -1e-12 and a sum within ``NORM_TOL`` of 1. ``rate`` and ``duration`` must be
     finite and non-negative, and so must their product; no mean may
     exceed ``MAX_MEAN_COUNT``.
     """
@@ -222,7 +220,7 @@ def _poisson_means(probs, outcomes, rate, duration) -> np.ndarray:
             row = dict(zip(outcomes, probs[bad][0].tolist()))
             raise ValueError(f"{what} probability in {row}")
     total = probs.sum(axis=1)
-    bad = np.abs(total - 1.0) > 1e-9
+    bad = np.abs(total - 1.0) > NORM_TOL
     if bad.any():
         raise ValueError(f"outcome probabilities must sum to 1, got {total[bad][0]}")
     if not (math.isfinite(rate) and rate >= 0 and math.isfinite(duration) and duration >= 0):
@@ -395,9 +393,9 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
              cfg: DeviceConfig = DeviceConfig(), workers: int = 1) -> Fig2Result:
     """Simulate calibration and weak-value runs over a strength grid.
 
-    The grid is checked as the model curve's is, by ``_meter_kets``: an empty grid
-    raises ValueError, a K = 0 point ZeroStrengthError, and a point outside [-1, 1]
-    or NaN ValueError, in that order. The model probabilities come first, for the
+    The grid is checked as the model curve's is, by ``_meter_kets``: an empty grid or
+    a point outside [-1, 1] or NaN raises ValueError, then a point whose meter encodes
+    K = 0 ZeroStrengthError. The model probabilities come first, for the
     whole grid at once and from one gate build: the joint distribution of a
     diagonal input (calibration, no postselection) and the meter probabilities
     of ``psi`` postselected on A. Grid point ``i`` then draws its calibration

@@ -36,7 +36,7 @@ import numpy as np
 from . import fock
 from .errors import PostselectionImpossibleError, ZeroNormError
 from .fock import PRUNE_TOL, BeamSplitterSpec, FockState, ModeRegistry
-from .weak_values import MeterSetting, Polarization, target_state
+from .weak_values import NORM_TOL, MeterSetting, Polarization, target_state
 
 SIGNAL_MODES = ("sH", "sV")
 METER_MODES = ("mH", "mV")
@@ -141,7 +141,7 @@ class TwoQubitState:
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(2, 2)
         n = np.vdot(self.amplitudes, self.amplitudes).real
-        if not abs(n - 1.0) <= 1e-9:  # written so that NaN fails
+        if not abs(n - 1.0) <= NORM_TOL:  # written so that NaN fails
             raise ValueError(f"amplitudes not normalized (|psi|^2 = {n})")
         if not 0.0 <= self.success_prob <= 1.0 + 1e-12:
             raise ValueError(f"success probability out of range: {self.success_prob}")

@@ -59,13 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceConfig
-from .errors import (
-    InfeasibleTargetError,
-    InversionRangeError,
-    PostselectionImpossibleError,
-    ZeroStrengthError,
-)
-from .weak_values import _P_POST_TOL, ZERO_STRENGTH_TOL, MeterSetting, Polarization, antidiagonal
+from .errors import InfeasibleTargetError, InversionRangeError, PostselectionImpossibleError
+from .weak_values import _P_POST_TOL, MeterSetting, Polarization, antidiagonal, nonzero_strength
 
 
 # H, V and D, the inputs whose weights fix a quadratic form's harmonics in invert_s1
@@ -135,17 +130,16 @@ class TwoQubitChannel:
 def _meter_kets(strengths) -> np.ndarray:
     """Meter kets (gamma, gammabar) of ``MeterSetting.from_strength``, bit for bit, one row per K.
 
-    The one strength-grid check, in order: empty (ValueError), |K| < ZERO_STRENGTH_TOL
-    (ZeroStrengthError), outside [-1, 1] or NaN (ValueError)."""
+    The one strength-grid check, in order: empty (ValueError), outside [-1, 1]
+    or NaN (ValueError), then ``nonzero_strength`` on the gammas (ZeroStrengthError)."""
     k = np.asarray(strengths, dtype=float)
     if not k.size:
         raise ValueError("strength grid is empty")
-    if np.any(np.abs(k) < ZERO_STRENGTH_TOL):
-        raise ZeroStrengthError("strength K = 0 in grid: weak value unbounded")
     outside = ~(np.abs(k) <= 1.0)  # written so that NaN is outside
     if outside.any():
         raise ValueError(f"strength must lie in [-1, 1], got {k[outside][0]}")
     gamma = np.sqrt((1.0 + k) / 2.0)
+    nonzero_strength(gamma)
     return np.stack([gamma, np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))], axis=-1)
 
 
@@ -434,11 +428,11 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
     probability lies closest to ``measured_p_a`` wins, and <s1> = cos phi
     is returned.
 
-    Raises InversionRangeError when no input reproduces the measured
-    value, and when the weak value is the same for every input (as when
-    postselecting on H or V without white noise), so that it carries
-    nothing to invert. The equation may miss by a rounding residual of
-    1e-12 of the postselection weight, so a value at the model's extreme,
+    Raises ZeroStrengthError where ``nonzero_strength`` reads the meter's K as 0, and
+    InversionRangeError when no input reproduces the measured value, and when the weak
+    value is the same for every input (as when postselecting on H or V without white
+    noise), so that it carries nothing to invert. The equation may miss by a rounding
+    residual of 1e-12 of the postselection weight, so a value at the model's extreme,
     where the two roots merge, still inverts.
     """
     for name, value in (("measured_weak_value", measured_weak_value),
@@ -449,9 +443,7 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
         raise ValueError(f"measured_p_a is a probability in [0, 1], got {measured_p_a}")
     if not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting")
-    k = meter.strength
-    if abs(k) < ZERO_STRENGTH_TOL:
-        raise ZeroStrengthError("strength K = 0: inversion undefined")
+    k = nonzero_strength(meter.gamma)
     weights = _model_weights([params], _PREP_KETS, meter.ket()[None], post, cfg)
     # harmonics q0 = (W(H) + W(V))/2, q1 = (W(H) - W(V))/2, q2 = W(D) - q0 of W_H - W_V,
     # W_H + W_V and the success weight, from their values at the inputs H, V and D

@@ -20,14 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PostselectionImpossibleError
+from .errors import PostselectionImpossibleError, ZeroStrengthError
 
-# strengths below this are operationally zero: gamma = sqrt(1/2) does not
-# square back to exactly 0.5 in floats, and ratios over such strengths are
-# pure rounding noise
+# strengths below this are operationally zero: gamma = sqrt(1/2) does not square back
+# to exactly 0.5 in floats, and ratios over such strengths are pure rounding noise
 ZERO_STRENGTH_TOL = 1e-14
 # postselection weights below this are rounding residue of an exact zero
 _P_POST_TOL = 1e-24
+# a total probability (or squared norm) this far from 1 is a wrong input, not rounding
+NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class Polarization:
 
     def __post_init__(self):
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(n - 1.0) <= 1e-9:  # written so that NaN fails
+        if not abs(n - 1.0) <= NORM_TOL:  # written so that NaN fails
             raise ValueError(f"polarization not normalized: |alpha|^2+|beta|^2 = {n}")
 
     @classmethod
@@ -113,10 +114,20 @@ class MeterSetting:
 
     @property
     def strength(self) -> float:
-        return 2.0 * self.gamma**2 - 1.0
+        return 2.0 * self.gamma * self.gamma - 1.0
 
     def ket(self) -> np.ndarray:
         return np.array([self.gamma, self.gammabar], dtype=complex)
+
+
+def nonzero_strength(gamma):
+    """The strength 2 gamma gamma - 1 of meter amplitudes ``gamma``, squared as in ``MeterSetting``.
+
+    The one zero-strength rule: raises ZeroStrengthError where |K| < ZERO_STRENGTH_TOL."""
+    k = 2.0 * gamma * gamma - 1.0
+    if (np.abs(k) < ZERO_STRENGTH_TOL).any():  # a scalar k gives a numpy bool
+        raise ZeroStrengthError(f"strength K = 0, |K| < {ZERO_STRENGTH_TOL:g}: weak value undefined")
+    return k
 
 
 S1 = np.diag([1.0, -1.0]).astype(complex)
@@ -172,7 +183,7 @@ def postselected_probs(psi: Polarization, meter: MeterSetting, post: Polarizatio
         raise PostselectionImpossibleError(
             "postselection probability is zero; conditional probabilities undefined"
         )
-    return abs(a_h) ** 2 / p_post, abs(a_v) ** 2 / p_post, float(p_post)
+    return float(abs(a_h) ** 2 / p_post), float(abs(a_v) ** 2 / p_post), float(p_post)
 
 
 def weak_value_analytic(psi: Polarization, meter: MeterSetting, post: Polarization) -> float:

@@ -12,6 +12,15 @@ import numpy as np
 import pytest
 
 import weakpol.cli as cli
+from weakpol import (
+    ImperfectionParams,
+    MeterSetting,
+    Polarization,
+    WeakpolError,
+    ZeroStrengthError,
+    invert_s1,
+    model_weak_value_curve,
+)
 from weakpol.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -93,15 +102,44 @@ def test_weak_value_rejects_zero_strength(capsys):
     assert "undefined" in err
 
 
-@pytest.mark.parametrize("k", ["1e-15", "-1e-15", "9.9e-15"])
+def refuses_zero_strength(call) -> bool:
+    try:
+        call()
+    except ZeroStrengthError:
+        return True
+    except WeakpolError:  # any other verdict, such as InversionRangeError, is not K = 0
+        pass
+    return False
+
+
+# strength -> whether it is K = 0: from_strength(1e-14) reads back 9.77e-15 and -1e-14
+# reads back -9.88e-15, so both are, while 1.1e-14 reads back 1.11e-14
+IS_ZERO_STRENGTH = {"1e-15": True, "-1e-15": True, "9.9e-15": True, "1e-14": True,
+                    "-1e-14": True, "1.1e-14": False, "2e-14": False}
+
+
+@pytest.mark.parametrize("k", IS_ZERO_STRENGTH)
 def test_weak_value_and_fig2_share_the_zero_strength_rule(k, tmp_path, capsys):
-    # a strength below ZERO_STRENGTH_TOL is K = 0 for both subcommands
+    # every route judges the strength the meter encodes, 2 gamma gamma - 1, by one rule
+    zero = IS_ZERO_STRENGTH[k]
     out = tmp_path / "x.csv"
-    assert run_cli(["fig2", "--k-grid", k, "--out", str(out)], capsys)[0] == EXIT_DEGENERATE
+    fig2_code = run_cli(["fig2", "--k-grid", k, "--out", str(out)], capsys)[0]
     code, stdout, err = run_cli(["weak-value", "--K", k], capsys)
-    assert (code, stdout) == (EXIT_DEGENERATE, "")
-    assert "|K| < 1e-14: weak value undefined" in err
-    assert not out.exists()
+    model, meter = ImperfectionParams(0.96), MeterSetting.from_strength(float(k))
+    verdicts = {
+        "fig2": fig2_code == EXIT_DEGENERATE,
+        "weak-value": code == EXIT_DEGENERATE,
+        "model_weak_value_curve": refuses_zero_strength(
+            lambda: model_weak_value_curve(model, Polarization.from_degrees(42.0), [float(k)])),
+        "invert_s1": refuses_zero_strength(lambda: invert_s1(19.0, 0.001, model, meter)),
+    }
+    assert verdicts == dict.fromkeys(verdicts, zero)
+    assert out.exists() is not zero
+    if zero:
+        assert stdout == ""
+        assert "|K| < 1e-14: weak value undefined" in err
+    else:
+        assert (code, fig2_code) == (EXIT_OK, EXIT_OK)
 
 
 def test_weak_value_rejects_out_of_range_angle(capsys):

@@ -248,6 +248,18 @@ def test_phase_fidelity_matches_brute_force_maximum():
         assert abs(local_phase_fidelity(got, want) - brute_force_phase_fidelity(got, want)) < 1e-14
 
 
+@pytest.mark.parametrize("conj", [False, True])
+def test_phase_fidelity_bisects_where_the_objective_is_convex(conj):
+    # row 0's overlap peaks at the meter phase -1 (mod 2 pi), where row 1's nearly vanishes
+    # (|t_10| and |t_11| differ by 0.1%): f dips there into a convex notch between two
+    # maxima, so f'' > 0 at the best grid point, Newton has no step and the search bisects;
+    # the conjugate input mirrors the phase, so the other side of the bracket is taken
+    got = np.array([1.0, np.exp(1j), 1e-3, -0.999e-3 * np.exp(1j)])
+    got = got.conj() if conj else got
+    want = np.ones(4)
+    assert abs(local_phase_fidelity(got, want) - brute_force_phase_fidelity(got, want)) < 1e-14
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-100, 1.0, 1e150, 1e160, 1e300])
 def test_local_phase_fidelity_does_not_depend_on_scale(scale):
     eye = np.eye(2, dtype=complex)

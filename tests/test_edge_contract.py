@@ -21,6 +21,7 @@ from weakpol import (
     PostselectionImpossibleError,
     RunPlan,
     TwoQubitChannel,
+    TwoQubitState,
     ZeroStrengthError,
     antidiagonal,
     diagonal,
@@ -36,6 +37,7 @@ from weakpol import (
     run_fig2,
     weak_value_analytic,
 )
+from weakpol.counting import _poisson_means
 from weakpol.imperfection import channel_postselected_probs
 
 PSI_42 = Polarization.from_degrees(42.0)
@@ -52,6 +54,11 @@ NO_BALANCE = DeviceConfig(balance_eta=0.0)
 # without interfering or balancing reflection: (curve, success probability, fit floor)
 FULL_TRANSMISSION = {"interfering_eta": (1.4630769541293898, 0.21087137320492721, "0.0456111"),
                      "balance_eta": (1.7087396364120733, 0.7012170092225111, "0.0909193")}
+
+
+# the product state |HH> as TwoQubitState amplitudes, and totals just inside and outside NORM_TOL
+H_H = np.array([[1.0, 0.0], [0.0, 0.0]])
+NORM_IN, NORM_OUT = 1.0 + 0.9e-9, 1.0 + 1.1e-9
 
 
 def with_entry(shape, value):
@@ -171,6 +178,26 @@ ROWS = {
                                      (ValueError, r"depol must lie in \[0, 1\]")),
     "RunPlan-duration_wv=inf": (lambda: RunPlan(duration_wv=math.inf),
                                 (ValueError, "duration_wv must be finite")),
+    # a success probability may exceed 1 by rounding (1e-12) and be exactly 0
+    **{f"TwoQubitState-success_prob={p}": (lambda p=p: TwoQubitState(H_H, p).success_prob, p)
+       for p in (1.0 + 5e-13, 0.0)},
+    **{f"TwoQubitState-success_prob={p}": (lambda p=p: TwoQubitState(H_H, p),
+                                           (ValueError, "success probability out of range"))
+       for p in (1.0 + 2e-12, -1e-300, math.nan)},
+    # NORM_TOL, each site: a total probability 0.9e-9 off 1 is rounding, 1.1e-9 off is refused
+    "Polarization-norm=1+0.9e-9": (lambda: abs(Polarization(math.sqrt(NORM_IN), 0.0).alpha) ** 2,
+                                   NORM_IN),
+    "Polarization-norm=1+1.1e-9": (lambda: Polarization(math.sqrt(NORM_OUT), 0.0),
+                                   (ValueError, "not normalized")),
+    "TwoQubitState-norm=1+0.9e-9": (
+        lambda: np.sum(abs(TwoQubitState(math.sqrt(NORM_IN) * H_H, 0.5).amplitudes) ** 2), NORM_IN),
+    "TwoQubitState-norm=1+1.1e-9": (lambda: TwoQubitState(math.sqrt(NORM_OUT) * H_H, 0.5),
+                                    (ValueError, "not normalized")),
+    "_poisson_means-total=1+0.9e-9": (
+        lambda: _poisson_means([[NORM_IN, 0.0]], ("H", "V"), 1.0, 1.0).sum(), NORM_IN),
+    "_poisson_means-total=1+1.1e-9": (
+        lambda: _poisson_means([[NORM_OUT, 0.0]], ("H", "V"), 1.0, 1.0),
+        (ValueError, "must sum to 1")),
 }
 
 

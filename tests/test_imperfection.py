@@ -44,6 +44,7 @@ from weakpol.weak_values import (
     circular_right,
     diagonal,
     horizontal,
+    nonzero_strength,
     postselected_probs,
     vertical,
 )
@@ -317,7 +318,7 @@ def test_fit_above_the_model_ceiling_is_infeasible():
 def test_inversion_refuses_a_strength_that_rounds_to_zero():
     meter = MeterSetting(math.sqrt(0.5))  # gamma^2 - gammabar^2 is about 2e-16
     assert 0.0 < abs(meter.strength) < 1e-15
-    with pytest.raises(ZeroStrengthError, match="inversion undefined") as excinfo:
+    with pytest.raises(ZeroStrengthError, match="weak value undefined") as excinfo:
         invert_s1(1.0, 0.01, ImperfectionParams(), meter)
     assert excinfo.value.code == "weak_value_unbounded"
 
@@ -453,8 +454,11 @@ def test_meter_kets_equal_the_meter_setting_kets_bit_for_bit():
     # the grid path and the one-strength path square gamma alike, so no row rounds apart
     ks = np.concatenate([np.random.default_rng(0).uniform(-1.0, 1.0, 20_000),
                          np.geomspace(1e-3, 1.0, 400)])
-    want = np.array([MeterSetting.from_strength(k).ket().real for k in ks.tolist()])
-    assert np.array_equal(_meter_kets(ks), want)
+    meters = [MeterSetting.from_strength(k) for k in ks.tolist()]
+    kets = _meter_kets(ks)
+    assert np.array_equal(kets, np.array([m.ket().real for m in meters]))
+    # and a meter reads back, as its strength, the K that the grid's zero rule judges
+    assert np.array_equal(nonzero_strength(kets[:, 0]), np.array([m.strength for m in meters]))
 
 
 # --- process tomography -----------------------------------------------------------
