@@ -57,10 +57,11 @@ _NETWORK = (
     ("mV", "mH", "hadamard_eta"),
 )
 
-# rows [1; cos phi; -sin phi] over the 1025-point meter-phase grid on [0, 2 pi]:
-# (a, Re c, Im c) times a column is a + Re(c e^{i phi})
+# rows [1; cos phi; -sin phi] over the 1025-point meter-phase grid on [0, 2 pi] of
+# cell width _PHASE_CELL: (a, Re c, Im c) times a column is a + Re(c e^{i phi})
 _PHASE_BASIS = np.array([f(np.linspace(0.0, 2.0 * np.pi, 1025)) for f in
                          (np.ones_like, np.cos, lambda phi: -np.sin(phi))])
+_PHASE_CELL = 2.0 * np.pi / 1024
 
 
 def transfer_matrix(cfg: DeviceConfig) -> np.ndarray:
@@ -190,11 +191,14 @@ def device_meter_distribution(state: TwoQubitState):
 
 
 def _scaled_entries(name: str, x) -> list:
-    """The four entries of ``x`` divided by their largest real or imaginary part."""
+    """The four entries of ``x`` divided by the scale, their largest real or imaginary part.
+
+    One list of the eight parts' magnitudes is read; its max (inf) or sum (NaN) shows a bad part."""
     z = np.asarray(x, dtype=complex).reshape(4).tolist()
-    if not all(map(cmath.isfinite, z)):
+    parts = [abs(p) for v in z for p in (v.real, v.imag)]
+    scale = max(parts)
+    if scale == math.inf or math.isnan(sum(parts)):
         raise ValueError(f"{name} has a non-finite entry: fidelity undefined")
-    scale = max(max(abs(v.real), abs(v.imag)) for v in z)
     if scale == 0.0:
         raise ZeroNormError(f"{name} has zero norm: fidelity undefined")
     return [v / scale for v in z]
@@ -219,8 +223,8 @@ def local_phase_fidelity(got: np.ndarray, want: np.ndarray) -> float:
     t = [w.conjugate() * g for g, w in zip(got, want)]
     rows = [(abs(t0) ** 2 + abs(t1) ** 2, 2.0 * t0.conjugate() * t1) for t0, t1 in (t[:2], t[2:])]
     u = np.array([(a, c.real, c.imag) for a, c in rows]) @ _PHASE_BASIS
-    vals = np.sqrt(np.maximum(u, 0.0, out=u), out=u).sum(axis=0)
-    cell, k = 2.0 * np.pi / (_PHASE_BASIS.shape[1] - 1), int(vals.argmax())
+    vals = np.add(*np.sqrt(np.maximum(u, 0.0, out=u), out=u))  # the sum of the two rows
+    cell, k = _PHASE_CELL, int(vals.argmax())
     phi, best, lo, hi = k * cell, float(vals[k]), (k - 1) * cell, (k + 1) * cell
     for _ in range(64):  # a cap only a pathological f could reach: bisection needs about 25
         e, f, d1, d2 = cmath.exp(1j * phi), 0.0, 0.0, 0.0

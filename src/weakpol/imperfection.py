@@ -75,8 +75,8 @@ _PAULI_1 = np.array([
 # II, IX, ..., ZZ: kron(P_a, P_b), a-major
 PAULI_2 = np.einsum("aij,bkl->abikjl", _PAULI_1, _PAULI_1).reshape(16, 4, 4)
 _EYE_2, _EYE_4 = np.eye(2), np.eye(4)
-# |i><i|, complex so that gate @ _UNIT_PROJECTORS casts nothing
-_UNIT_PROJECTORS = np.einsum("ai,aj->aij", _EYE_4, _EYE_4).astype(complex)
+# P_m^dag as the columns of one matrix: a Kraus row times it gives 4 x the Pauli coefficients
+_PAULI_COLUMNS = PAULI_2.reshape(16, 16).conj().T
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,19 @@ class ImperfectionParams:
             raise ValueError(f"depol must lie in [0, 1], got {self.depol}")
 
 
-def _check_trace(ops: np.ndarray, rows: np.ndarray) -> None:
-    """Raise where an effect sum_k rows[r, k]^2 ops_k^dag ops_k, one per row, exceeds 1.
+TRACE_TOL = 1e-10  # the rounding an effect's top eigenvalue may show above 1
 
-    An effect is positive semidefinite, so only one of trace above 1 needs its spectrum.
+
+def _check_trace(ops: np.ndarray, sq: np.ndarray) -> None:
+    """Raise where an effect sum_k sq[r, k] ops_k^dag ops_k, one per row of squared weights, has
+    an eigenvalue above 1 + TRACE_TOL. An effect is positive semidefinite, so effects and their
+    spectrum are formed only where its trace, sum_k sq[r, k] |ops_k|_F^2 from the norms, passes 1.
     """
-    effects = (rows * rows) @ (ops.conj().swapaxes(-1, -2) @ ops).reshape(len(ops), 16)
-    effects = effects.reshape(-1, 4, 4)
-    if np.trace(effects, axis1=-2, axis2=-1).real.max() <= 1.0:
-        return
-    top = float(np.linalg.eigvalsh(effects).max())
-    if top > 1.0 + 1e-10:
-        raise ValueError(f"channel increases trace: max effect eigenvalue {top}")
+    if (sq @ np.einsum("kij,kij->k", ops.conj(), ops).real).max() > 1.0:
+        effects = sq @ (ops.conj().swapaxes(-1, -2) @ ops).reshape(len(ops), 16)
+        top = float(np.linalg.eigvalsh(effects.reshape(-1, 4, 4)).max())
+        if top > 1.0 + TRACE_TOL:
+            raise ValueError(f"channel increases trace: max effect eigenvalue {top}")
 
 
 class TwoQubitChannel:
@@ -201,8 +202,8 @@ def channel_postselected_probs(channel, signal, meter, post: Polarization):
 def _mixture(cfg: DeviceConfig, visibilities):
     """The seven mixture operators of ``cfg`` and their amplitude weights, one row per visibility.
 
-    Gate, direct and exchange parts, gate after each unit projector P_0..P_3 (rail dephasing)."""
-    ops = np.concatenate([[cfg.gate, *cfg.parts], cfg.gate @ _UNIT_PROJECTORS])
+    Gate, direct and exchange parts, gate P_0..P_3 (rail dephasing: all but one column masked)."""
+    ops = np.concatenate((cfg.gate[None], cfg.parts, cfg.gate * _EYE_4[:, None, :]))
     return ops, np.array([[math.sqrt(v)] + [math.sqrt((1.0 - v) / 2.0)] * 6 for v in visibilities])
 
 
@@ -215,7 +216,7 @@ def _model_weights(models, signals: np.ndarray, meter_kets: np.ndarray, post,
     joint weights, into each event (each event projector has trace 1).
     """
     ops, rows = _mixture(cfg, [m.visibility for m in models])
-    _check_trace(ops, rows)
+    _check_trace(ops, rows * rows)
     w = _event_weights(ops, signals, meter_kets, post, rows)
     if not any(m.depol for m in models):
         return w
@@ -268,7 +269,7 @@ def imperfect_channel(meter: MeterSetting | None, params: ImperfectionParams,
         # term is sum_ij (p/4) |i><j| sqrt(M) rho sqrt(M) |j><i| with M = sum_k k^dag k
         vals, vecs = np.linalg.eigh((kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=0))
         root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-        noise = np.eye(4)[:, None, :, None] * root[None, :, None, :]
+        noise = _EYE_4[:, None, :, None] * root[None, :, None, :]
         kraus = np.concatenate([math.sqrt(1.0 - p) * kraus,
                                 math.sqrt(p) / 2.0 * noise.reshape(16, 4, 4)])
     return TwoQubitChannel(kraus)
@@ -315,7 +316,7 @@ def process_tomography(channel: TwoQubitChannel) -> ChiMatrix:
     outputs reconstructs. It is returned with no projection onto physical
     matrices; its trace, Hermiticity and eigenvalues show how physical it is.
     """
-    c = channel.kraus.reshape(-1, 16) @ PAULI_2.reshape(16, 16).conj().T / 4.0
+    c = channel.kraus.reshape(-1, 16) @ _PAULI_COLUMNS / 4.0
     return ChiMatrix(c.T @ c.conj())
 
 

@@ -260,7 +260,8 @@ def test_phase_fidelity_bisects_where_the_objective_is_convex(conj):
     assert abs(local_phase_fidelity(got, want) - brute_force_phase_fidelity(got, want)) < 1e-14
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-100, 1.0, 1e150, 1e160, 1e300])
+# 1.7e308: the parts' magnitudes sum past the largest double, yet every entry is finite
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-100, 1.0, 1e150, 1e160, 1e300, 1.7e308])
 def test_local_phase_fidelity_does_not_depend_on_scale(scale):
     eye = np.eye(2, dtype=complex)
     assert abs(local_phase_fidelity(scale * eye, scale * eye) - 1.0) < 1e-15
@@ -270,13 +271,25 @@ def test_local_phase_fidelity_does_not_depend_on_scale(scale):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_local_phase_fidelity_rejects_non_finite_entries(bad):
+    # in every entry: a bad part behind a finite largest part must still be found
     eye = np.eye(2, dtype=complex)
-    broken = eye.copy()
-    broken[1, 0] = bad
-    with pytest.raises(ValueError, match="got has a non-finite entry"):
-        local_phase_fidelity(broken, eye)
-    with pytest.raises(ValueError, match="want has a non-finite entry"):
-        local_phase_fidelity(eye, broken)
+    for entry in range(4):
+        broken = eye.copy()
+        broken.flat[entry] = bad
+        with pytest.raises(ValueError, match="got has a non-finite entry"):
+            local_phase_fidelity(broken, eye)
+        with pytest.raises(ValueError, match="want has a non-finite entry"):
+            local_phase_fidelity(eye, broken)
+
+
+def test_local_phase_fidelity_takes_non_contiguous_input():
+    # every fourth float of a ramp: the complex entries are a strided view, which the
+    # fidelity reads as given (the value below is that of the contiguous copy)
+    got = (np.arange(8) + 1j * np.arange(8)[::-1])[::2]
+    assert not got.flags.c_contiguous
+    assert local_phase_fidelity(got, np.ones(4)) == local_phase_fidelity(got.copy(), np.ones(4))
+    assert local_phase_fidelity(got, np.ones(4)) == pytest.approx(0.9828918645575847, abs=1e-15)
+    assert local_phase_fidelity(np.ones(4), got) == pytest.approx(0.9828918645575847, abs=1e-15)
 
 
 def test_meter_negative_strength_is_legal_not_rejected():

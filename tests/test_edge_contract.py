@@ -59,6 +59,8 @@ FULL_TRANSMISSION = {"interfering_eta": (1.4630769541293898, 0.21087137320492721
 # the product state |HH> as TwoQubitState amplitudes, and totals just inside and outside NORM_TOL
 H_H = np.array([[1.0, 0.0], [0.0, 0.0]])
 NORM_IN, NORM_OUT = 1.0 + 0.9e-9, 1.0 + 1.1e-9
+# top effect eigenvalues just inside and outside the trace guard's 1 + 1e-10
+TRACE_IN, TRACE_OUT = 1.0 + 5e-11, 1.0 + 2e-10
 
 
 def with_entry(shape, value):
@@ -198,6 +200,16 @@ ROWS = {
     "_poisson_means-total=1+1.1e-9": (
         lambda: _poisson_means([[NORM_OUT, 0.0]], ("H", "V"), 1.0, 1.0),
         (ValueError, "must sum to 1")),
+    # the trace guard: one operator whose effect has a top eigenvalue 5e-11 above 1 is
+    # rounding, 2e-10 above is refused; 0.6 I has trace 1.44, so its spectrum is read,
+    # and its top eigenvalue 0.36 passes
+    "TwoQubitChannel-top_eigenvalue=1+5e-11": (
+        lambda: abs(TwoQubitChannel(np.diag([math.sqrt(TRACE_IN), 0, 0, 0])).kraus[0, 0, 0]) ** 2,
+        TRACE_IN),
+    "TwoQubitChannel-top_eigenvalue=1+2e-10": (
+        lambda: TwoQubitChannel(np.diag([math.sqrt(TRACE_OUT), 0, 0, 0])),
+        (ValueError, "channel increases trace")),
+    "TwoQubitChannel-0.6I": (lambda: TwoQubitChannel(0.6 * np.eye(4)).kraus[0, 3, 3].real, 0.6),
 }
 
 

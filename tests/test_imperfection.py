@@ -32,8 +32,11 @@ from weakpol.errors import InversionRangeError
 from weakpol.imperfection import (
     _PREP_KETS,
     PAULI_2,
+    TRACE_TOL,
+    _check_trace,
     _event_weights,
     _meter_kets,
+    _mixture,
     _model_weights,
     channel_joint_distribution,
     channel_postselected_probs,
@@ -162,6 +165,55 @@ def test_channel_is_cp_and_trace_nonincreasing_on_grid():
 def test_rejects_trace_increasing_kraus():
     with pytest.raises(ValueError):
         TwoQubitChannel([np.eye(4) * 1.2])
+
+
+def test_trace_guard_verdict_matches_the_full_spectrum():
+    # the reference forms every effect and reads its whole spectrum; the guard reads the
+    # traces first, so stacks are scaled to put their largest trace in [0.5, 3]: below 1,
+    # and above 1 with a top eigenvalue on either side of 1 + TRACE_TOL
+    rng = np.random.default_rng(3030)
+    verdicts = {(True, True): 0, (True, False): 0, (False, True): 0}
+    for _ in range(600):
+        n, r = rng.integers(1, 9), rng.integers(1, 4)
+        ops = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+        sq = rng.uniform(0.0, 1.0, size=(r, n))
+        effects = np.einsum("rk,kji,kjl->ril", sq, ops.conj(), ops)
+        ops *= math.sqrt(rng.uniform(0.5, 3.0) / np.trace(effects, axis1=1, axis2=2).real.max())
+        effects = np.einsum("rk,kji,kjl->ril", sq, ops.conj(), ops)
+        accepted = np.linalg.eigvalsh(effects).max() <= 1.0 + TRACE_TOL
+        try:
+            _check_trace(ops, sq)
+        except ValueError:
+            assert not accepted
+        else:
+            assert accepted
+        over = np.trace(effects, axis1=1, axis2=2).real.max() > 1.0
+        verdicts[accepted, over] += 1
+    # every branch is taken: traces below 1, and above 1 both accepted and refused
+    assert min(verdicts.values()) > 50, verdicts
+
+
+def test_mixture_dephasing_operators_equal_the_gate_after_each_projector():
+    projectors = np.einsum("ai,aj->aij", np.eye(4), np.eye(4)).astype(complex)
+    rng = np.random.default_rng(3031)
+    configs = [DeviceConfig(), *(DeviceConfig(**{eta: end}) for end in (0.0, 1.0)
+                                 for eta in ("interfering_eta", "balance_eta", "hadamard_eta")),
+               *(DeviceConfig(*rng.uniform(0.0, 1.0, 3)) for _ in range(200))]
+    for cfg in configs:
+        ops, _ = _mixture(cfg, [0.5])
+        assert np.array_equal(ops[:3], [cfg.gate, *cfg.parts])
+        assert np.array_equal(ops[3:], cfg.gate @ projectors)
+
+
+def test_channel_keeps_a_non_contiguous_kraus_stack():
+    k = np.random.default_rng(3032).normal(size=(3, 4, 4)) * (1.0 + 0.5j) / 8.0
+    transposed = k.transpose(0, 2, 1)
+    assert not transposed.flags.c_contiguous
+    channel = TwoQubitChannel(transposed)
+    assert np.array_equal(channel.kraus, transposed)
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    want = sum(t @ rho @ t.conj().T for t in transposed)
+    assert np.max(np.abs(channel.apply(rho) - want)) < 1e-16
 
 
 def test_channel_needs_an_effect_operator():
