@@ -43,9 +43,10 @@ from .device import DeviceConfig
 from .errors import ZeroCountsError, ZeroStrengthError
 from .imperfection import (
     ImperfectionParams,
+    _at_strength,
+    _grid_strengths,
     _joint_probs,
-    _meter_kets,
-    _model_weights,
+    _model_harmonics,
     _postselected_probs,
 )
 from .weak_values import NORM_TOL, Polarization, antidiagonal, diagonal
@@ -393,12 +394,12 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
              cfg: DeviceConfig = DeviceConfig(), workers: int = 1) -> Fig2Result:
     """Simulate calibration and weak-value runs over a strength grid.
 
-    The grid is checked as the model curve's is, by ``_meter_kets``: an empty grid or
-    a point outside [-1, 1] or NaN raises ValueError, then a point whose meter encodes
-    K = 0 ZeroStrengthError. The model probabilities come first, for the
-    whole grid at once and from one gate build: the joint distribution of a
-    diagonal input (calibration, no postselection) and the meter probabilities
-    of ``psi`` postselected on A. Grid point ``i`` then draws its calibration
+    The grid is checked as the model curve's is: an empty grid or a point outside
+    [-1, 1] or NaN raises ValueError, then a point whose meter encodes K = 0
+    ZeroStrengthError. The model probabilities come first, for the whole grid at once
+    and from one gate build, each signal's meter harmonics read at every strength: the
+    joint distribution of a diagonal input (calibration, no postselection) and the
+    meter probabilities of ``psi`` postselected on A. Grid point ``i`` then draws its calibration
     counts and its postselected meter counts from its two substreams of the master
     seed, ``stream_for(plan.seed, i, K_RUN)`` and ``stream_for(plan.seed, i,
     WV_RUN)``, so the table depends on the seed alone. The keys of all those
@@ -411,8 +412,8 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
     """
     k_grid = [float(k) for k in k_grid]
     signals = np.array([diagonal().ket(), psi.ket()])
-    weights = _model_weights([params], signals, _meter_kets(k_grid), antidiagonal(), cfg)[0]
-    cal, post = np.split(weights, 2)
+    h = _model_harmonics([params], signals, antidiagonal(), cfg)[0]
+    cal, post = _at_strength(h, _grid_strengths(k_grid))
     cal_means = _poisson_means(_joint_probs(cal), _CAL_OUTCOMES,
                                plan.unpostselected_rate, plan.duration_k)
     meter_means = _poisson_means(_postselected_probs(post)[:, :2], _METER_OUTCOMES,

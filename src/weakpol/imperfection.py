@@ -30,17 +30,19 @@ cancel the rare-postselection interference in probabilities rather than
 amplitudes, which moved the weak value of a diagonal input at v = 1,
 K = 0.006 from 8e-12 to 5e-10.
 
-Every probability comes from one kernel: the weights of six events (post
-and meter H, post and meter V, HH, HV, VH, VV), each a sum of
-|<e|k|p>|^2 over operators k, on a stack of product kets |p> = |a> (x)
-|m>. The channel views ``channel_joint_distribution`` and
-``channel_postselected_probs`` read it on a channel's Kraus stack at one
-meter setting. The model (the Fig. 2 sweep, the model curve, the fit and
-the inversion) reads it on the seven mixture operators (gate, direct,
-exchange, gate P_0..P_3) of one gate build, weighted sqrt(v) and
-sqrt((1-v)/2), and applies white noise by one rule for every event,
-W -> (1-p) W + (p/4) W_ok. ``imperfect_channel`` builds the same
-weighted mixture and adds the noise as Kraus operators.
+Every probability comes from one kernel, the meter harmonics of six events
+e (post and meter H, post and meter V, HH, HV, VH, VV). With u_k = <e|k|a, H>
+and w_k = <e|k|a, V> for operator k and signal a, c0 = sum_k |u_k + w_k|^2 / 2,
+c1 = sum_k (|u_k|^2 - |w_k|^2) / 2 and c2 = sum_k Re(u_k conj w_k). A meter
+encoding strength K weighs e by c0 + K c1 - q c2, q = 1 - sqrt(1 - K^2) taken
+as K^2 / (1 + sqrt(1 - K^2)); (W_H - W_V) / K = dc0 / K + dc1 - (q / K) dc2
+divides no difference by K (dc0 is 0 on the balanced gate). c0 adds u + w
+before squaring, so the interference cancels in amplitudes. The channel views
+read the kernel on a channel's Kraus stack; the model (the Fig. 2 sweep, the
+model curve, the fit and the inversion) on the seven mixture operators (gate,
+direct, exchange, gate P_0..P_3) of one gate build, weighted v and (1-v)/2,
+with white noise W -> (1-p) W + (p/4) W_ok for every event and harmonic.
+``imperfect_channel`` adds the same noise as Kraus operators.
 
 Process tomography gives the chi matrix of any such channel in closed
 form from its Kraus stack: each operator k is sum_m c_km P_m over the
@@ -65,6 +67,8 @@ from .weak_values import _P_POST_TOL, MeterSetting, Polarization, antidiagonal, 
 
 # H, V and D, the inputs whose weights fix a quadratic form's harmonics in invert_s1
 _PREP_KETS = np.array([[1, 0], [0, 1], [1, 1]], dtype=complex) / np.sqrt([1, 1, 2])[:, None]
+# (u, w) -> (u + w, u - w, u) and (u + w, u + w, w) / 2, whose products give the meter harmonics
+_METER_MAPS = np.array([[[1, 1], [1, -1], [1, 0]], [[0.5, 0.5], [0.5, 0.5], [0, 1]]])
 
 _PAULI_1 = np.array([
     [[1, 0], [0, 1]],
@@ -74,7 +78,7 @@ _PAULI_1 = np.array([
 ], dtype=complex)
 # II, IX, ..., ZZ: kron(P_a, P_b), a-major
 PAULI_2 = np.einsum("aij,bkl->abikjl", _PAULI_1, _PAULI_1).reshape(16, 4, 4)
-_EYE_2, _EYE_4 = np.eye(2), np.eye(4)
+_EYE_4 = np.eye(4)
 # P_m^dag as the columns of one matrix: a Kraus row times it gives 4 x the Pauli coefficients
 _PAULI_COLUMNS = PAULI_2.reshape(16, 16).conj().T
 
@@ -128,8 +132,8 @@ class TwoQubitChannel:
         return (self.kraus @ rho @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
-def _meter_kets(strengths) -> np.ndarray:
-    """Meter kets (gamma, gammabar) of ``MeterSetting.from_strength``, bit for bit, one row per K.
+def _grid_strengths(strengths) -> np.ndarray:
+    """The strengths the meters of ``MeterSetting.from_strength`` encode, bit for bit, one per K.
 
     The one strength-grid check, in order: empty (ValueError), outside [-1, 1]
     or NaN (ValueError), then ``nonzero_strength`` on the gammas (ZeroStrengthError)."""
@@ -139,30 +143,33 @@ def _meter_kets(strengths) -> np.ndarray:
     outside = ~(np.abs(k) <= 1.0)  # written so that NaN is outside
     if outside.any():
         raise ValueError(f"strength must lie in [-1, 1], got {k[outside][0]}")
-    gamma = np.sqrt((1.0 + k) / 2.0)
-    nonzero_strength(gamma)
-    return np.stack([gamma, np.sqrt(np.maximum(0.0, 1.0 - gamma * gamma))], axis=-1)
+    return nonzero_strength(np.sqrt((1.0 + k) / 2.0))
 
 
-def _event_weights(ops: np.ndarray, signals: np.ndarray, meter_kets: np.ndarray,
-                   post: Polarization | None = None, rows: np.ndarray | None = None) -> np.ndarray:
-    """Weights of six events for each row of operator weights and product ket: (R, P, 6).
-
-    The events e are post and meter H, post and meter V, HH, HV, VH and
-    VV, with ``post`` A by default; the kets p are |a> (x) |m>, a-major, over
-    the rows a of ``signals`` and m of ``meter_kets``. Row r weighs operator k
-    of ``ops`` by the amplitude weight rows[r, k] (one row of 1 by default):
-    W = sum_k |rows[r, k] <e|k|p>|^2, so rare-postselection interference cancels in amplitudes.
-    """
+def _harmonics(ops: np.ndarray, signals: np.ndarray, post: Polarization | None = None,
+               sq: np.ndarray | None = None) -> np.ndarray:
+    """Meter harmonics of the six events (module docstring), shape (R, S, 3, 6), over R rows of
+    squared weights ``sq`` of ``ops`` (one row of 1 by default) and S ``signals``."""
     post = post if post is not None else antidiagonal()
-    sq = np.ones((1, len(ops))) if rows is None else rows * rows
-    # the event bras <post| (x) <x| for the meter outcomes x, then <ab|
-    bras = np.concatenate([(post.ket().conj()[:, None] * _EYE_2[:, None, :]).reshape(2, 4),
-                           _EYE_4])
-    kets = (signals[:, None, :, None] * meter_kets[None, :, None, :]).reshape(-1, 4)
-    amps = (bras @ ops) @ kets.T  # (n, event, P)
-    re, im = amps.real, amps.imag
-    return np.einsum("rk,kxp,kxp->rpx", sq, re, re) + np.einsum("rk,kxp,kxp->rpx", sq, im, im)
+    sq = np.ones((1, len(ops))) if sq is None else sq
+    n = len(ops)
+    # the event rows <post, x| k and <ab| k, then their amplitudes on |a, x>, meter x first
+    rows = np.concatenate([(post.ket().conj() @ ops.reshape(n, 2, 8)).reshape(n, 2, 4), ops], 1)
+    amps = rows.reshape(n, 6, 2, 2).transpose(3, 0, 1, 2).reshape(-1, 2) @ signals.T
+    left, right = _METER_MAPS @ amps.view(float).reshape(2, -1)  # real and imaginary parts apart
+    h = (sq @ (left * right).reshape(3, n, -1)).reshape(3, len(sq), 6, len(signals), 2)
+    return (h[..., 0] + h[..., 1]).transpose(1, 3, 0, 2)
+
+
+def _at_strength(h: np.ndarray, k) -> np.ndarray:
+    """Weights c0 + K c1 - q c2 at a strength ``k``: (..., 6), or (..., M, 6) for an array of M."""
+    return np.array([k ** 0, k, -k * k / (1.0 + np.sqrt(1.0 - k * k))]).T @ h
+
+
+def _imbalance_over_k(h: np.ndarray, k):
+    """(W_H - W_V) / K as dc0 / K + dc1 - (q / K) dc2, from the two meter events' differences."""
+    dc = h[..., 0] - h[..., 1]
+    return dc @ np.array([1.0 / k, k ** 0, -k / (1.0 + np.sqrt(1.0 - k * k))])
 
 
 def _checked_success(success: np.ndarray) -> np.ndarray:
@@ -189,39 +196,38 @@ def _postselected_probs(w: np.ndarray) -> np.ndarray:
 
 def channel_joint_distribution(channel, signal, meter):
     """(P_HH, P_HV, P_VH, P_VV) conditioned on success."""
-    weights = _event_weights(channel.kraus, signal.ket()[None], meter.ket()[None])
-    return tuple(_joint_probs(weights[0, 0]).tolist())
+    h = _harmonics(channel.kraus, signal.ket()[None])[0, 0]
+    return tuple(_joint_probs(_at_strength(h, meter.strength)).tolist())
 
 
 def channel_postselected_probs(channel, signal, meter, post: Polarization):
     """(P(meter H | post), P(meter V | post), P(post | success))."""
-    weights = _event_weights(channel.kraus, signal.ket()[None], meter.ket()[None], post)
-    return tuple(_postselected_probs(weights[0, 0]).tolist())
+    h = _harmonics(channel.kraus, signal.ket()[None], post)[0, 0]
+    return tuple(_postselected_probs(_at_strength(h, meter.strength)).tolist())
 
 
 def _mixture(cfg: DeviceConfig, visibilities):
-    """The seven mixture operators of ``cfg`` and their amplitude weights, one row per visibility.
+    """The seven mixture operators of ``cfg`` and their squared weights, one row per visibility.
 
     Gate, direct and exchange parts, gate P_0..P_3 (rail dephasing: all but one column masked)."""
     ops = np.concatenate((cfg.gate[None], cfg.parts, cfg.gate * _EYE_4[:, None, :]))
-    return ops, np.array([[math.sqrt(v)] + [math.sqrt((1.0 - v) / 2.0)] * 6 for v in visibilities])
+    return ops, np.array([[v] + [(1.0 - v) / 2.0] * 6 for v in visibilities])
 
 
-def _model_weights(models, signals: np.ndarray, meter_kets: np.ndarray, post,
-                   cfg: DeviceConfig) -> np.ndarray:
-    """Six event weights of each (v, p) model on every signal and meter ket: (R, S * M, 6).
+def _model_harmonics(models, signals: np.ndarray, post, cfg: DeviceConfig) -> np.ndarray:
+    """Meter harmonics of six events for each (v, p) model on every signal: (R, S, 3, 6).
 
     The mixture's effect is checked as a channel's is; white noise leaves
-    it unchanged and moves p/4 of the success weight W_ok, the sum of the
-    joint weights, into each event (each event projector has trace 1).
+    it unchanged and moves p/4 of the success weight W_ok, the sum of the joint
+    weights, into each event and harmonic (each event projector has trace 1).
     """
-    ops, rows = _mixture(cfg, [m.visibility for m in models])
-    _check_trace(ops, rows * rows)
-    w = _event_weights(ops, signals, meter_kets, post, rows)
+    ops, sq = _mixture(cfg, [m.visibility for m in models])
+    _check_trace(ops, sq)
+    h = _harmonics(ops, signals, post, sq)
     if not any(m.depol for m in models):
-        return w
-    p = np.array([m.depol for m in models])[:, None, None]
-    return (1.0 - p) * w + p / 4.0 * w[..., 2:].sum(axis=-1, keepdims=True)
+        return h
+    p = np.array([m.depol for m in models])[:, None, None, None]
+    return (1.0 - p) * h + p / 4.0 * h[..., 2:].sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -262,8 +268,8 @@ def imperfect_channel(meter: MeterSetting | None, params: ImperfectionParams,
     if meter is not None and not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting or None")
     v, p = params.visibility, params.depol
-    ops, rows = _mixture(cfg, [v])
-    kraus = (rows[0, :, None, None] * ops)[[v > 0.0] + [v < 1.0] * 6]
+    ops, sq = _mixture(cfg, [v])
+    kraus = (np.sqrt(sq[0])[:, None, None] * ops)[[v > 0.0] + [v < 1.0] * 6]
     if p > 0.0:
         # white noise rho -> (1-p) rho + p tr(rho) I/4 after the mixture: its second
         # term is sum_ij (p/4) |i><j| sqrt(M) rho sqrt(M) |j><i| with M = sum_k k^dag k
@@ -379,8 +385,8 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
         raise ValueError(f"target_p_a must be finite, got {target_p_a}")
     if not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting")
-    ends = _model_weights((ImperfectionParams(1.0), ImperfectionParams(0.0)), psi.ket()[None],
-                          meter.ket()[None], post, cfg)[:, 0]
+    ends = _at_strength(_model_harmonics((ImperfectionParams(1.0), ImperfectionParams(0.0)),
+                                         psi.ket()[None], post, cfg)[:, 0], meter.strength)
     (a1, s1), (a0, s0) = ((w[0] + w[1], sum(w[2:])) for w in ends.tolist())
     _checked_success(np.array([s1, s0]))
     lo_val, hi_val = sorted((a1 / s1, a0 / s0))
@@ -405,9 +411,16 @@ def model_weak_value_curve(params: ImperfectionParams, psi: Polarization, k_grid
                            post: Polarization | None = None):
     """[(K, predicted postselected value)] for each strength; the grid is checked as run_fig2's."""
     k = np.asarray(list(k_grid), dtype=float)
-    weights = _model_weights([params], psi.ket()[None], _meter_kets(k), post, cfg)[0]
-    probs = _postselected_probs(weights)
-    return list(zip(k.tolist(), ((probs[:, 0] - probs[:, 1]) / k).tolist()))
+    strengths = _grid_strengths(k)
+    h = _model_harmonics([params], psi.ket()[None], post, cfg)[0, 0]
+    w = _at_strength(h, strengths)
+    _postselected_probs(w)  # raises where a meter's postselection is impossible
+    return list(zip(k.tolist(), (_imbalance_over_k(h, strengths) / (w[:, 0] + w[:, 1])).tolist()))
+
+
+# invert_s1's allowances on its K-free harmonics d of (W_H - W_V) / K and s of W_H + W_V
+_INPUT_FREE_TOL = 1e-12  # |d x s| / |s|^2 at most this: the value d / s is the same for every input
+_MISS_TOL = 1e-12  # the miss, over |s|, with which a value at the model's extreme still inverts
 
 
 def invert_s1(measured_weak_value: float, measured_p_a: float,
@@ -423,7 +436,7 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
     q0 + q1 cos phi + q2 sin phi in phi = 2t, with harmonics fixed by its
     values at the inputs H, V and D. The weak value w fixes phi through
 
-        W_H - W_V - w K (W_H + W_V) = c0 + c1 cos phi + c2 sin phi = 0,
+        (W_H - W_V) / K - w (W_H + W_V) = c0 + c1 cos phi + c2 sin phi = 0,
 
     which has at most two roots. The root whose model postselection
     probability lies closest to ``measured_p_a`` wins, and <s1> = cos phi
@@ -433,7 +446,7 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
     InversionRangeError when no input reproduces the measured value, and when the weak
     value is the same for every input (as when postselecting on H or V without white
     noise), so that it carries nothing to invert. The equation may miss by a rounding
-    residual of 1e-12 of the postselection weight, so a value at the model's extreme,
+    residual of _MISS_TOL of the postselection weight, so a value at the model's extreme,
     where the two roots merge, still inverts.
     """
     for name, value in (("measured_weak_value", measured_weak_value),
@@ -445,21 +458,22 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
     if not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting")
     k = nonzero_strength(meter.gamma)
-    weights = _model_weights([params], _PREP_KETS, meter.ket()[None], post, cfg)
-    # harmonics q0 = (W(H) + W(V))/2, q1 = (W(H) - W(V))/2, q2 = W(D) - q0 of W_H - W_V,
+    h = _model_harmonics([params], _PREP_KETS, post, cfg)[0]
+    # harmonics q0 = (W(H) + W(V))/2, q1 = (W(H) - W(V))/2, q2 = W(D) - q0 of (W_H - W_V) / K,
     # W_H + W_V and the success weight, from their values at the inputs H, V and D
-    probes = [(w_h - w_v, w_h + w_v, sum(joint)) for w_h, w_v, *joint in weights[0].tolist()]
+    probes = [(x, w_h + w_v, sum(joint)) for x, (w_h, w_v, *joint)
+              in zip(_imbalance_over_k(h, k).tolist(), _at_strength(h, k).tolist())]
     d, s, ok = ((0.5 * (x + y), 0.5 * (x - y), z - 0.5 * (x + y)) for x, y, z in zip(*probes))
-    # d / s is the meter imbalance (a probability difference) as a function
-    # of the input; parallel harmonics mean it is the same for every input
+    # d / s is the weak value as a function of the input; parallel
+    # harmonics mean it is the same for every input
     cross = (d[1] * s[2] - d[2] * s[1], d[2] * s[0] - d[0] * s[2], d[0] * s[1] - d[1] * s[0])
-    if math.hypot(*cross) <= 1e-12 * (s[0] ** 2 + s[1] ** 2 + s[2] ** 2):
+    if math.hypot(*cross) <= _INPUT_FREE_TOL * (s[0] ** 2 + s[1] ** 2 + s[2] ** 2):
         raise InversionRangeError(
             "the postselected value does not depend on the input: nothing to invert"
         )
-    c0, c1, c2 = (x - measured_weak_value * k * y for x, y in zip(d, s))
+    c0, c1, c2 = (x - measured_weak_value * y for x, y in zip(d, s))
     amp = math.hypot(c1, c2)
-    if abs(c0) > amp + 1e-12 * math.hypot(*s):
+    if abs(c0) > amp + _MISS_TOL * math.hypot(*s):
         raise InversionRangeError(
             f"measured value {measured_weak_value} outside the model's range"
         )

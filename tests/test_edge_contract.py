@@ -63,6 +63,21 @@ NORM_IN, NORM_OUT = 1.0 + 0.9e-9, 1.0 + 1.1e-9
 TRACE_IN, TRACE_OUT = 1.0 + 5e-11, 1.0 + 2e-10
 
 
+# K_005's encoded strength and sqrt(1 - K^2); at v = 1 the model's value ranges over [-1/K, 1/K]
+K, ROOT = K_005.strength, math.sqrt(1.0 - K_005.strength ** 2)
+
+
+def beyond_extreme(miss):
+    """A value past the coherent model's extreme 1/K whose equation misses by ``miss`` |s|.
+
+    At v = 1 and post A the harmonics of (W_H - W_V) / K and W_H + W_V are
+    d = N (0, 1, 0) and s = N (1, 0, -ROOT), so a value w misses by
+    N (w - sqrt(1 + w^2 ROOT^2)) = miss |s|, solved for w.
+    """
+    t = miss * math.sqrt(1.0 + ROOT ** 2)
+    return (t + math.sqrt(t * t * ROOT ** 2 + K * K)) / (K * K)
+
+
 def with_entry(shape, value):
     """Zeros of ``shape`` with ``value`` in the first entry."""
     out = np.zeros(shape, dtype=complex)
@@ -116,6 +131,36 @@ ROWS = {
         lambda: channel_postselected_probs(imperfect_channel(None, V_1), diagonal(),
                                            MeterSetting.from_strength(0.0), antidiagonal()),
         (PostselectionImpossibleError, "zero")),
+    # the same input at small K: equal meter weights, with no 1e-16 / K residue, until
+    # P(post) = K^2 / 4 falls under the 1e-24 that reads a weight as an exact zero
+    **{f"model_weak_value_curve-diagonal,post=A,K={k}": (
+        lambda k=k: model_weak_value_curve(V_1, diagonal(), [k])[0][1], 0.0)
+       for k in (1e-7, 1e-9, 1e-11)},
+    **{f"channel_postselected_probs-diagonal,post=A,K={k}": (
+        lambda k=k: channel_postselected_probs(imperfect_channel(None, V_1), diagonal(),
+                                               MeterSetting.from_strength(k), antidiagonal())[0],
+        0.5) for k in (1e-7, 1e-9, 1e-11)},
+    "channel_postselected_probs-diagonal,post=A,K=1e-12": (
+        lambda: channel_postselected_probs(imperfect_channel(None, V_1), diagonal(),
+                                           MeterSetting.from_strength(1e-12), antidiagonal()),
+        (PostselectionImpossibleError, "zero")),
+    # invert_s1's _MISS_TOL (1e-12 of |s|): a value whose equation misses by half of it
+    # inverts to the merged root cos phi = 1 / sqrt(1 + w^2 ROOT^2); twice it is refused
+    "invert_s1-miss=0.5e-12": (
+        lambda: invert_s1(beyond_extreme(0.5e-12), 0.5, V_1, K_005),
+        1.0 / math.hypot(1.0, beyond_extreme(0.5e-12) * ROOT)),
+    "invert_s1-miss=2e-12": (lambda: invert_s1(beyond_extreme(2e-12), 0.5, V_1, K_005),
+                             (InversionRangeError, "outside the model's range")),
+    # and its _INPUT_FREE_TOL (1e-12): post H at v = 1 gives the value 1 for every input
+    # until white noise p adds p W_ok / 2 to W_H + W_V, so |d x s| / |s|^2 = p / 2; at
+    # p = 1e-12 that is refused, and at 4e-12 the value 1/2, met only near the V input,
+    # where W_H + W_V is that noise alone, inverts to cos phi = p / (1 + p) - 1
+    "invert_s1-input_free=0.5e-12": (
+        lambda: invert_s1(0.5, 0.5, ImperfectionParams(1.0, 1e-12), K_005, post=horizontal()),
+        (InversionRangeError, "does not depend on the input")),
+    "invert_s1-input_free=2e-12": (
+        lambda: invert_s1(0.5, 0.5, ImperfectionParams(1.0, 4e-12), K_005, post=horizontal()),
+        4e-12 / (1.0 + 4e-12) - 1.0),
     "run_fig2-k_grid=nan": (lambda: run_fig2(RunPlan(seed=1), PSI_42, V_096, [math.nan]),
                             (ValueError, "strength must lie in")),
     "run_fig2-k_grid=empty": (lambda: run_fig2(RunPlan(seed=1), PSI_42, V_096, []),

@@ -1,18 +1,23 @@
-"""An exact oracle for the weak value at small strength, in stdlib ``fractions``.
+"""Exact oracles for the weak value at small strength, in stdlib ``fractions`` and ``decimal``.
 
-Each route is evaluated in exact rational arithmetic on the very doubles it
-reads, so the gap between a route and its oracle is the route's own
-rounding. The coherent model (v = 1) reads the ``_meter_kets`` row, the
-double products of signal and meter entries, the post ket and
-``cfg.gate``; the closed form reads the post and input amplitudes, gamma
-and gammabar. Agreement is asserted only at the paper's strengths, K >=
-0.006: below them the model's error for an input orthogonal to the post
-grows like eps / K^2 (at K = 1e-9 a diagonal input reads -235.5 against an
-exact 0), and CHANGES.md tabulates that regime instead.
+At the paper's strengths, K >= 0.006, each route is evaluated in exact
+rational arithmetic on doubles it reads: the coherent model (v = 1) as the
+gate ``cfg.gate`` acting on the double products of signal and meter entries
+and the post ket, the closed form on the post and input amplitudes, gamma
+and gammabar. Below them the truth is the closed form at the caller's K in
+60-digit ``decimal``, since sqrt(1 - K^2) is not rational. The model reads
+its weights as meter harmonics c0 + K c1 - q c2 and the weak value as
+(dc0 / K + dc1 - (q / K) dc2) / (W_H + W_V), with dc0 = 0 on the balanced
+gate, so K cancels by hand and the model holds the 1e-10 bounds down to
+K = 1e-12, where the product-ket model read a diagonal input at -235.5 for
+K = 1e-9 against an exact 0.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 
@@ -21,13 +26,16 @@ from weakpol import (
     ImperfectionParams,
     MeterSetting,
     Polarization,
+    imperfect_channel,
     model_weak_value_curve,
     weak_value_analytic,
 )
-from weakpol.imperfection import _meter_kets
+from weakpol.errors import PostselectionImpossibleError
+from weakpol.imperfection import _model_harmonics, channel_postselected_probs
 from weakpol.weak_values import antidiagonal, diagonal, horizontal, vertical
 
 PAPER_GRID = (0.006, 0.125, 0.25, 0.5, 0.75, 1.0)
+SMALL_GRID = (0.006, 1e-5, 1e-9, 1e-12)
 INPUTS = {
     "42deg": Polarization.from_degrees(42.0),
     "H": horizontal(),
@@ -39,22 +47,29 @@ INPUTS = {
 }
 
 
-def exact(x) -> Fraction:
-    """A real double as the rational it holds; these routes carry no imaginary part."""
+def real(x) -> float:
+    """A double that carries no imaginary part, as these routes' entries do."""
     z = complex(x)
     assert z.imag == 0.0
-    return Fraction(z.real)
+    return z.real
+
+
+def exact(x) -> Fraction:
+    """A real double as the rational it holds."""
+    return Fraction(real(x))
 
 
 def exact_model_weak_value(psi: Polarization, k: float, post: Polarization,
                            cfg: DeviceConfig) -> Fraction:
-    """(W_H - W_V) / ((W_H + W_V) K) of the coherent model, exactly.
+    """(W_H - W_V) / ((W_H + W_V) K) of the coherent model on the meter's doubles, exactly.
 
     W_x = |<post, x| gate |psi, m>|^2, with |psi, m> the four double
-    products alpha g, alpha gbar, beta g, beta gbar, in (HH, HV, VH, VV)
-    order, and the post bra <post, x| = conj(post) (x) <x|.
+    products alpha g, alpha gbar, beta g, beta gbar of the meter
+    ``MeterSetting.from_strength(k)``, in (HH, HV, VH, VV) order, and the
+    post bra <post, x| = conj(post) (x) <x|.
     """
-    g, gb = _meter_kets([k])[0]
+    meter = MeterSetting.from_strength(k)
+    g, gb = meter.gamma, meter.gammabar
     ket = [exact(s * m) for s in psi.ket() for m in (g, gb)]
     out = [sum(exact(a) * b for a, b in zip(row, ket)) for row in cfg.gate]
     x, y = (exact(c) for c in post.ket().conj())
@@ -70,12 +85,31 @@ def exact_closed_form(psi: Polarization, meter: MeterSetting, post: Polarization
     return (a * a - b * b) / den
 
 
+def decimal_closed_form(psi: Polarization, k: float, post: Polarization) -> Decimal:
+    """(|A|^2 - |B|^2) / (|A|^2 + |B|^2 + 2 sqrt(1 - K^2) A B) at the caller's K, to 60 digits.
+
+    A = conj(x) alpha and B = conj(y) beta for post = x|H> + y|V>, all real here.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = Decimal(real(post.alpha)) * Decimal(real(psi.alpha))
+        b = Decimal(real(post.beta)) * Decimal(real(psi.beta))
+        root = (1 - Decimal(k) ** 2).sqrt()
+        return (a * a - b * b) / (a * a + b * b + 2 * root * a * b)
+
+
 def test_the_oracle_keeps_a_diagonal_input_at_exactly_zero():
     # a diagonal input meets post A only through K, with equal meter weights at every K
     psi, post = diagonal(), antidiagonal()
     for k in (1.0, 0.006, 1e-5, 1e-9, 1e-12):
         assert exact_model_weak_value(psi, k, post, DeviceConfig()) == 0
         assert exact_closed_form(psi, MeterSetting.from_strength(k), post) == 0
+    # and so does the model, bit for bit, while P(post) = K^2 / 4 is above 1e-24
+    channel = imperfect_channel(None, ImperfectionParams())
+    for k in (1.0, 0.006, 1e-5, 1e-7, 1e-9, 1e-11):
+        assert model_weak_value_curve(ImperfectionParams(), psi, [k], post=post)[0][1] == 0.0
+        meter = MeterSetting.from_strength(k)
+        assert channel_postselected_probs(channel, psi, meter, post)[:2] == (0.5, 0.5)
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -90,3 +124,34 @@ def test_model_and_closed_form_match_their_exact_values_at_paper_strengths(name)
         for got, want in ((model, want_model), (closed, want_closed),
                           (float(want_model), want_closed)):
             assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-10), (k, got, float(want))
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_model_matches_the_closed_form_at_the_callers_strength(name):
+    psi, post, cfg = INPUTS[name], antidiagonal(), DeviceConfig()
+    for k in SMALL_GRID:
+        if name == "D" and k == 1e-12:
+            # P(post) = K^2 / 4 is under the 1e-24 that reads a weight as an exact zero
+            with pytest.raises(PostselectionImpossibleError):
+                model_weak_value_curve(ImperfectionParams(), psi, [k], cfg, post)
+            continue
+        got = model_weak_value_curve(ImperfectionParams(), psi, [k], cfg, post)[0][1]
+        want = float(decimal_closed_form(psi, k, post))
+        assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-10), (k, got, want)
+
+
+def test_the_balanced_gate_has_no_meter_bias_at_zero_strength():
+    # dc0 = c0(meter H) - c0(meter V) is the imbalance at K = 0; exactly 0 on the default
+    # gate, so the model's (W_H - W_V) / K carries no dc0 / K term to amplify rounding
+    rng = np.random.default_rng(2831)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 14))
+    inputs = [*INPUTS.values(), *(Polarization(math.cos(t), math.sin(t) * z)
+                                  for t, z in zip(rng.uniform(0.0, math.pi, 14), phases))]
+    models = [ImperfectionParams(v, p) for v, p in ((1.0, 0.0), (0.96, 0.0), (0.9, 0.02),
+                                                    (0.5, 0.3), (0.0, 1.0), (0.0, 0.0),
+                                                    (0.3, 0.0), (1.0, 0.5))]
+    signals = np.array([psi.ket() for psi in inputs])
+    for post in (antidiagonal(), diagonal(), horizontal(), Polarization.from_degrees(17.0)):
+        h = _model_harmonics(models, signals, post, DeviceConfig())
+        assert h.shape == (8, 27, 3, 6)
+        assert np.array_equal(h[:, :, 0, 0], h[:, :, 0, 1])

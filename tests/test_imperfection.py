@@ -33,11 +33,13 @@ from weakpol.imperfection import (
     _PREP_KETS,
     PAULI_2,
     TRACE_TOL,
+    _INPUT_FREE_TOL,
+    _MISS_TOL,
+    _at_strength,
     _check_trace,
-    _event_weights,
-    _meter_kets,
+    _grid_strengths,
     _mixture,
-    _model_weights,
+    _model_harmonics,
     channel_joint_distribution,
     channel_postselected_probs,
     format_chi_csv,
@@ -47,7 +49,6 @@ from weakpol.weak_values import (
     circular_right,
     diagonal,
     horizontal,
-    nonzero_strength,
     postselected_probs,
     vertical,
 )
@@ -502,15 +503,13 @@ def test_zero_strength_in_grid_rejected():
         model_weak_value_curve(ImperfectionParams(), PSI_42, [0.0, 0.5])
 
 
-def test_meter_kets_equal_the_meter_setting_kets_bit_for_bit():
-    # the grid path and the one-strength path square gamma alike, so no row rounds apart
+def test_grid_strengths_equal_the_meter_setting_strengths_bit_for_bit():
+    # the grid path and the one-strength path square gamma alike, so a meter reads back,
+    # as its strength, the K that the grid's zero rule judges and its weights are read at
     ks = np.concatenate([np.random.default_rng(0).uniform(-1.0, 1.0, 20_000),
                          np.geomspace(1e-3, 1.0, 400)])
     meters = [MeterSetting.from_strength(k) for k in ks.tolist()]
-    kets = _meter_kets(ks)
-    assert np.array_equal(kets, np.array([m.ket().real for m in meters]))
-    # and a meter reads back, as its strength, the K that the grid's zero rule judges
-    assert np.array_equal(nonzero_strength(kets[:, 0]), np.array([m.strength for m in meters]))
+    assert np.array_equal(_grid_strengths(ks), np.array([m.strength for m in meters]))
 
 
 # --- process tomography -----------------------------------------------------------
@@ -798,6 +797,21 @@ def test_invert_ideal_reduces_to_complementary_decomposition():
     assert abs(got - S1_42) < 1e-12
 
 
+def test_curve_and_inversion_hold_at_the_smallest_nonzero_strengths():
+    # between the zero rule's 1e-14 and 3e-12 a W_H - W_V scaled by 1 / K read 4.016, 4.050
+    # and 4.042 here, and invert_s1 refused its own model's value as input-free; the meter
+    # harmonics cancel K by hand, so value and inversion hold at every K
+    params, values = ImperfectionParams(0.96), []
+    for k in (2e-14, 1e-13, 1e-12):
+        meter = MeterSetting.from_strength(k)
+        wv = model_weak_value_curve(params, PSI_42, [k])[0][1]
+        p_a = channel_postselected_probs(imperfect_channel(None, params), PSI_42, meter,
+                                         antidiagonal())[2]
+        assert abs(invert_s1(wv, p_a, params, meter) - S1_42) < 1e-12
+        values.append(wv)
+    assert max(values) - min(values) <= 1e-13 * values[0]
+
+
 def test_invert_roundtrip_through_fitted_model():
     params = fit_visibility(0.012, PSI_42, K_SMALL)
     channel = imperfect_channel(None, params)
@@ -913,26 +927,32 @@ def test_invert_root_choice_follows_the_measured_p_a():
                                                                      abs=1e-12)
 
 
-def channel_weights(params, cfg, signals, meter_kets, post):
-    """The six event weights of the product kets from the Kraus stack of ``imperfect_channel``.
+def channel_weights(params, cfg, signals, meter, post):
+    """The six event weights of the product kets |a> (x) |m> from the Kraus stack of
+    ``imperfect_channel``, each |<e|k|a, m>|^2 summed over the stack: (S, 6).
 
-    White noise enters here as the channel's sqrt(M) operators, not through
-    the noise rule of the model kernel.
+    No meter harmonics: the ket is built and every amplitude squared. White
+    noise enters as the channel's sqrt(M) operators, not through the noise
+    rule of the model kernel.
     """
-    return _event_weights(imperfect_channel(None, params, cfg).kraus, signals, meter_kets, post)[0]
+    bras = np.concatenate([np.kron(post.ket().conj()[None], np.eye(2)), np.eye(4)])
+    amps = np.einsum("ei,kij,sj->kse", bras, imperfect_channel(None, params, cfg).kraus,
+                     np.kron(signals, meter.ket()))
+    return (amps.real ** 2 + amps.imag ** 2).sum(axis=0)
 
 
 def reference_invert(wv, p_a, params, meter, cfg, post):
     """The inversion on channel-path weights, with the harmonics as 3-vectors."""
-    weights = channel_weights(params, cfg, _PREP_KETS, meter.ket()[None], post)
+    weights = channel_weights(params, cfg, _PREP_KETS, meter, post)
     w_h, w_v, w_ok = weights[:, 0], weights[:, 1], weights[:, 2:].sum(axis=1)
     to_harmonics = np.array([[0.5, 0.5, 0.0], [0.5, -0.5, 0.0], [-0.5, -0.5, 1.0]])
     d, s, ok = to_harmonics @ (w_h - w_v), to_harmonics @ (w_h + w_v), to_harmonics @ w_ok
-    if np.linalg.norm(np.cross(d, s)) <= 1e-12 * float(s @ s):
+    d /= meter.strength  # the harmonics of (W_H - W_V) / K, at the paper's strengths
+    if np.linalg.norm(np.cross(d, s)) <= _INPUT_FREE_TOL * float(s @ s):
         raise InversionRangeError("nothing to invert")
-    c0, c1, c2 = d - wv * meter.strength * s
+    c0, c1, c2 = d - wv * s
     amp = math.hypot(c1, c2)
-    if abs(c0) > amp + 1e-12 * float(np.linalg.norm(s)):
+    if abs(c0) > amp + _MISS_TOL * float(np.linalg.norm(s)):
         raise InversionRangeError("out of range")
     centre, spread = math.atan2(c2, c1), math.acos(min(1.0, max(-1.0, -c0 / amp)))
     roots = np.array([centre - spread, centre + spread])
@@ -981,8 +1001,9 @@ def test_endpoint_weights_match_the_channel_path(cfg, monkeypatch):
         for post in posts:
             for v, p in REFERENCE_MODELS:
                 params = ImperfectionParams(v, p)
-                want = channel_weights(params, cfg, inputs, meter.ket()[None], post)
-                got = _model_weights([params], inputs, meter.ket()[None], post, cfg)[0]
+                want = channel_weights(params, cfg, inputs, meter, post)
+                got = _at_strength(_model_harmonics([params], inputs, post, cfg)[0],
+                                   meter.strength)
                 assert np.max(np.abs(got - want)) < 1e-15  # all six events, the joint four included
                 for psi in signals:
                     p_h, p_v, p_a = channel_postselected_probs(
@@ -1000,7 +1021,7 @@ def test_endpoint_weights_match_the_channel_path(cfg, monkeypatch):
                     target = channel_postselected_probs(
                         imperfect_channel(None, params, cfg), PSI_42, meter, post)[2]
                     psi_ends = [channel_weights(ImperfectionParams(e), cfg, PSI_42.ket()[None],
-                                                meter.ket()[None], post)[0] for e in (1.0, 0.0)]
+                                                meter, post)[0] for e in (1.0, 0.0)]
                     (a1, s1), (a0, s0) = ((w[0] + w[1], w[2:].sum()) for w in psi_ends)
                     want_v = (target * s0 - a0) / ((a1 - a0) - target * (s1 - s0))
                     if abs(a1 / s1 - a0 / s0) <= 1e-4 * max(a1 / s1, a0 / s0):
