@@ -204,19 +204,20 @@ MAX_MEAN_COUNT = 1e15
 
 _CAL_OUTCOMES = ("HH", "HV", "VH", "VV")
 _METER_OUTCOMES = ("H", "V")
+_NEGATIVE_ROUNDING = 1e-12  # how far below 0 a probability may fall by rounding, counted as 0
 
 
 def _poisson_means(probs, outcomes, rate, duration) -> np.ndarray:
     """Poisson means ``rate * duration * max(p, 0)`` of a (G, n) probability grid.
 
     Each row is a distribution over ``outcomes``: finite, no entry below
-    -1e-12 and a sum within ``NORM_TOL`` of 1. ``rate`` and ``duration`` must be
+    -_NEGATIVE_ROUNDING and a sum within ``NORM_TOL`` of 1. ``rate`` and ``duration`` must be
     finite and non-negative, and so must their product; no mean may
     exceed ``MAX_MEAN_COUNT``.
     """
     probs = np.asarray(probs, dtype=float)
     for bad, what in ((~np.isfinite(probs).all(axis=1), "non-finite"),
-                      ((probs < -1e-12).any(axis=1), "negative")):
+                      ((probs < -_NEGATIVE_ROUNDING).any(axis=1), "negative")):
         if bad.any():
             row = dict(zip(outcomes, probs[bad][0].tolist()))
             raise ValueError(f"{what} probability in {row}")

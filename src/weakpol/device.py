@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import PostselectionImpossibleError, ZeroNormError
+from .errors import ZeroNormError
 from .fock import PRUNE_TOL, BeamSplitterSpec, FockState, ModeRegistry
-from .weak_values import NORM_TOL, MeterSetting, Polarization, target_state
+from .weak_values import NORM_TOL, MeterSetting, Polarization, nonzero_weight, target_state
 
 SIGNAL_MODES = ("sH", "sV")
 METER_MODES = ("mH", "mV")
@@ -127,6 +127,9 @@ class DeviceConfig:
         return DeviceConfig, (self.interfering_eta, self.balance_eta, self.hadamard_eta)
 
 
+_SUCCESS_ROUNDING = 1e-12  # how far a success probability may exceed 1 by rounding
+
+
 @dataclass
 class TwoQubitState:
     """Joint signal (x) meter polarization state kept by coincidence.
@@ -144,7 +147,7 @@ class TwoQubitState:
         n = np.vdot(self.amplitudes, self.amplitudes).real
         if not abs(n - 1.0) <= NORM_TOL:  # written so that NaN fails
             raise ValueError(f"amplitudes not normalized (|psi|^2 = {n})")
-        if not 0.0 <= self.success_prob <= 1.0 + 1e-12:
+        if not 0.0 <= self.success_prob <= 1.0 + _SUCCESS_ROUNDING:
             raise ValueError(f"success probability out of range: {self.success_prob}")
 
     def density_matrix(self) -> np.ndarray:
@@ -172,15 +175,13 @@ def input_state(signal: Polarization, meter: MeterSetting) -> FockState:
 def run_device(signal: Polarization, meter: MeterSetting, cfg: DeviceConfig = DeviceConfig()) -> TwoQubitState:
     """Run the gate ``cfg`` carries on a product input and condition on coincidence.
 
-    The input enters as its four amplitude products (HH, HV, VH, VV). A
-    coincidence weight at or below ``PRUNE_TOL**2`` means the gate never
-    fires on this input, and raises ``PostselectionImpossibleError``.
+    The input enters as its four amplitude products (HH, HV, VH, VV). The gate never fires
+    where ``nonzero_weight`` reads the coincidence weight as zero: PostselectionImpossibleError.
     """
     a, b, g, gb = signal.alpha, signal.beta, meter.gamma, meter.gammabar
     amps = cfg.gate @ np.array([a * g, a * gb, b * g, b * gb], dtype=complex)
-    prob = float((np.abs(amps) ** 2).sum())
-    if prob <= PRUNE_TOL**2:
-        raise PostselectionImpossibleError("coincidence probability is zero: the gate never fires")
+    prob = nonzero_weight(float((np.abs(amps) ** 2).sum()),
+                          "coincidence probability is zero: the gate never fires")
     return TwoQubitState(amps / math.sqrt(prob), prob)
 
 

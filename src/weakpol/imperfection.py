@@ -61,8 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceConfig
-from .errors import InfeasibleTargetError, InversionRangeError, PostselectionImpossibleError
-from .weak_values import _P_POST_TOL, MeterSetting, Polarization, antidiagonal, nonzero_strength
+from .errors import InfeasibleTargetError, InversionRangeError
+from .weak_values import MeterSetting, Polarization, antidiagonal, nonzero_strength, nonzero_weight
 
 
 # H, V and D, the inputs whose weights fix a quadratic form's harmonics in invert_s1
@@ -172,25 +172,17 @@ def _imbalance_over_k(h: np.ndarray, k):
     return dc @ np.array([1.0 / k, k ** 0, -k / (1.0 + np.sqrt(1.0 - k * k))])
 
 
-def _checked_success(success: np.ndarray) -> np.ndarray:
-    """The success weights; raises where the channel never succeeds."""
-    if np.any(success <= _P_POST_TOL):
-        raise PostselectionImpossibleError("channel output has zero weight")
-    return success
-
-
 def _joint_probs(w: np.ndarray) -> np.ndarray:
     """(P_HH, P_HV, P_VH, P_VV) conditioned on success, from six event weights (..., 6)."""
     joint = w[..., 2:]
-    return joint / _checked_success(joint.sum(axis=-1))[..., None]
+    return joint / nonzero_weight(joint.sum(axis=-1), "channel output has zero weight")[..., None]
 
 
 def _postselected_probs(w: np.ndarray) -> np.ndarray:
     """(P(meter H | post), P(meter V | post), P(post | success)) from six event weights (..., 6)."""
     post_weight = w[..., 0] + w[..., 1]
-    p_post = post_weight / _checked_success(w[..., 2:].sum(axis=-1))
-    if np.any(p_post <= _P_POST_TOL):
-        raise PostselectionImpossibleError("postselection probability is zero under the channel")
+    p_post = post_weight / nonzero_weight(w[..., 2:].sum(axis=-1), "channel output has zero weight")
+    nonzero_weight(p_post, "postselection probability is zero under the channel")
     return np.stack([w[..., 0] / post_weight, w[..., 1] / post_weight, p_post], axis=-1)
 
 
@@ -251,7 +243,7 @@ def distinguishable_device(signal: Polarization, meter: MeterSetting,
     """
     amps = TwoQubitChannel(cfg.parts).kraus @ np.kron(signal.ket(), meter.ket())
     rho = amps.T @ amps.conj()
-    prob = float(_checked_success(np.trace(rho).real))
+    prob = nonzero_weight(float(np.trace(rho).real), "channel output has zero weight")
     joint = tuple(float(x) for x in rho.diagonal().real / prob)
     return DistinguishableOutput(rho=rho / prob, success_prob=prob, joint_hv=joint)
 
@@ -388,7 +380,7 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
     ends = _at_strength(_model_harmonics((ImperfectionParams(1.0), ImperfectionParams(0.0)),
                                          psi.ket()[None], post, cfg)[:, 0], meter.strength)
     (a1, s1), (a0, s0) = ((w[0] + w[1], sum(w[2:])) for w in ends.tolist())
-    _checked_success(np.array([s1, s0]))
+    nonzero_weight(min(s1, s0), "channel output has zero weight")
     lo_val, hi_val = sorted((a1 / s1, a0 / s0))
     if hi_val - lo_val <= 1e-4 * hi_val:
         raise InfeasibleTargetError(

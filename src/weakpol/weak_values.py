@@ -25,7 +25,7 @@ from .errors import PostselectionImpossibleError, ZeroStrengthError
 # strengths below this are operationally zero: gamma = sqrt(1/2) does not square back
 # to exactly 0.5 in floats, and ratios over such strengths are pure rounding noise
 ZERO_STRENGTH_TOL = 1e-14
-# postselection weights below this are rounding residue of an exact zero
+# weights at most this are rounding residue of an exact zero; read by nonzero_weight alone
 _P_POST_TOL = 1e-24
 # a total probability (or squared norm) this far from 1 is a wrong input, not rounding
 NORM_TOL = 1e-9
@@ -130,6 +130,15 @@ def nonzero_strength(gamma):
     return k
 
 
+def nonzero_weight(w, what: str):
+    """``w``, a weight or an array of them, judged by the one zero-weight rule (a float without
+    numpy): raises PostselectionImpossibleError, with the message ``what``, where a weight is
+    at most _P_POST_TOL, rounding of an exact zero (1.7e-32 for a diagonal input, post A, K = 0)."""
+    if (w <= _P_POST_TOL) if isinstance(w, float) else (np.asarray(w) <= _P_POST_TOL).any():
+        raise PostselectionImpossibleError(what)
+    return w
+
+
 S1 = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -168,64 +177,61 @@ def target_state(signal: Polarization, meter: MeterSetting) -> np.ndarray:
     return np.array([[a * g, a * gb], [b * gb, b * g]], dtype=complex)
 
 
-def postselected_probs(psi: Polarization, meter: MeterSetting, post: Polarization):
-    """(P(meter H | post), P(meter V | post), P(post)).
+def _closed_form(psi: Polarization, meter: MeterSetting, post: Polarization):
+    """(d, P(post), K) at K = ``meter.strength``, once ``nonzero_weight`` has judged P(post).
 
-    Projecting the signal of :func:`target_state` on <post| leaves one
-    meter amplitude per outcome; the amplitudes add before squaring, which
-    is where the postselection interference lives. Raises
-    PostselectionImpossibleError when P(post) = 0, where the conditionals
-    are undefined.
+    A = conj(x) alpha and B = conj(y) beta, for post = x|H> + y|V>, are exact integers over
+    one power of two, so d = |A|^2 - |B|^2 = Re((A + B) conj(A - B)), A + B and A - B are each
+    rounded once, and P(post) = |A + B|^2 - 2q Re(A conj B) = (1 - q/2) |A + B|^2 + (q/2)
+    |A - B|^2 sums two non-negative terms. These are the meter harmonics c0 = |A + B|^2 / 2,
+    c1 = +-d / 2 and c2 = Re(A conj B) of the post and meter H and V weights of target_state.
     """
-    a_h, a_v = post.ket().conj() @ target_state(psi, meter)
-    p_post = abs(a_h) ** 2 + abs(a_v) ** 2
-    if p_post <= _P_POST_TOL:
-        raise PostselectionImpossibleError(
-            "postselection probability is zero; conditional probabilities undefined"
-        )
-    return float(abs(a_h) ** 2 / p_post), float(abs(a_v) ** 2 / p_post), float(p_post)
+    ratios = [v.as_integer_ratio() for z in (post.alpha, post.beta, psi.alpha, psi.beta)
+              for v in (complex(z).real, complex(z).imag)]
+    den = max(m for _, m in ratios)
+    xr, xi, yr, yi, sr, si, tr, ti = (n * (den // m) for n, m in ratios)
+    ar, ai, br, bi = xr * sr + xi * si, xr * si - xi * sr, yr * tr + yi * ti, yr * ti - yi * tr
+    plus, minus = (abs(complex((ar + sign * br) / den**2, (ai + sign * bi) / den**2)) ** 2
+                   for sign in (1, -1))
+    k = meter.strength
+    q = k * k / (1.0 + math.sqrt(1.0 - k * k))
+    p_post = nonzero_weight((1.0 - q / 2.0) * plus + q / 2.0 * minus,
+                            "postselection probability is zero: weak value diverges")
+    return (ar * ar + ai * ai - br * br - bi * bi) / den**4, p_post, k
+
+
+def postselected_probs(psi: Polarization, meter: MeterSetting, post: Polarization):
+    """(P(meter H | post), P(meter V | post), P(post)), the conditionals (1 +- K d / P(post)) / 2.
+
+    The closed form adds the meter amplitudes before squaring, where the postselection
+    interference lives. Where ``nonzero_weight`` reads P(post) as zero it raises."""
+    d, p_post, k = _closed_form(psi, meter, post)
+    return (1.0 + k * d / p_post) / 2.0, (1.0 - k * d / p_post) / 2.0, p_post
 
 
 def weak_value_analytic(psi: Polarization, meter: MeterSetting, post: Polarization) -> float:
     """Postselected value of s1 for preparation ``psi`` and meter ``meter``.
 
-    With post = x|H> + y|V>, A = conj(x) alpha and B = conj(y) beta, the
-    closed form
+    With post = x|H> + y|V>, A = conj(x) alpha and B = conj(y) beta, it is
+    (pH - pV) / K with K cancelled by hand, over P(post):
 
-        (|A|^2 - |B|^2) / (|A|^2 + |B|^2 + 4 g gbar Re(A conj(B)))
+        (|A|^2 - |B|^2) / (|A + B|^2 - 2q Re(A conj B)),  q = K^2 / (1 + sqrt(1 - K^2)).
 
-    is (pH - pV)/K with K cancelled by hand, since |a_h|^2 - |a_v|^2 =
-    K (|A|^2 - |B|^2). It holds for every input, complex or real, at every
-    strength including K = 0, where for a real input and the antidiagonal
-    postselection it is (alpha + beta)/(alpha - beta) and can be
-    arbitrarily large. A denominator that vanishes against |A|^2 + |B|^2
-    (or 0 over 0, for an input orthogonal to the postselection) means the
-    postselection is impossible in the weak limit and raises instead of
-    returning inf.
+    It holds for every input and strength, K = 0 included: there it is the weak value of
+    Aharonov, Albert & Vaidman (PRL 60, 1351 (1988)), (alpha + beta)/(alpha - beta) for a real
+    input and post A. Where ``nonzero_weight`` reads P(post) as zero it raises
+    PostselectionImpossibleError instead of returning inf.
     """
-    a = complex(post.alpha).conjugate() * psi.alpha
-    b = complex(post.beta).conjugate() * psi.beta
-    aa, bb = abs(a) ** 2, abs(b) ** 2
-    den = aa + bb + (4.0 * meter.gamma * meter.gammabar * a * b.conjugate()).real
-    if not den > 1e-14 * (aa + bb):
-        raise PostselectionImpossibleError(
-            "weak value diverges: postselection orthogonal in the weak limit"
-        )
-    return (aa - bb) / den
+    d, p_post, _ = _closed_form(psi, meter, post)
+    return d / p_post
 
 
 def expectation_decomposition(psi: Polarization, meter: MeterSetting):
     """Split <s1> over the complementary postselections A and D.
 
-    Returns (term_A, term_D, total) with term_X = (weak value | X) * P(X);
-    the total equals |alpha|^2 - |beta|^2 identically, however extreme the
-    individual weak values are, at K = 0 too. An input orthogonal to A or D
-    in the weak limit (a real +-45 degree input) raises PostselectionImpossibleError.
-    """
-    term = {}
-    for label in ("A", "D"):
-        post = postselect_state(label)
-        _, _, p_post = postselected_probs(psi, meter, post)
-        wv = weak_value_analytic(psi, meter, post)
-        term[label] = wv * p_post
-    return term["A"], term["D"], term["A"] + term["D"]
+    Returns (term_A, term_D, total), term_X = (weak value | X) * P(X) = d of the closed form,
+    whose total is |alpha|^2 - |beta|^2 however extreme the weak values are, at K = 0 too. Where
+    P(A) or P(D) is a zero weight (a real +-45 degree input at K = 0) it raises as
+    ``weak_value_analytic`` does."""
+    term_a, term_d = (_closed_form(psi, meter, postselect_state(x))[0] for x in "AD")
+    return term_a, term_d, term_a + term_d

