@@ -19,7 +19,7 @@ strength lies in [-1, 1]. Exit codes:
   2  usage error (argparse)
   3  malformed config file / unknown key / key the subcommand does not take
   5  out-of-range parameter
-  6  degenerate input: a meter strength |K| < 1e-14 (K = 0), or a postselection that never succeeds
+  6  degenerate input: a postselection that never succeeds
   7  infeasible model fit
   8  gate verification exceeded tolerance
   9  output I/O failure
@@ -55,7 +55,6 @@ from .weak_values import (
     MeterSetting,
     Polarization,
     antidiagonal,
-    nonzero_strength,
     povm_elements,
     weak_value_analytic,
 )
@@ -210,9 +209,8 @@ def _cmd_povm(given: dict) -> int:
 def _cmd_weak_value(given: dict) -> int:
     angle = _check_angle(given.get("angle", 42.0))
     k = given.get("k", 0.006)
-    meter = MeterSetting.from_strength(k)
-    nonzero_strength(meter.gamma)  # the closed form stays finite at K = 0, the weak value does not
-    value = weak_value_analytic(Polarization.from_degrees(angle), meter, antidiagonal())
+    value = weak_value_analytic(Polarization.from_degrees(angle), MeterSetting.from_strength(k),
+                                antidiagonal())
     print(f"# weak-value angle={format(angle, '.17g')} K={format(k, '.17g')}")
     print(format(value, ".17g"))
     return EXIT_OK

@@ -396,11 +396,11 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
     """Simulate calibration and weak-value runs over a strength grid.
 
     The grid is checked as the model curve's is: an empty grid or a point outside
-    [-1, 1] or NaN raises ValueError, then a point whose meter encodes K = 0
-    ZeroStrengthError. The model probabilities come first, for the whole grid at once
-    and from one gate build, each signal's meter harmonics read at every strength: the
-    joint distribution of a diagonal input (calibration, no postselection) and the
-    meter probabilities of ``psi`` postselected on A. Grid point ``i`` then draws its calibration
+    [-1, 1] or NaN raises ValueError; K = 0 is drawn like any other strength. The model
+    probabilities come first, for the whole grid at once and from one gate build, each
+    signal's meter harmonics read at every strength: the joint distribution of a
+    diagonal input (calibration, no postselection) and the meter probabilities of
+    ``psi`` postselected on A. Grid point ``i`` then draws its calibration
     counts and its postselected meter counts from its two substreams of the master
     seed, ``stream_for(plan.seed, i, K_RUN)`` and ``stream_for(plan.seed, i,
     WV_RUN)``, so the table depends on the seed alone. The keys of all those

@@ -36,7 +36,9 @@ and w_k = <e|k|a, V> for operator k and signal a, c0 = sum_k |u_k + w_k|^2 / 2,
 c1 = sum_k (|u_k|^2 - |w_k|^2) / 2 and c2 = sum_k Re(u_k conj w_k). A meter
 encoding strength K weighs e by c0 + K c1 - q c2, q = 1 - sqrt(1 - K^2) taken
 as K^2 / (1 + sqrt(1 - K^2)); (W_H - W_V) / K = dc0 / K + dc1 - (q / K) dc2
-divides no difference by K (dc0 is 0 on the balanced gate). c0 adds u + w
+divides no difference by K. On the balanced gate dc0 is 0 (or its rounding,
+about 1e-18, for some inputs at v < 1), and the weak limit at K = 0 is dc1 /
+(W_H + W_V); a meter with dc0 not exactly 0 refuses |K| < 1e-14. c0 adds u + w
 before squaring, so the interference cancels in amplitudes. The channel views
 read the kernel on a channel's Kraus stack; the model (the Fig. 2 sweep, the
 model curve, the fit and the inversion) on the seven mixture operators (gate,
@@ -61,8 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceConfig
-from .errors import InfeasibleTargetError, InversionRangeError
-from .weak_values import MeterSetting, Polarization, antidiagonal, nonzero_strength, nonzero_weight
+from .errors import InfeasibleTargetError, InversionRangeError, ZeroStrengthError
+from .weak_values import MeterSetting, Polarization, antidiagonal, nonzero_weight
 
 
 # H, V and D, the inputs whose weights fix a quadratic form's harmonics in invert_s1
@@ -135,15 +137,16 @@ class TwoQubitChannel:
 def _grid_strengths(strengths) -> np.ndarray:
     """The strengths the meters of ``MeterSetting.from_strength`` encode, bit for bit, one per K.
 
-    The one strength-grid check, in order: empty (ValueError), outside [-1, 1]
-    or NaN (ValueError), then ``nonzero_strength`` on the gammas (ZeroStrengthError)."""
+    The one strength-grid check: an empty grid, or a point outside [-1, 1] or NaN, raises
+    ValueError."""
     k = np.asarray(strengths, dtype=float)
     if not k.size:
         raise ValueError("strength grid is empty")
     outside = ~(np.abs(k) <= 1.0)  # written so that NaN is outside
     if outside.any():
         raise ValueError(f"strength must lie in [-1, 1], got {k[outside][0]}")
-    return nonzero_strength(np.sqrt((1.0 + k) / 2.0))
+    gamma = np.sqrt((1.0 + k) / 2.0)
+    return 2.0 * gamma * gamma - 1.0
 
 
 def _harmonics(ops: np.ndarray, signals: np.ndarray, post: Polarization | None = None,
@@ -166,9 +169,18 @@ def _at_strength(h: np.ndarray, k) -> np.ndarray:
     return np.array([k ** 0, k, -k * k / (1.0 + np.sqrt(1.0 - k * k))]).T @ h
 
 
+ZERO_STRENGTH_TOL = 1e-14  # |K| under this is K = 0: sqrt(1/2) squares back 2.2e-16 off 0.5
+
+
 def _imbalance_over_k(h: np.ndarray, k):
-    """(W_H - W_V) / K as dc0 / K + dc1 - (q / K) dc2, from the two meter events' differences."""
+    """(W_H - W_V) / K as dc0 / K + dc1 - (q / K) dc2, from the two meter events' differences.
+
+    The one zero-strength rule: only dc0 / K divides by K, so where |K| < ZERO_STRENGTH_TOL a
+    biased meter (dc0 not exactly 0) raises ZeroStrengthError; an unbiased one gives dc1."""
     dc = h[..., 0] - h[..., 1]
+    if (np.abs(k) < ZERO_STRENGTH_TOL).any() and (dc[..., 0] != 0.0).any():
+        raise ZeroStrengthError(
+            f"strength K = 0, |K| < {ZERO_STRENGTH_TOL:g}: weak value undefined")
     return dc @ np.array([1.0 / k, k ** 0, -k / (1.0 + np.sqrt(1.0 - k * k))])
 
 
@@ -434,7 +446,7 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
     probability lies closest to ``measured_p_a`` wins, and <s1> = cos phi
     is returned.
 
-    Raises ZeroStrengthError where ``nonzero_strength`` reads the meter's K as 0, and
+    Raises ZeroStrengthError where ``_imbalance_over_k`` reads a biased meter's K as 0, and
     InversionRangeError when no input reproduces the measured value, and when the weak
     value is the same for every input (as when postselecting on H or V without white
     noise), so that it carries nothing to invert. The equation may miss by a rounding
@@ -449,7 +461,7 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
         raise ValueError(f"measured_p_a is a probability in [0, 1], got {measured_p_a}")
     if not isinstance(meter, MeterSetting):
         raise TypeError("meter must be a MeterSetting")
-    k = nonzero_strength(meter.gamma)
+    k = meter.strength
     h = _model_harmonics([params], _PREP_KETS, post, cfg)[0]
     # harmonics q0 = (W(H) + W(V))/2, q1 = (W(H) - W(V))/2, q2 = W(D) - q0 of (W_H - W_V) / K,
     # W_H + W_V and the success weight, from their values at the inputs H, V and D

@@ -20,11 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PostselectionImpossibleError, ZeroStrengthError
+from .errors import PostselectionImpossibleError
 
-# strengths below this are operationally zero: gamma = sqrt(1/2) does not square back
-# to exactly 0.5 in floats, and ratios over such strengths are pure rounding noise
-ZERO_STRENGTH_TOL = 1e-14
 # weights at most this are rounding residue of an exact zero; read by nonzero_weight alone
 _P_POST_TOL = 1e-24
 # a total probability (or squared norm) this far from 1 is a wrong input, not rounding
@@ -118,16 +115,6 @@ class MeterSetting:
 
     def ket(self) -> np.ndarray:
         return np.array([self.gamma, self.gammabar], dtype=complex)
-
-
-def nonzero_strength(gamma):
-    """The strength 2 gamma gamma - 1 of meter amplitudes ``gamma``, squared as in ``MeterSetting``.
-
-    The one zero-strength rule: raises ZeroStrengthError where |K| < ZERO_STRENGTH_TOL."""
-    k = 2.0 * gamma * gamma - 1.0
-    if (np.abs(k) < ZERO_STRENGTH_TOL).any():  # a scalar k gives a numpy bool
-        raise ZeroStrengthError(f"strength K = 0, |K| < {ZERO_STRENGTH_TOL:g}: weak value undefined")
-    return k
 
 
 def nonzero_weight(w, what: str):

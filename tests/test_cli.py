@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,9 +14,11 @@ import pytest
 
 import weakpol.cli as cli
 from weakpol import (
+    DeviceConfig,
     ImperfectionParams,
     MeterSetting,
     Polarization,
+    RunPlan,
     WeakpolError,
     ZeroStrengthError,
     invert_s1,
@@ -30,6 +33,7 @@ from weakpol.cli import (
     build_parser,
     main,
 )
+from weakpol.counting import _ROW_FORMAT, CSV_HEADER
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -96,10 +100,19 @@ def test_weak_value_prints_analytic_value(capsys):
     assert out.split()[-1] == "19.018985734711332"
 
 
-def test_weak_value_rejects_zero_strength(capsys):
-    code, _, err = run_cli(["weak-value", "--angle", "42", "--K", "0"], capsys)
-    assert code == EXIT_DEGENERATE
-    assert "undefined" in err
+def test_weak_value_prints_the_weak_limit_at_zero_strength(capsys):
+    # at K = 0 the closed form is the weak value of Aharonov, Albert & Vaidman,
+    # (alpha + beta) / (alpha - beta) for a real input and post A
+    code, out, _ = run_cli(["weak-value", "--angle", "42", "--K", "0"], capsys)
+    assert code == EXIT_OK
+    assert out.split()[-1] == "19.081136687728211"
+    t = math.radians(42.0)
+    aav = (math.cos(t) + math.sin(t)) / (math.cos(t) - math.sin(t))
+    assert math.isclose(float(out.split()[-1]), aav, rel_tol=1e-15)
+    # an input orthogonal to the post never passes it in the weak limit
+    code, out, err = run_cli(["weak-value", "--angle", "45", "--K", "0"], capsys)
+    assert (code, out) == (EXIT_DEGENERATE, "")
+    assert "postselection probability is zero" in err
 
 
 def refuses_zero_strength(call) -> bool:
@@ -112,34 +125,30 @@ def refuses_zero_strength(call) -> bool:
     return False
 
 
-# strength -> whether it is K = 0: from_strength(1e-14) reads back 9.77e-15 and -1e-14
-# reads back -9.88e-15, so both are, while 1.1e-14 reads back 1.11e-14
+# strength -> whether its meter encodes |K| < 1e-14: from_strength(1e-14) reads back 9.77e-15
+# and -1e-14 reads back -9.88e-15, so both do, while 1.1e-14 reads back 1.11e-14
 IS_ZERO_STRENGTH = {"1e-15": True, "-1e-15": True, "9.9e-15": True, "1e-14": True,
                     "-1e-14": True, "1.1e-14": False, "2e-14": False}
 
 
 @pytest.mark.parametrize("k", IS_ZERO_STRENGTH)
 def test_weak_value_and_fig2_share_the_zero_strength_rule(k, tmp_path, capsys):
-    # every route judges the strength the meter encodes, 2 gamma gamma - 1, by one rule
-    zero = IS_ZERO_STRENGTH[k]
+    # K = 0 is refused only where the model divides a meter bias dc0 by K: the CLI routes
+    # and the balanced gate's model return a value at every K, and a biased meter (an
+    # unbalanced Hadamard) makes the model routes refuse exactly the strengths under 1e-14
     out = tmp_path / "x.csv"
     fig2_code = run_cli(["fig2", "--k-grid", k, "--out", str(out)], capsys)[0]
-    code, stdout, err = run_cli(["weak-value", "--K", k], capsys)
+    code = run_cli(["weak-value", "--K", k], capsys)[0]
+    assert (code, fig2_code) == (EXIT_OK, EXIT_OK) and out.exists()
     model, meter = ImperfectionParams(0.96), MeterSetting.from_strength(float(k))
-    verdicts = {
-        "fig2": fig2_code == EXIT_DEGENERATE,
-        "weak-value": code == EXIT_DEGENERATE,
-        "model_weak_value_curve": refuses_zero_strength(
-            lambda: model_weak_value_curve(model, Polarization.from_degrees(42.0), [float(k)])),
-        "invert_s1": refuses_zero_strength(lambda: invert_s1(19.0, 0.001, model, meter)),
-    }
-    assert verdicts == dict.fromkeys(verdicts, zero)
-    assert out.exists() is not zero
-    if zero:
-        assert stdout == ""
-        assert "|K| < 1e-14: weak value undefined" in err
-    else:
-        assert (code, fig2_code) == (EXIT_OK, EXIT_OK)
+    biased = DeviceConfig(hadamard_eta=0.4)
+    for cfg, refused in ((DeviceConfig(), False), (biased, IS_ZERO_STRENGTH[k])):
+        verdicts = {
+            "model_weak_value_curve": refuses_zero_strength(lambda: model_weak_value_curve(
+                model, Polarization.from_degrees(42.0), [float(k)], cfg)),
+            "invert_s1": refuses_zero_strength(lambda: invert_s1(19.0, 0.001, model, meter, cfg)),
+        }
+        assert verdicts == dict.fromkeys(verdicts, refused), cfg
 
 
 def test_weak_value_rejects_out_of_range_angle(capsys):
@@ -357,12 +366,16 @@ def test_fig2_rejects_mean_count_beyond_the_bound(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_fig2_rejects_zero_in_grid(tmp_path, capsys):
-    code, _, _ = run_cli(
-        ["fig2", "--k-grid", "0,0.5", "--out", str(tmp_path / "x.csv")], capsys
-    )
-    assert code == EXIT_DEGENERATE
-    assert not (tmp_path / "x.csv").exists()
+def test_fig2_draws_zero_in_grid_as_the_scalar_reference(tmp_path, capsys):
+    from test_counting import ref_fig2
+
+    out = tmp_path / "x.csv"
+    code, _, _ = run_cli(["fig2", "--k-grid", "0,0.5", "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    rows = ref_fig2(RunPlan(), ImperfectionParams(), [0.0, 0.5])[0]
+    # %.17g round-trips every double, so equal lines are bit-for-bit equal rows
+    assert out.read_text().splitlines() == [CSV_HEADER] + [
+        _ROW_FORMAT % (*row[:6], "no_data" if row[7] else str(row[6]).lower()) for row in rows]
 
 
 def test_tomo_writes_chi_csv(tmp_path, capsys):

@@ -296,8 +296,9 @@ def test_run_fig2_zero_weak_value_duration_flags_no_data():
 def test_run_fig2_rejects_bad_grids():
     with pytest.raises(ValueError):
         run_fig2(RunPlan(), PSI_42, ImperfectionParams(), [])
-    with pytest.raises(ZeroStrengthError):
-        run_fig2(RunPlan(), PSI_42, ImperfectionParams(), [0.0, 0.5])
+    # K = 0 is no bad grid point: the weak limit is drawn like any other strength
+    assert [r.k_true for r in run_fig2(RunPlan(), PSI_42, ImperfectionParams(), [0.0, 0.5]).rows] \
+        == [0.0, 0.5]
 
 
 @pytest.mark.parametrize("bad", [1.5, math.nan])

@@ -29,7 +29,7 @@ from weakpol.device import (
     target_state,
     transfer_matrix,
 )
-from weakpol.weak_values import circular_right, diagonal, horizontal, vertical
+from weakpol.weak_values import circular_right, diagonal, horizontal, nonzero_weight, vertical
 
 GAMMA_GRID = (1.0 / math.sqrt(2.0), 0.75, 0.8, 0.9, 1.0)
 
@@ -436,7 +436,9 @@ def test_gate_build_matches_kron_reference_bitwise():
         for signal, meter in (*pairs, (horizontal(), MeterSetting(1.0))):
             amps = gate @ (signal.ket()[:, None] * meter.ket()).reshape(4)
             prob = float(np.sum(np.abs(amps) ** 2))
-            if prob <= fock.PRUNE_TOL**2:
+            try:
+                nonzero_weight(prob, "coincidence probability is zero")
+            except PostselectionImpossibleError:
                 raised += 1
                 with pytest.raises(PostselectionImpossibleError):
                     run_device(signal, meter, cfg)

@@ -59,6 +59,28 @@ FULL_TRANSMISSION = {"interfering_eta": (1.4630769541293898, 0.21087137320492721
                      "balance_eta": (1.7087396364120733, 0.7012170092225111, "0.0909193")}
 
 
+# meters biased at K = 0, dc0 = c0(meter H) - c0(meter V) not 0: an unbalanced Hadamard,
+# and the rounding bias off the default splitters, which invert_s1's probes H, V and D
+# do not carry at v = 0.96 (dc0 is exactly 0 for all three there)
+BIASED = {"hadamard_eta=0.4": DeviceConfig(hadamard_eta=0.4),
+          "interfering_eta=0.3": DeviceConfig(interfering_eta=0.3)}
+# the v = 0.96 curve of PSI_42 at K = 1e-6 on DeviceConfig(interfering_eta=0.3)
+WV_42_INTERFERING = 4.845588731998378
+
+
+def channel_42(cfg, k):
+    """(P_H, P_V, P(A | success)) of PSI_42 at v = 0.96 on the channel of ``cfg``, at ``k``."""
+    return channel_postselected_probs(imperfect_channel(None, V_096, cfg), PSI_42,
+                                      MeterSetting.from_strength(k), antidiagonal())
+
+
+def curve_over_channel(cfg, k):
+    """The model curve at ``k`` over (P_H - P_V) / K of the channel view, the reference."""
+    p_h, p_v, _ = channel_42(cfg, k)
+    return (model_weak_value_curve(V_096, PSI_42, [k], cfg)[0][1]
+            / ((p_h - p_v) / MeterSetting.from_strength(k).strength))
+
+
 # the product state |HH> as TwoQubitState amplitudes, and totals just inside and outside NORM_TOL
 H_H = np.array([[1.0, 0.0], [0.0, 0.0]])
 NORM_IN, NORM_OUT = 1.0 + 0.9e-9, 1.0 + 1.1e-9
@@ -109,8 +131,40 @@ ROWS = {
         lambda: model_weak_value_curve(NOISE_ONLY, PSI_42, [0.05])[0][1], 0.0),
     "invert_s1-depol=1": (lambda: invert_s1(WV_42, 0.25, NOISE_ONLY, K_005),
                           (InversionRangeError, "does not depend on the input")),
-    "model_weak_value_curve-K=0": (lambda: model_weak_value_curve(V_096, PSI_42, [0.0]),
-                                   (ZeroStrengthError, "K = 0")),
+    # the balanced gate has no meter bias to divide by K: K = 0 gives the weak limit, the
+    # value the curve reads at every K up to 1e-9, bit for bit
+    "model_weak_value_curve-K=0": (lambda: model_weak_value_curve(V_096, PSI_42, [0.0])[0][1],
+                                   4.0423077493282245),
+    # ZERO_STRENGTH_TOL (1e-14) on both sides, on biased meters: below it the curve and the
+    # inversion refuse K = 0; above it the curve is the channel's (P_H - P_V) / K, 4.5e13
+    # for the Hadamard's real bias, and the inversion takes the curve back to <s1>
+    **{f"model_weak_value_curve-{name},K=9.9e-15": (
+        lambda cfg=cfg: model_weak_value_curve(V_096, PSI_42, [9.9e-15], cfg),
+        (ZeroStrengthError, "K = 0")) for name, cfg in BIASED.items()},
+    "invert_s1-hadamard_eta=0.4,K=9.9e-15": (
+        lambda: invert_s1(4.0, 0.01, V_096, MeterSetting.from_strength(9.9e-15),
+                          BIASED["hadamard_eta=0.4"]),
+        (ZeroStrengthError, "K = 0")),
+    "model_weak_value_curve-hadamard_eta=0.4,K=1.1e-14": (
+        lambda: curve_over_channel(BIASED["hadamard_eta=0.4"], 1.1e-14), 1.0),
+    # the rounding bias divided by K drifts the curve: 4.8455887 at K = 1e-6, 4.8401760 here
+    "model_weak_value_curve-interfering_eta=0.3,K=1.1e-14": (
+        lambda: model_weak_value_curve(V_096, PSI_42, [1.1e-14],
+                                       BIASED["interfering_eta=0.3"])[0][1],
+        4.840175972363952),
+    "invert_s1-hadamard_eta=0.4,K=1.1e-14": (
+        lambda: invert_s1(model_weak_value_curve(V_096, PSI_42, [1.1e-14],
+                                                 BIASED["hadamard_eta=0.4"])[0][1],
+                          channel_42(BIASED["hadamard_eta=0.4"], 1.1e-14)[2], V_096,
+                          MeterSetting.from_strength(1.1e-14), BIASED["hadamard_eta=0.4"]),
+        expectation_s1(PSI_42)),
+    # with unbiased probes the inversion divides nothing by K: the same weak limit on both
+    # sides, 1.5e-11 off <s1> as its input carries the drift
+    **{f"invert_s1-interfering_eta=0.3,K={k}": (
+        lambda k=k: invert_s1(WV_42_INTERFERING, channel_42(BIASED["interfering_eta=0.3"], k)[2],
+                              V_096, MeterSetting.from_strength(k),
+                              BIASED["interfering_eta=0.3"]),
+        0.10452846325272569) for k in (9.9e-15, 1.1e-14)},
     **{f"model_weak_value_curve-K={k}": (lambda k=k: model_weak_value_curve(V_096, PSI_42, [k]),
                                          (ValueError, "strength must lie in"))
        for k in (math.nan, math.inf)},

@@ -13,8 +13,8 @@ strengths, and refuses exactly where P(post) is under 1e-24. The model reads
 its weights as meter harmonics c0 + K c1 - q c2 and the weak value as
 (dc0 / K + dc1 - (q / K) dc2) / (W_H + W_V), with dc0 = 0 on the balanced
 gate, so K cancels by hand and the model holds the 1e-10 bounds down to
-K = 1e-12, where the product-ket model read a diagonal input at -235.5 for
-K = 1e-9 against an exact 0.
+K = 0, its weak limit, where the product-ket model read a diagonal input at
+-235.5 for K = 1e-9 against an exact 0.
 """
 
 import math
@@ -39,7 +39,8 @@ from weakpol.imperfection import _model_harmonics, channel_postselected_probs
 from weakpol.weak_values import antidiagonal, diagonal, horizontal, vertical
 
 PAPER_GRID = (0.006, 0.125, 0.25, 0.5, 0.75, 1.0)
-SMALL_GRID = (0.006, 1e-5, 1e-9, 1e-12)
+# down to the weak limit: K = 0 and -1e-15 encode meters of |K| 2.2e-16 and 1.1e-15
+SMALL_GRID = (0.006, 1e-5, 1e-9, 1e-12, 0.0, -1e-15)
 INPUTS = {
     "42deg": Polarization.from_degrees(42.0),
     "H": horizontal(),
@@ -146,10 +147,12 @@ def test_model_and_closed_form_match_their_exact_values_at_paper_strengths(name)
 def test_model_matches_the_closed_form_at_the_callers_strength(name):
     psi, post, cfg = INPUTS[name], antidiagonal(), DeviceConfig()
     for k in SMALL_GRID:
-        if name == "D" and k == 1e-12:
+        if name == "D" and abs(k) <= 1e-12:
             # P(post) = K^2 / 4 is under the 1e-24 that reads a weight as an exact zero
             with pytest.raises(PostselectionImpossibleError):
                 model_weak_value_curve(ImperfectionParams(), psi, [k], cfg, post)
+            with pytest.raises(PostselectionImpossibleError):
+                weak_value_analytic(psi, MeterSetting.from_strength(k), post)
             continue
         got = model_weak_value_curve(ImperfectionParams(), psi, [k], cfg, post)[0][1]
         want = float(decimal_closed_form(psi, k, post))

@@ -371,8 +371,9 @@ def test_fit_above_the_model_ceiling_is_infeasible():
 def test_inversion_refuses_a_strength_that_rounds_to_zero():
     meter = MeterSetting(math.sqrt(0.5))  # gamma^2 - gammabar^2 is about 2e-16
     assert 0.0 < abs(meter.strength) < 1e-15
+    # an unbalanced Hadamard biases the meter: (W_H - W_V) / K divides a nonzero dc0 by K
     with pytest.raises(ZeroStrengthError, match="weak value undefined") as excinfo:
-        invert_s1(1.0, 0.01, ImperfectionParams(), meter)
+        invert_s1(1.0, 0.01, ImperfectionParams(), meter, DeviceConfig(hadamard_eta=0.4))
     assert excinfo.value.code == "weak_value_unbounded"
 
 
@@ -499,8 +500,10 @@ def test_zero_weight_anywhere_in_the_grid_raises():
 def test_zero_strength_in_grid_rejected():
     from weakpol import ZeroStrengthError
 
+    # on a biased meter (an unbalanced Hadamard) K = 0 has no weak limit
     with pytest.raises(ZeroStrengthError):
-        model_weak_value_curve(ImperfectionParams(), PSI_42, [0.0, 0.5])
+        model_weak_value_curve(ImperfectionParams(), PSI_42, [0.0, 0.5],
+                               DeviceConfig(hadamard_eta=0.4))
 
 
 def test_grid_strengths_equal_the_meter_setting_strengths_bit_for_bit():
@@ -800,9 +803,10 @@ def test_invert_ideal_reduces_to_complementary_decomposition():
 def test_curve_and_inversion_hold_at_the_smallest_nonzero_strengths():
     # between the zero rule's 1e-14 and 3e-12 a W_H - W_V scaled by 1 / K read 4.016, 4.050
     # and 4.042 here, and invert_s1 refused its own model's value as input-free; the meter
-    # harmonics cancel K by hand, so value and inversion hold at every K
+    # harmonics cancel K by hand, so value and inversion hold at every K, down to the weak
+    # limit at K = 0, where the balanced gate's meter has no bias to divide by K
     params, values = ImperfectionParams(0.96), []
-    for k in (2e-14, 1e-13, 1e-12):
+    for k in (0.0, 1e-15, -1e-15, 2e-14, 1e-13, 1e-12):
         meter = MeterSetting.from_strength(k)
         wv = model_weak_value_curve(params, PSI_42, [k])[0][1]
         p_a = channel_postselected_probs(imperfect_channel(None, params), PSI_42, meter,
