@@ -39,12 +39,7 @@ import numpy as np
 from . import __version__
 from .counting import RunPlan, make_rng, run_fig2, write_fig2_csv, write_with_sidecar
 from .device import DeviceConfig, equivalence_fidelity, run_device
-from .errors import (
-    InfeasibleTargetError,
-    PostselectionImpossibleError,
-    WeakpolError,
-    ZeroStrengthError,
-)
+from .errors import InfeasibleTargetError, PostselectionImpossibleError, WeakpolError
 from .imperfection import (
     ImperfectionParams,
     format_chi_csv,
@@ -265,7 +260,6 @@ _COMMANDS = {
 # the first matching class wins, so the ValueError subclasses come first
 _EXIT_CODES = {
     InfeasibleTargetError: EXIT_INFEASIBLE,
-    ZeroStrengthError: EXIT_DEGENERATE,
     PostselectionImpossibleError: EXIT_DEGENERATE,
     ValueError: EXIT_RANGE,
     WeakpolError: EXIT_RANGE,

@@ -62,6 +62,7 @@ _NETWORK = (
 _PHASE_BASIS = np.array([f(np.linspace(0.0, 2.0 * np.pi, 1025)) for f in
                          (np.ones_like, np.cos, lambda phi: -np.sin(phi))])
 _PHASE_CELL = 2.0 * np.pi / 1024
+_NEWTON_TOL = 1e-9  # rad: a meter-phase Newton step at most this ends local_phase_fidelity's search
 
 
 def transfer_matrix(cfg: DeviceConfig) -> np.ndarray:
@@ -214,7 +215,7 @@ def local_phase_fidelity(got: np.ndarray, want: np.ndarray) -> float:
     of f(ph) = sum_s sqrt(a_s + Re(c_s e^{i ph})), with a_s = |t_{s0}|^2 +
     |t_{s1}|^2 and c_s = 2 conj(t_{s0}) t_{s1}: one real 1025-point grid
     pass, then Newton on f' bracketed to one cell either side of the best
-    grid point, until a step is at most 1e-9 rad. Conventions differ by
+    grid point, until a step is at most _NEWTON_TOL. Conventions differ by
     exactly such phases; physics does not. The fidelity does not depend on
     scale, so each argument is first divided by its largest real or
     imaginary part. A zero-norm argument raises ZeroNormError, one with a
@@ -237,12 +238,12 @@ def local_phase_fidelity(got: np.ndarray, want: np.ndarray) -> float:
                 d2 -= (z.real + z.imag**2 / (2.0 * r * r)) / (2.0 * r)
         best = max(best, f)
         lo, hi = (phi, hi) if d1 > 0.0 else (lo, phi)
-        # f' = 0 needs no step, and a Newton step under 1e-9 ends the search before
-        # the bracket test can turn a step below one ulp of phi into a bisection
+        # f' = 0 needs no step, and a small Newton step ends the search before the
+        # bracket test can turn a step below one ulp of phi into a bisection
         step = 0.0 if d1 == 0.0 else -d1 / d2 if d2 < 0.0 else math.inf
-        if abs(step) > 1e-9 and not lo < phi + step < hi:
+        if abs(step) > _NEWTON_TOL and not lo < phi + step < hi:
             step = 0.5 * (lo + hi) - phi
-        if abs(step) <= 1e-9:
+        if abs(step) <= _NEWTON_TOL:
             break
         phi += step
     return best**2 / math.prod(sum(abs(v) ** 2 for v in x) for x in (got, want))

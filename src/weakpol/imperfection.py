@@ -36,10 +36,12 @@ and w_k = <e|k|a, V> for operator k and signal a, c0 = sum_k |u_k + w_k|^2 / 2,
 c1 = sum_k (|u_k|^2 - |w_k|^2) / 2 and c2 = sum_k Re(u_k conj w_k). A meter
 encoding strength K weighs e by c0 + K c1 - q c2, q = 1 - sqrt(1 - K^2) taken
 as K^2 / (1 + sqrt(1 - K^2)); (W_H - W_V) / K = dc0 / K + dc1 - (q / K) dc2
-divides no difference by K. On the balanced gate dc0 is 0 (or its rounding,
-about 1e-18, for some inputs at v < 1), and the weak limit at K = 0 is dc1 /
-(W_H + W_V); a meter with dc0 not exactly 0 refuses |K| < 1e-14. c0 adds u + w
-before squaring, so the interference cancels in amplitudes. The channel views
+divides no difference by K. A balanced meter Hadamard (hadamard_eta = 0.5) has no
+bias, so there the model sets dc0 = 0: the K = 0 meter photon meets the inverse
+Hadamard on one rail (mH, which meets only its loss port, or mV for the A half of
+the dephased I/2), and it splits that rail evenly. The weak limit at K = 0 is then
+dc1 / (W_H + W_V); any other Hadamard refuses |K| < 1e-14. c0 adds u + w before
+squaring, so the interference cancels in amplitudes. The channel views
 read the kernel on a channel's Kraus stack; the model (the Fig. 2 sweep, the
 model curve, the fit and the inversion) on the seven mixture operators (gate,
 direct, exchange, gate P_0..P_3) of one gate build, weighted v and (1-v)/2,
@@ -172,13 +174,16 @@ def _at_strength(h: np.ndarray, k) -> np.ndarray:
 ZERO_STRENGTH_TOL = 1e-14  # |K| under this is K = 0: sqrt(1/2) squares back 2.2e-16 off 0.5
 
 
-def _imbalance_over_k(h: np.ndarray, k):
+def _imbalance_over_k(h: np.ndarray, k, cfg: DeviceConfig):
     """(W_H - W_V) / K as dc0 / K + dc1 - (q / K) dc2, from the two meter events' differences.
 
-    The one zero-strength rule: only dc0 / K divides by K, so where |K| < ZERO_STRENGTH_TOL a
-    biased meter (dc0 not exactly 0) raises ZeroStrengthError; an unbiased one gives dc1."""
+    The one zero-strength rule, read from the device: a balanced meter Hadamard has no bias,
+    dc0 = 0 (module docstring), so K = 0 gives the weak limit dc1; any other Hadamard
+    divides dc0 by K and raises ZeroStrengthError where |K| < ZERO_STRENGTH_TOL."""
     dc = h[..., 0] - h[..., 1]
-    if (np.abs(k) < ZERO_STRENGTH_TOL).any() and (dc[..., 0] != 0.0).any():
+    if cfg.hadamard_eta == 0.5:
+        dc[..., 0] = 0.0
+    elif (np.abs(k) < ZERO_STRENGTH_TOL).any():
         raise ZeroStrengthError(
             f"strength K = 0, |K| < {ZERO_STRENGTH_TOL:g}: weak value undefined")
     return dc @ np.array([1.0 / k, k ** 0, -k / (1.0 + np.sqrt(1.0 - k * k))])
@@ -366,6 +371,10 @@ def read_chi_csv(path) -> ChiMatrix:
 # Fitting and inversion
 # ---------------------------------------------------------------------------
 
+_FLAT_ENDS_TOL = 1e-4  # fit end points lo <= hi at most this times hi apart fix no v
+_END_SLACK = 1e-9  # how far past the model floor or ceiling a fit target still clamps to it
+
+
 def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
                    cfg: DeviceConfig = DeviceConfig(),
                    post: Polarization | None = None) -> ImperfectionParams:
@@ -377,13 +386,13 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
         P(post | success)(v) = (v a1 + (1 - v) a0) / (v s1 + (1 - v) s0),
 
     a monotone linear-fractional function solved for v in closed form.
-    A target below the model floor (or above the ceiling) set by the two
-    end points raises InfeasibleTargetError. So does an input whose end
-    points lo <= hi differ by at most 1e-4 hi (an H or V input, or 42
-    degrees with an H post at K = 0.006): a relative target error e moves
-    v by about e hi / (hi - lo), and the bound caps that gain at 1e4. An
-    input that never succeeds at either end point raises
-    PostselectionImpossibleError.
+    A target more than _END_SLACK below the model floor (or above the ceiling)
+    set by the two end points raises InfeasibleTargetError; one within it fits
+    that end point. An input whose end points lo <= hi differ by at most
+    _FLAT_ENDS_TOL hi raises it too (an H or V input, or 42 degrees with an H
+    post at K = 0.006): a relative target error e moves v by about
+    e hi / (hi - lo), and the bound caps that gain at 1e4. An input that
+    never succeeds at either end point raises PostselectionImpossibleError.
     """
     if not math.isfinite(target_p_a):
         raise ValueError(f"target_p_a must be finite, got {target_p_a}")
@@ -394,18 +403,13 @@ def fit_visibility(target_p_a: float, psi: Polarization, meter: MeterSetting,
     (a1, s1), (a0, s0) = ((w[0] + w[1], sum(w[2:])) for w in ends.tolist())
     nonzero_weight(min(s1, s0), "channel output has zero weight")
     lo_val, hi_val = sorted((a1 / s1, a0 / s0))
-    if hi_val - lo_val <= 1e-4 * hi_val:
+    if hi_val - lo_val <= _FLAT_ENDS_TOL * hi_val:
         raise InfeasibleTargetError(
-            f"P(post) is {lo_val:.6g} at every visibility: no target fixes v"
-        )
-    if target_p_a < lo_val - 1e-9:
-        raise InfeasibleTargetError(
-            f"target {target_p_a} below the model floor {lo_val:.6g}"
-        )
-    if target_p_a > hi_val + 1e-9:
-        raise InfeasibleTargetError(
-            f"target {target_p_a} above the model ceiling {hi_val:.6g}"
-        )
+            f"P(post) is {lo_val:.6g} at every visibility: no target fixes v")
+    if target_p_a < lo_val - _END_SLACK:
+        raise InfeasibleTargetError(f"target {target_p_a} below the model floor {lo_val:.6g}")
+    if target_p_a > hi_val + _END_SLACK:
+        raise InfeasibleTargetError(f"target {target_p_a} above the model ceiling {hi_val:.6g}")
     v_star = (target_p_a * s0 - a0) / ((a1 - a0) - target_p_a * (s1 - s0))
     return ImperfectionParams(visibility=min(max(v_star, 0.0), 1.0))
 
@@ -419,7 +423,8 @@ def model_weak_value_curve(params: ImperfectionParams, psi: Polarization, k_grid
     h = _model_harmonics([params], psi.ket()[None], post, cfg)[0, 0]
     w = _at_strength(h, strengths)
     _postselected_probs(w)  # raises where a meter's postselection is impossible
-    return list(zip(k.tolist(), (_imbalance_over_k(h, strengths) / (w[:, 0] + w[:, 1])).tolist()))
+    values = _imbalance_over_k(h, strengths, cfg) / (w[:, 0] + w[:, 1])
+    return list(zip(k.tolist(), values.tolist()))
 
 
 # invert_s1's allowances on its K-free harmonics d of (W_H - W_V) / K and s of W_H + W_V
@@ -446,7 +451,7 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
     probability lies closest to ``measured_p_a`` wins, and <s1> = cos phi
     is returned.
 
-    Raises ZeroStrengthError where ``_imbalance_over_k`` reads a biased meter's K as 0, and
+    Raises ZeroStrengthError where |K| < ZERO_STRENGTH_TOL off a balanced meter Hadamard, and
     InversionRangeError when no input reproduces the measured value, and when the weak
     value is the same for every input (as when postselecting on H or V without white
     noise), so that it carries nothing to invert. The equation may miss by a rounding
@@ -466,7 +471,7 @@ def invert_s1(measured_weak_value: float, measured_p_a: float,
     # harmonics q0 = (W(H) + W(V))/2, q1 = (W(H) - W(V))/2, q2 = W(D) - q0 of (W_H - W_V) / K,
     # W_H + W_V and the success weight, from their values at the inputs H, V and D
     probes = [(x, w_h + w_v, sum(joint)) for x, (w_h, w_v, *joint)
-              in zip(_imbalance_over_k(h, k).tolist(), _at_strength(h, k).tolist())]
+              in zip(_imbalance_over_k(h, k, cfg).tolist(), _at_strength(h, k).tolist())]
     d, s, ok = ((0.5 * (x + y), 0.5 * (x - y), z - 0.5 * (x + y)) for x, y, z in zip(*probes))
     # d / s is the weak value as a function of the input; parallel
     # harmonics mean it is the same for every input

@@ -542,8 +542,8 @@ def test_config_key_the_subcommand_does_not_take_is_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("error, want", [
     ("InfeasibleTargetError", 7),
-    ("ZeroStrengthError", 6),
     ("PostselectionImpossibleError", 6),
+    ("ZeroStrengthError", 5),
     ("ZeroCountsError", 5),
     ("InversionRangeError", 5),
     ("ValueError", 5),

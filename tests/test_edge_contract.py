@@ -5,7 +5,9 @@ value is finite and is held to an independent derivation. A degenerate
 input that has no row yet is a decision still to be written down.
 """
 
+import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,8 +37,10 @@ from weakpol import (
     postselected_probs,
     run_device,
     run_fig2,
+    vertical,
     weak_value_analytic,
 )
+from weakpol import device
 from weakpol.counting import _poisson_means
 from weakpol.device import device_meter_distribution
 from weakpol.imperfection import channel_joint_distribution, channel_postselected_probs
@@ -59,11 +63,12 @@ FULL_TRANSMISSION = {"interfering_eta": (1.4630769541293898, 0.21087137320492721
                      "balance_eta": (1.7087396364120733, 0.7012170092225111, "0.0909193")}
 
 
-# meters biased at K = 0, dc0 = c0(meter H) - c0(meter V) not 0: an unbalanced Hadamard,
-# and the rounding bias off the default splitters, which invert_s1's probes H, V and D
-# do not carry at v = 0.96 (dc0 is exactly 0 for all three there)
+# meters biased at K = 0, dc0 = c0(meter H) - c0(meter V) not 0: any unbalanced Hadamard,
+# down to one ulp off 0.5, where dc0 is 6.2e-16 of c0(meter H) + c0(meter V) at 42 degrees
 BIASED = {"hadamard_eta=0.4": DeviceConfig(hadamard_eta=0.4),
-          "interfering_eta=0.3": DeviceConfig(interfering_eta=0.3)}
+          "hadamard_eta=0.49999999999999994": DeviceConfig(hadamard_eta=0.49999999999999994)}
+# a balanced meter Hadamard off the default splitters: no bias, whatever the rounding
+BALANCED = {"interfering_eta=0.3": DeviceConfig(interfering_eta=0.3)}
 # the v = 0.96 curve of PSI_42 at K = 1e-6 on DeviceConfig(interfering_eta=0.3)
 WV_42_INTERFERING = 4.845588731998378
 
@@ -72,6 +77,21 @@ def channel_42(cfg, k):
     """(P_H, P_V, P(A | success)) of PSI_42 at v = 0.96 on the channel of ``cfg``, at ``k``."""
     return channel_postselected_probs(imperfect_channel(None, V_096, cfg), PSI_42,
                                       MeterSetting.from_strength(k), antidiagonal())
+
+
+def p_a_42(v, k=0.05, post=antidiagonal()):
+    """P(post | success) of PSI_42 on the default device's channel at visibility ``v``."""
+    return channel_postselected_probs(imperfect_channel(None, ImperfectionParams(v)), PSI_42,
+                                      MeterSetting.from_strength(k), post)[2]
+
+
+def newton_steps(offset):
+    """Meter-phase Newton iterations of local_phase_fidelity, counted by its cmath.exp calls,
+    for an optimum ``offset`` rad past a grid point, from which the first step is ``offset``."""
+    got = np.array([1.0, cmath.exp(-1j * (256 * device._PHASE_CELL + offset)), 0.0, 0.0])
+    with mock.patch.object(cmath, "exp", wraps=cmath.exp) as exp:
+        device.local_phase_fidelity(got, np.ones(4))
+    return exp.call_count
 
 
 def curve_over_channel(cfg, k):
@@ -135,35 +155,48 @@ ROWS = {
     # value the curve reads at every K up to 1e-9, bit for bit
     "model_weak_value_curve-K=0": (lambda: model_weak_value_curve(V_096, PSI_42, [0.0])[0][1],
                                    4.0423077493282245),
+    # on the default gate K = 0 returns for the H, V and 45 degree inputs too: 1 and -v, and
+    # the diagonal-input symmetry's 0 (7.9e-15 here); at v = 1, 45 degrees never passes post A
+    **{f"model_weak_value_curve-{name},K=0": (
+        lambda psi=psi: model_weak_value_curve(V_096, psi, [0.0])[0][1], want)
+       for name, psi, want in (("H", horizontal(), 1.0), ("V", vertical(), -0.96),
+                               ("45deg", Polarization.from_degrees(45.0), 0.0))},
+    "model_weak_value_curve-45deg,v=1,K=0": (
+        lambda: model_weak_value_curve(V_1, Polarization.from_degrees(45.0), [0.0]),
+        (PostselectionImpossibleError, "zero")),
     # ZERO_STRENGTH_TOL (1e-14) on both sides, on biased meters: below it the curve and the
-    # inversion refuse K = 0; above it the curve is the channel's (P_H - P_V) / K, 4.5e13
-    # for the Hadamard's real bias, and the inversion takes the curve back to <s1>
+    # inversion refuse K = 0, post H too, whose bias is 0 on hadamard_eta = 0.4; above it
+    # the curve is the channel's (P_H - P_V) / K, 4.5e13 for the Hadamard's real bias, and
+    # the inversion takes the curve back to <s1>
     **{f"model_weak_value_curve-{name},K=9.9e-15": (
         lambda cfg=cfg: model_weak_value_curve(V_096, PSI_42, [9.9e-15], cfg),
         (ZeroStrengthError, "K = 0")) for name, cfg in BIASED.items()},
-    "invert_s1-hadamard_eta=0.4,K=9.9e-15": (
-        lambda: invert_s1(4.0, 0.01, V_096, MeterSetting.from_strength(9.9e-15),
-                          BIASED["hadamard_eta=0.4"]),
+    **{f"invert_s1-{name},K=9.9e-15": (
+        lambda cfg=cfg: invert_s1(4.0, 0.01, V_096, MeterSetting.from_strength(9.9e-15), cfg),
+        (ZeroStrengthError, "K = 0")) for name, cfg in BIASED.items()},
+    "model_weak_value_curve-hadamard_eta=0.4,post=H,K=9.9e-15": (
+        lambda: model_weak_value_curve(V_096, PSI_42, [9.9e-15], BIASED["hadamard_eta=0.4"],
+                                       horizontal()),
         (ZeroStrengthError, "K = 0")),
     "model_weak_value_curve-hadamard_eta=0.4,K=1.1e-14": (
         lambda: curve_over_channel(BIASED["hadamard_eta=0.4"], 1.1e-14), 1.0),
-    # the rounding bias divided by K drifts the curve: 4.8455887 at K = 1e-6, 4.8401760 here
-    "model_weak_value_curve-interfering_eta=0.3,K=1.1e-14": (
-        lambda: model_weak_value_curve(V_096, PSI_42, [1.1e-14],
-                                       BIASED["interfering_eta=0.3"])[0][1],
-        4.840175972363952),
+    # a balanced Hadamard off the default splitters has no bias either: its weak limit on
+    # both sides of ZERO_STRENGTH_TOL, with no rounding bias divided by K
+    **{f"model_weak_value_curve-interfering_eta=0.3,K={k}": (
+        lambda k=k: model_weak_value_curve(V_096, PSI_42, [k], BALANCED["interfering_eta=0.3"])[0][1],
+        4.845588732140953) for k in (9.9e-15, 1.1e-14)},
     "invert_s1-hadamard_eta=0.4,K=1.1e-14": (
         lambda: invert_s1(model_weak_value_curve(V_096, PSI_42, [1.1e-14],
                                                  BIASED["hadamard_eta=0.4"])[0][1],
                           channel_42(BIASED["hadamard_eta=0.4"], 1.1e-14)[2], V_096,
                           MeterSetting.from_strength(1.1e-14), BIASED["hadamard_eta=0.4"]),
         expectation_s1(PSI_42)),
-    # with unbiased probes the inversion divides nothing by K: the same weak limit on both
-    # sides, 1.5e-11 off <s1> as its input carries the drift
+    # and the inversion of its K = 1e-6 value gives the same <s1> on both sides, 1.5e-11
+    # off cos 84 degrees as that value is 1.4e-10 off the weak limit
     **{f"invert_s1-interfering_eta=0.3,K={k}": (
-        lambda k=k: invert_s1(WV_42_INTERFERING, channel_42(BIASED["interfering_eta=0.3"], k)[2],
+        lambda k=k: invert_s1(WV_42_INTERFERING, channel_42(BALANCED["interfering_eta=0.3"], k)[2],
                               V_096, MeterSetting.from_strength(k),
-                              BIASED["interfering_eta=0.3"]),
+                              BALANCED["interfering_eta=0.3"]),
         0.10452846325272569) for k in (9.9e-15, 1.1e-14)},
     **{f"model_weak_value_curve-K={k}": (lambda k=k: model_weak_value_curve(V_096, PSI_42, [k]),
                                          (ValueError, "strength must lie in"))
@@ -249,6 +282,27 @@ ROWS = {
         lambda: fit_visibility(0.552262, PSI_42, MeterSetting.from_strength(0.006),
                                post=horizontal()),
         (InfeasibleTargetError, r"P\(post\) is 0.55226 at every visibility")),
+    # _FLAT_ENDS_TOL (1e-4) on both sides: the H post's end points lie 0.997e-4 of the top
+    # apart at K = 0.0211, refused, and 1.006e-4 at 0.0212, where a target 1e-12 past the
+    # ceiling (the v = 1 end) fits v = 1
+    "fit_visibility-post=H,K=0.0211": (
+        lambda: fit_visibility(p_a_42(1.0, 0.0211, horizontal()), PSI_42,
+                               MeterSetting.from_strength(0.0211), post=horizontal()),
+        (InfeasibleTargetError, "at every visibility")),
+    "fit_visibility-post=H,K=0.0212": (
+        lambda: fit_visibility(p_a_42(1.0, 0.0212, horizontal()) + 1e-12, PSI_42,
+                               MeterSetting.from_strength(0.0212), post=horizontal()).visibility,
+        1.0),
+    # _END_SLACK (1e-9) on both sides of each end point of PSI_42 at K = 0.05 under post A:
+    # a target 0.9e-9 past it fits that end (v = 1 is the floor), 1.1e-9 past it is refused
+    **{f"fit_visibility-{side}{past:+g}": (
+        lambda v=v, past=past: fit_visibility(p_a_42(v) + past, PSI_42, K_005).visibility, v)
+       for side, v, past in (("floor", 1.0, -0.9e-9), ("ceiling", 0.0, 0.9e-9))},
+    **{f"fit_visibility-{side}{past:+g}": (
+        lambda v=v, past=past: fit_visibility(p_a_42(v) + past, PSI_42, K_005),
+        (InfeasibleTargetError, f"{word} the model {side}"))
+       for side, v, past, word in (("floor", 1.0, -1.1e-9, "below"),
+                                   ("ceiling", 0.0, 1.1e-9, "above"))},
     # with either splitter at 0 no target fixes v
     **{f"fit_visibility-{eta}=0": (lambda eta=eta: fit_visibility(0.3, PSI_42, K_005,
                                                                   DeviceConfig(**{eta: 0.0})),
@@ -358,6 +412,11 @@ ROWS = {
         lambda: TwoQubitChannel(np.diag([math.sqrt(TRACE_OUT), 0, 0, 0])),
         (ValueError, "channel increases trace")),
     "TwoQubitChannel-0.6I": (lambda: TwoQubitChannel(0.6 * np.eye(4)).kraus[0, 3, 3].real, 0.6),
+    # local_phase_fidelity's _NEWTON_TOL (1e-9 rad): a first Newton step of 0.9e-9 ends the
+    # search, one of 1.1e-9 is taken and a second, rounding-sized step ends it
+    **{f"local_phase_fidelity-first_step={offset}": (lambda offset=offset: newton_steps(offset),
+                                                     steps)
+       for offset, steps in ((0.9e-9, 1), (-0.9e-9, 1), (1.1e-9, 2), (-1.1e-9, 2))},
 }
 
 

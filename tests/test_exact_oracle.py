@@ -176,6 +176,32 @@ def test_the_balanced_gate_has_no_meter_bias_at_zero_strength():
         assert np.array_equal(h[:, :, 0, 0], h[:, :, 0, 1])
 
 
+# the (v, p) models of the bias checks
+BIAS_MODELS = [ImperfectionParams(v, p) for v in (1.0, 0.99, 0.96, 0.9, 0.5, 0.0)
+               for p in (0.0, 0.02, 0.3)]
+
+
+def test_any_balanced_meter_hadamard_has_no_meter_bias_at_zero_strength():
+    # at hadamard_eta = 0.5 the K = 0 meter photon meets the inverse Hadamard on one rail
+    # (mH, which meets only its loss port; mV for the A half of the rail-dephased I/2),
+    # which it splits evenly, whatever the other splitters: |dc0| is rounding, within 4 eps
+    # of c0(meter H) + c0(meter V) (1 eps seen); at hadamard_eta = 0.4 it is 3e-7 and more
+    rng = np.random.default_rng(3404)
+    eps = np.finfo(float).eps
+    for _ in range(30):
+        cfg = DeviceConfig(*rng.uniform(0.0, 1.0, 2).tolist())
+        t, phase = rng.uniform(-math.pi / 2, math.pi / 2, (2, 40))
+        signals = np.stack([np.cos(t), np.sin(t) * np.exp(2j * phase)], axis=1)
+        for post in (antidiagonal(), diagonal(), horizontal(), vertical()):
+            c0 = _model_harmonics(BIAS_MODELS, signals, post, cfg)[..., 0, :2]
+            assert np.all(np.abs(c0[..., 0] - c0[..., 1]) <= 4 * eps * c0.sum(axis=-1)), cfg
+    signals = np.array([Polarization.from_degrees(t).ket() for t in np.arange(-89.5, 90.0)])
+    models = [m for m in BIAS_MODELS if not m.depol]
+    for post in (antidiagonal(), diagonal(), vertical()):
+        c0 = _model_harmonics(models, signals, post, DeviceConfig(hadamard_eta=0.4))[..., 0, :2]
+        assert np.all(np.abs(c0[..., 0] - c0[..., 1]) >= 1e-7 * c0.sum(axis=-1))
+
+
 # the closed form's sweep: INPUTS plus +-45 degrees offset by 0, +-1e-5 and +-1e-7 degrees,
 # four posts, and strengths from projective to the weak limit
 SWEEP_INPUTS = {**INPUTS, **{f"{c:g}{u:+g}deg": Polarization.from_degrees(c + u)

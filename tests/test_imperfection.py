@@ -506,6 +506,54 @@ def test_zero_strength_in_grid_rejected():
                                DeviceConfig(hadamard_eta=0.4))
 
 
+# inputs -89.5, -88.5, ..., 89.5 degrees, and meter Hadamards balanced (on and off the
+# default splitters) and not (down to one ulp off 0.5)
+SWEEP_ANGLES = np.arange(-89.5, 90.0).tolist()
+BALANCED_METERS = (DeviceConfig(), DeviceConfig(interfering_eta=0.3))
+UNBALANCED_METERS = (DeviceConfig(hadamard_eta=0.4), DeviceConfig(hadamard_eta=0.49999999999999994))
+
+
+@pytest.mark.parametrize("cfg", BALANCED_METERS)
+def test_a_balanced_meter_hadamard_gives_the_weak_limit_at_zero_strength(cfg):
+    # no meter bias to divide by K, whatever a float dc0 rounds to: every input returns
+    # at K = 0 the value the curve reads at K = 1e-9, and invert_s1 takes it back to <s1>
+    for v in (1.0, 0.99, 0.96, 0.9):
+        for t in SWEEP_ANGLES:
+            (_, at_zero), (_, at_1e9) = model_weak_value_curve(
+                ImperfectionParams(v), Polarization.from_degrees(t), [0.0, 1e-9], cfg)
+            assert abs(at_zero - at_1e9) <= 1e-10 * abs(at_1e9), (v, t)
+    model, meter = ImperfectionParams(0.96), MeterSetting.from_strength(0.0)
+    for t in (42.0, -83.5, 35.5):
+        psi = Polarization.from_degrees(t)
+        p_a = channel_postselected_probs(imperfect_channel(None, model, cfg), psi, meter,
+                                         antidiagonal())[2]
+        value = model_weak_value_curve(model, psi, [0.0], cfg)[0][1]
+        assert abs(invert_s1(value, p_a, model, meter, cfg) - math.cos(math.radians(2 * t))) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", UNBALANCED_METERS)
+def test_any_other_meter_hadamard_refuses_zero_strength(cfg):
+    # every input and post, post H included, though its bias is 0 on hadamard_eta = 0.4
+    model, meter = ImperfectionParams(0.96), MeterSetting.from_strength(9.9e-15)
+    for post in (antidiagonal(), diagonal(), horizontal(), vertical()):
+        with pytest.raises(ZeroStrengthError):
+            invert_s1(1.0, 0.01, model, meter, cfg, post)
+        for t in SWEEP_ANGLES:
+            with pytest.raises(ZeroStrengthError):
+                model_weak_value_curve(model, Polarization.from_degrees(t), [9.9e-15], cfg, post)
+
+
+def test_no_meter_encodes_an_exact_zero_strength():
+    # _imbalance_over_k multiplies a balanced meter's dc0 = 0 by 1 / K, so an exact
+    # K = 0 would give NaN: no gamma within 3 ulps of sqrt(1/2) and no grid 0 encodes it
+    gammas = [math.sqrt(0.5)]
+    for _ in range(3):
+        gammas = [math.nextafter(gammas[0], 0.0), *gammas, math.nextafter(gammas[-1], 1.0)]
+    assert len(set(gammas)) == 7
+    assert all(MeterSetting(g).strength != 0.0 for g in gammas)
+    assert np.all(_grid_strengths([0.0, -0.0]) != 0.0)
+
+
 def test_grid_strengths_equal_the_meter_setting_strengths_bit_for_bit():
     # the grid path and the one-strength path square gamma alike, so a meter reads back,
     # as its strength, the K that the grid's zero rule judges and its weights are read at
@@ -814,6 +862,23 @@ def test_curve_and_inversion_hold_at_the_smallest_nonzero_strengths():
         assert abs(invert_s1(wv, p_a, params, meter) - S1_42) < 1e-12
         values.append(wv)
     assert max(values) - min(values) <= 1e-13 * values[0]
+
+
+def test_inversion_of_the_model_curve_returns_s1_on_the_default_gate():
+    # a balanced meter's probes H, V and D carry no meter bias, so no rounding dc0 / K
+    # enters the quadratic that the inversion solves
+    for post in (antidiagonal(), diagonal()):
+        for v in (1.0, 0.99, 0.96, 0.9):
+            params = ImperfectionParams(v)
+            channel = imperfect_channel(None, params)
+            for k in (0.006, 0.05, 0.5, 1.0):
+                meter = MeterSetting.from_strength(k)
+                for t in np.arange(-89.5, 90.0, 3.0).tolist():
+                    psi = Polarization.from_degrees(t)
+                    wv = model_weak_value_curve(params, psi, [k], post=post)[0][1]
+                    p_a = channel_postselected_probs(channel, psi, meter, post)[2]
+                    got = invert_s1(wv, p_a, params, meter, post=post)
+                    assert abs(got - math.cos(math.radians(2.0 * t))) <= 1e-13, (v, k, t)
 
 
 def test_invert_roundtrip_through_fitted_model():
