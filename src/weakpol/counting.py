@@ -13,20 +13,20 @@ probabilities of both runs come as arrays from one call of the model
 kernel of :mod:`weakpol.imperfection` and are validated once per grid,
 the Poisson means are one array expression, and the estimators are
 array expressions whose masks mark the rows with nothing to estimate
-from. Only the draws loop: each run re-keys one Philox generator and
-draws its outcomes with scalar ``poisson`` calls. The
-calibration run of grid point ``i`` is exactly ``stream_for(seed, i,
-K_RUN)`` and its postselected run ``stream_for(seed, i, WV_RUN)``, so
-tables are reproducible bit for bit. A Philox stream is fixed by its
-128-bit key, so :func:`run_fig2` derives the keys of all its streams in
-one batch (the seed's ``SeedSequence`` pool, then the rounds of numpy's
-hash that mix in the index and run type, replayed on arrays) instead of
-building a ``SeedSequence`` and a ``Philox`` per stream.
-:func:`sample_counts`, :func:`estimate_knowledge` and
-:func:`estimate_weak_value` are one-row views of the same kernels. The
-sweep runs serially: a thread pool over grid points was measured slower
-than the plain loop, so the ``workers`` argument of :func:`run_fig2` is
-accepted and ignored.
+from. Only the draws loop: one Philox generator, re-keyed before each
+run through one state mapping per run type, draws the run's outcomes
+with scalar ``poisson`` calls. The calibration run of grid point ``i``
+is exactly ``stream_for(seed, i, K_RUN)`` and its postselected run
+``stream_for(seed, i, WV_RUN)``, so tables are reproducible bit for
+bit. A Philox stream is fixed by its 128-bit key, so :func:`run_fig2`
+derives the keys of all its streams in one batch (the seed's
+``SeedSequence`` pool, then the rounds of numpy's hash that mix in the
+index and run type, replayed on arrays) instead of building a
+``SeedSequence`` and a ``Philox`` per stream. :func:`sample_counts`,
+:func:`estimate_knowledge` and :func:`estimate_weak_value` are one-row
+views of the same kernels. The sweep runs serially: a thread pool over
+grid points was measured slower than the plain loop, so the
+``workers`` argument of :func:`run_fig2` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -179,22 +179,22 @@ def _philox_keys(master_seed: int, indices, run_type: int) -> np.ndarray:
                      state[2] | state[3] << np.uint64(32)], axis=-1)
 
 
-def _rekey(rng: np.random.Generator, key) -> np.random.Generator:
-    """Put ``rng``'s Philox at the start of the stream with ``key``.
+def _rekeyed(rng: np.random.Generator, keys):
+    """Yield ``rng`` once per key, its Philox put at the start of that key's stream.
 
     Counter, output buffer and cached 32-bit half are cleared, as in a
     newly built ``Philox(key=key)``, so the draws that follow do not
-    depend on what ``rng`` drew before.
+    depend on what ``rng`` drew before. One state mapping serves the
+    call, with only its key swapped in from one stream to the next.
     """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+    philox = rng.bit_generator
+    inner = {"counter": (0, 0, 0, 0), "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys:
+        inner["key"] = key
+        philox.state = state
+        yield rng
 
 
 # largest Poisson mean per outcome: four such counts sum to about 4e15, below
@@ -241,12 +241,15 @@ def _poisson_means(probs, outcomes, rate, duration) -> np.ndarray:
 def _draw(means: np.ndarray, streams) -> np.ndarray:
     """Integer Poisson counts: row ``i`` of ``means`` from the ``i``-th generator of ``streams``.
 
-    The outcomes of a row are drawn in order, one scalar ``poisson`` call
-    each: numpy validates an array mean with Python-level reductions, so a
-    vector call costs more than the scalar calls it replaces.
+    The outcomes of a row are drawn in order into one flat list, one scalar
+    ``poisson`` call each: numpy validates an array mean with Python-level
+    reductions, so a vector call costs more than the scalar calls it
+    replaces. A :func:`_rekeyed` ``streams`` re-keys its Philox before each row.
     """
-    return np.array([[rng.poisson(lam) for lam in row]
-                     for row, rng in zip(means.tolist(), streams)], dtype=np.int64)
+    out = []
+    for row, rng in zip(means.tolist(), streams):
+        out += map(rng.poisson, row)
+    return np.array(out, dtype=np.int64).reshape(means.shape)
 
 
 def _knowledge_columns(counts):
@@ -423,7 +426,7 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
     rng = make_rng(plan.seed)
 
     def streams(run_type):
-        return (_rekey(rng, key) for key in _philox_keys(plan.seed, points, run_type).tolist())
+        return _rekeyed(rng, _philox_keys(plan.seed, points, run_type).tolist())
 
     cal = _draw(cal_means, streams(K_RUN))
     meter = _draw(meter_means, streams(WV_RUN))

@@ -206,6 +206,14 @@ def _scaled_entries(name: str, x) -> list:
     return [v / scale for v in z]
 
 
+def _squared_norm(x) -> float:
+    """The sum of ``abs(v) ** 2`` over ``x``, added left to right in a plain loop."""
+    total = 0.0
+    for v in x:
+        total += abs(v) ** 2
+    return total
+
+
 def local_phase_fidelity(got: np.ndarray, want: np.ndarray) -> float:
     """Overlap fidelity maximized over global and per-qubit phases.
 
@@ -246,7 +254,7 @@ def local_phase_fidelity(got: np.ndarray, want: np.ndarray) -> float:
         if abs(step) <= _NEWTON_TOL:
             break
         phi += step
-    return best**2 / math.prod(sum(abs(v) ** 2 for v in x) for x in (got, want))
+    return best**2 / (_squared_norm(got) * _squared_norm(want))
 
 
 def equivalence_fidelity(state: TwoQubitState, signal: Polarization, meter: MeterSetting) -> float:

@@ -33,7 +33,7 @@ from weakpol.counting import (
     Fig2Row,
     _philox_keys,
     _poisson_means,
-    _rekey,
+    _rekeyed,
     format_fig2_csv,
     stream_for,
     write_with_sidecar,
@@ -572,19 +572,32 @@ def test_philox_keys_reject_indices_outside_one_word(bad):
 
 
 def test_rekeyed_generator_draws_like_a_fresh_stream():
+    chain = ((3, WV_RUN), (0, K_RUN), (2**32 - 1, WV_RUN), (7, K_RUN))
     rng = stream_for(5, 0, K_RUN)
-    for i, run_type in ((3, WV_RUN), (0, K_RUN), (2**32 - 1, WV_RUN)):
+    rekeyed = _rekeyed(rng, [_philox_keys(5, [i], run_type)[0].tolist() for i, run_type in chain])
+    for i, run_type in chain:
         # leave a part-used Philox block and a cached 32-bit half behind
         rng.random(3)
         state = {}
         while not (state.get("has_uint32") and state["buffer_pos"] < 4):
             rng.integers(0, 2**16, dtype=np.uint32)
             state = rng.bit_generator.state
-        _rekey(rng, _philox_keys(5, [i], run_type)[0].tolist())
+        assert next(rekeyed) is rng
         fresh = stream_for(5, i, run_type)
         for draw in (lambda g: g.integers(0, 2**16, size=3, dtype=np.uint32),
                      lambda g: g.random(5), lambda g: g.poisson(4460.0, size=4)):
             assert draw(rng).tolist() == draw(fresh).tolist()
+    assert next(rekeyed, None) is None
+
+
+def test_sample_counts_draws_a_callers_generator_as_it_stands():
+    # a caller's PCG64 cannot be re-keyed: its one row is drawn from it in outcome order
+    probs = calibration_probs(0.3)
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    sample = sample_counts(probs, 44.6, 100.0, rng)
+    assert list(sample.counts) == list(probs)
+    assert list(sample.counts.values()) == [twin.poisson(44.6 * 100.0 * p) for p in probs.values()]
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 # --- grid counting kernels against the scalar reference ---------------------------------

@@ -1,6 +1,8 @@
 """Entangling-device tests: gate contract, statistics, entanglement."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from weakpol.device import (
     ALL_MODES,
     METER_MODES,
     SIGNAL_MODES,
+    _scaled_entries,
+    _squared_norm,
     device_registry,
     input_state,
     local_phase_fidelity,
@@ -154,6 +158,21 @@ def test_local_phase_fidelity_quotients_per_qubit_phases():
     # and it does not quotient genuine differences
     other = np.array([[1, 0], [0, 0]], dtype=complex)
     assert local_phase_fidelity(other, np.eye(2, dtype=complex) / math.sqrt(2)) < 0.9
+
+
+def test_fidelity_norm_product_is_bitwise_the_prod_of_sums():
+    # local_phase_fidelity's norm product, bit for bit the expression
+    # math.prod(sum(abs(v) ** 2 for v in x) for x in (got, want)). Up to Python 3.11 that sum
+    # adds left to right from 0 (3.12's compensates rounding), spelled out here with reduce,
+    # and math.prod's leading 1 * a is exactly a.
+    rng = np.random.default_rng(30)
+    for _ in range(20_000):
+        scale = 10.0 ** rng.uniform(-8, 8, size=(2, 4, 2))
+        got, want = (_scaled_entries(name, v[:, 0] + 1j * v[:, 1])
+                     for name, v in zip(("got", "want"), scale * rng.normal(size=(2, 4, 2))))
+        old = math.prod(functools.reduce(operator.add, (abs(v) ** 2 for v in x), 0)
+                        for x in (got, want))
+        assert _squared_norm(got) * _squared_norm(want) == old
 
 
 def test_fidelity_of_a_zero_norm_state_is_a_typed_error():

@@ -276,6 +276,17 @@ ROWS = {
                             (ValueError, "strength must lie in")),
     "run_fig2-k_grid=empty": (lambda: run_fig2(RunPlan(seed=1), PSI_42, V_096, []),
                               (ValueError, "grid is empty")),
+    # run_fig2 at the input's edges, seed 1. D is orthogonal to the A post, so at v = 1 and
+    # K = 0 there is nothing to postselect; at v = 0.96 there is, and K = 0 is drawn like
+    # any other strength. H and V are eigenstates of s1: their rows read about +1 and -1.
+    "run_fig2-D,v=1,K=0": (lambda: run_fig2(RunPlan(seed=1), diagonal(), V_1, [0.0]),
+                           (PostselectionImpossibleError, "postselection probability is zero")),
+    "run_fig2-D,v=0.96,K=0": (
+        lambda: run_fig2(RunPlan(seed=1), diagonal(), V_096, [0.0]).rows[0].wv, 3.4006132756132756),
+    **{f"run_fig2-{name},v=1,K=0.5": (
+        lambda psi=psi: run_fig2(RunPlan(seed=1), psi, V_1, [0.5]).rows[0].wv, wv)
+       for name, psi, wv in (("H", horizontal(), 0.9092451367187852),
+                             ("V", vertical(), -1.1379935058600557))},
     # an H post at K = 0.006 moves P(post) by 4.45e-6 of 0.5523 over v in [0, 1]:
     # a target error of 1e-7 would move the fitted v by 0.02
     "fit_visibility-post=H,K=0.006": (
