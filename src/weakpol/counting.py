@@ -447,7 +447,6 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
             "alpha": [float(np.real(psi.alpha)), float(np.imag(psi.alpha))],
             "beta": [float(np.real(psi.beta)), float(np.imag(psi.beta))],
         },
-        "k_grid": k_grid,
         "rng": RNG_ALGORITHM,
         "package": {"name": "weakpol", "version": _pkg_version},
         "numpy_version": np.__version__,
@@ -477,7 +476,8 @@ def format_fig2_csv(result: Fig2Result) -> str:
 
 
 def write_fig2_csv(result: Fig2Result, path) -> str:
-    """Write the table plus a JSON metadata sidecar; returns the sidecar path."""
+    """Write the table plus a JSON metadata sidecar; returns the sidecar path. The grid's one
+    record is the CSV: ``float()`` of each ``K_true`` field is the grid value, bit for bit."""
     return write_with_sidecar(path, format_fig2_csv(result), result.metadata)
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhotonCapError, UnknownModeError, ZeroNormError
+from .weak_values import NORM_TOL
 
 PRUNE_TOL = 1e-15
 PHOTON_CAP = 2
@@ -87,8 +88,6 @@ class FockState:
     are dropped so interference nulls stay exact zeros.
     """
 
-    NORM_BOUND_TOL = 1e-9
-
     def __init__(self, registry: ModeRegistry, terms=None):
         self.registry = registry
         self.terms: dict[tuple, complex] = {}
@@ -100,11 +99,9 @@ class FockState:
 
     def _check_norm_bound(self):
         n = self.norm_sq()
-        if n > 1.0 + self.NORM_BOUND_TOL:
-            raise ValueError(
-                f"squared norm {n} exceeds 1; scale the amplitudes "
-                "(sub-normalized states are fine, super-normalized are not)"
-            )
+        if n > 1.0 + NORM_TOL:
+            raise ValueError(f"squared norm {n} exceeds 1; scale the amplitudes "
+                             "(sub-normalized states are fine, super-normalized are not)")
 
     def _accumulate(self, occ: tuple, amp: complex):
         if len(occ) != self.registry.size:

@@ -35,6 +35,8 @@ from weakpol.cli import (
 )
 from weakpol.counting import _ROW_FORMAT, CSV_HEADER
 
+from test_counting import AWKWARD_GRID, k_true_hex
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -196,17 +198,21 @@ def test_povm_projective_output(capsys):
 
 
 def test_fig2_writes_deterministic_csv(tmp_path, capsys):
-    args = ["fig2", "--angle", "42", "--k-grid", "0.006,0.125,0.5,1", "--seed", "7"]
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    code1, _, _ = run_cli(args + ["--out", str(out1)], capsys)
-    code2, _, _ = run_cli(args + ["--out", str(out2), "--workers", "3"], capsys)
-    assert code1 == code2 == EXIT_OK
-    assert out1.read_bytes() == out2.read_bytes()
-    meta = json.loads((tmp_path / "a.meta.json").read_text())
-    assert meta["seed"] == 7
-    assert meta["rng"] == "philox4x64"
-    assert meta["k_grid"] == [0.006, 0.125, 0.5, 1.0]
+    for grid in ([0.006, 0.125, 0.5, 1.0], AWKWARD_GRID):
+        # repr round-trips each double, and argparse reads a leading "-0.0" as the grid's value
+        args = ["fig2", "--angle", "42", "--k-grid", ",".join(map(repr, grid)), "--seed", "7"]
+        code1, _, _ = run_cli(args + ["--out", str(out1)], capsys)
+        code2, _, _ = run_cli(args + ["--out", str(out2), "--workers", "3"], capsys)
+        assert code1 == code2 == EXIT_OK
+        assert out1.read_bytes() == out2.read_bytes()
+        meta = json.loads((tmp_path / "a.meta.json").read_text())
+        assert meta["seed"] == 7
+        assert meta["rng"] == "philox4x64"
+        # the grid's one record is the CSV's K_true column, bit for bit
+        assert "k_grid" not in meta
+        assert k_true_hex(out1.read_text()) == [k.hex() for k in grid]
 
 
 def test_fig2_respects_out_dir_env(tmp_path, capsys, monkeypatch):

@@ -46,6 +46,14 @@ from weakpol.imperfection import (
 from weakpol.weak_values import antidiagonal, diagonal
 
 PSI_42 = Polarization.from_degrees(42.0)
+# strengths whose %.17g text is easy to get wrong: a signed zero, the smallest subnormal, the
+# double below 1, sums and ratios that no short decimal states, and the end points
+AWKWARD_GRID = [-0.0, 5e-324, math.nextafter(1.0, 0.0), 0.1 + 0.2, 1 / 3, -1.0, 1.0]
+
+
+def k_true_hex(csv_text):
+    """``float.hex`` of each K_true field of a Fig. 2 CSV, so -0.0 and 0.0 stay apart."""
+    return [float(line.split(",")[0]).hex() for line in csv_text.splitlines()[1:]]
 
 
 def calibration_probs(k):
@@ -344,22 +352,27 @@ def test_run_fig2_metadata_records_provenance():
     assert meta["rng"] == "philox4x64"
     assert meta["model"]["visibility"] == 0.9
     assert meta["plan"]["duration_wv"] == 1000.0
-    assert meta["k_grid"] == [0.5]
+    # the CSV's K_true column is the grid's one record; a new sidecar key is a contract change
+    assert sorted(meta) == ["input_state", "model", "no_data_rows", "numpy_version", "package",
+                            "plan", "rng", "seed"]
+    assert k_true_hex(format_fig2_csv(result)) == [(0.5).hex()]
 
 
 def test_fig2_csv_format_and_sidecar(tmp_path):
-    plan = RunPlan(seed=3)
-    result = run_fig2(plan, PSI_42, ImperfectionParams(), [0.006, 0.5])
-    path = tmp_path / "out.csv"
-    meta_path = write_fig2_csv(result, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 3
-    meta = json.loads(Path(meta_path).read_text())
-    assert meta["seed"] == 3
-    first = lines[1].split(",")
-    assert first[-1] in ("true", "false", "no_data")
-    float(first[3])  # wv column parses
+    for grid in ([0.006, 0.5], AWKWARD_GRID):
+        result = run_fig2(RunPlan(seed=3), PSI_42, ImperfectionParams(), grid)
+        path = tmp_path / "out.csv"
+        meta_path = write_fig2_csv(result, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == len(grid) + 1
+        assert k_true_hex(path.read_text()) == [k.hex() for k in grid]
+        meta = json.loads(Path(meta_path).read_text())
+        assert meta["seed"] == 3
+        assert "k_grid" not in meta
+        first = lines[1].split(",")
+        assert first[-1] in ("true", "false", "no_data")
+        float(first[3])  # wv column parses
 
 
 # --- statistical behavior at the experimental scales --------------------------------

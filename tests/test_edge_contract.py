@@ -15,10 +15,12 @@ import pytest
 from weakpol import (
     ChiMatrix,
     DeviceConfig,
+    FockState,
     ImperfectionParams,
     InfeasibleTargetError,
     InversionRangeError,
     MeterSetting,
+    ModeRegistry,
     Polarization,
     PostselectionImpossibleError,
     RunPlan,
@@ -26,6 +28,7 @@ from weakpol import (
     TwoQubitState,
     ZeroStrengthError,
     antidiagonal,
+    create_photon,
     diagonal,
     expectation_decomposition,
     expectation_s1,
@@ -37,6 +40,7 @@ from weakpol import (
     postselected_probs,
     run_device,
     run_fig2,
+    vacuum,
     vertical,
     weak_value_analytic,
 )
@@ -44,6 +48,7 @@ from weakpol import device
 from weakpol.counting import _poisson_means
 from weakpol.device import device_meter_distribution
 from weakpol.imperfection import channel_joint_distribution, channel_postselected_probs
+from weakpol.weak_values import target_state
 
 PSI_42 = Polarization.from_degrees(42.0)
 K_005 = MeterSetting.from_strength(0.05)
@@ -101,9 +106,27 @@ def curve_over_channel(cfg, k):
             / ((p_h - p_v) / MeterSetting.from_strength(k).strength))
 
 
+# the s1 eigenstates and the input orthogonal to post A, with their <s1>
+EDGE_INPUTS = (("H", horizontal(), 1.0), ("V", vertical(), -1.0), ("D", diagonal(), 0.0))
+
+
+def forward_096(psi):
+    """(model value, P(A | success)) of ``psi`` at v = 0.96 and K = 0.05: what is measured."""
+    return (model_weak_value_curve(V_096, psi, [0.05])[0][1],
+            channel_postselected_probs(imperfect_channel(None, V_096), psi, K_005,
+                                       antidiagonal())[2])
+
+
+def largest_gap(got, want):
+    """The largest entrywise |got - want| of two sequences of probabilities."""
+    return max(abs(g - w) for g, w in zip(got, want, strict=True))
+
+
 # the product state |HH> as TwoQubitState amplitudes, and totals just inside and outside NORM_TOL
 H_H = np.array([[1.0, 0.0], [0.0, 0.0]])
 NORM_IN, NORM_OUT = 1.0 + 0.9e-9, 1.0 + 1.1e-9
+# one mode, for a one-photon FockState of a given squared norm
+ONE_MODE = ModeRegistry(["a"])
 # top effect eigenvalues just inside and outside the trace guard's 1 + 1e-10
 TRACE_IN, TRACE_OUT = 1.0 + 5e-11, 1.0 + 2e-10
 
@@ -215,6 +238,36 @@ ROWS = {
         lambda v=v: fit_visibility(channel_postselected_probs(
             imperfect_channel(None, ImperfectionParams(v)), PSI_42, K_005, antidiagonal())[2],
             PSI_42, K_005).visibility, v) for v in (1.0, 0.0)},
+    # the s1 eigenstates at K = 0.05, post A: the closed form reads +-1, the meter outcomes
+    # (1 +- s1 K) / 2 with P(A) = 1/2, and P(A) is 1/2 at every visibility, so no target fixes v
+    **{f"weak_value_analytic-{name},K=0.05": (
+        lambda psi=psi: weak_value_analytic(psi, K_005, antidiagonal()), s1)
+       for name, psi, s1 in EDGE_INPUTS[:2]},
+    **{f"postselected_probs-{name},K=0.05": (
+        lambda psi=psi, s1=s1: largest_gap(postselected_probs(psi, K_005, antidiagonal()),
+                                           ((1.0 + s1 * K) / 2.0, (1.0 - s1 * K) / 2.0, 0.5)), 0.0)
+       for name, psi, s1 in EDGE_INPUTS[:2]},
+    **{f"fit_visibility-{name},K=0.05": (lambda psi=psi: fit_visibility(0.5, psi, K_005),
+                                         (InfeasibleTargetError, "at every visibility"))
+       for name, psi, _ in EDGE_INPUTS[:2]},
+    # at v = 1 the channel view of H, V and D is the closed form: the postselected triple
+    # of postselected_probs, and the joint outcomes |target_state|^2 in (signal, meter) order
+    **{f"channel_postselected_probs-{name},v=1,K=0.05": (
+        lambda psi=psi: largest_gap(
+            channel_postselected_probs(imperfect_channel(None, V_1), psi, K_005, antidiagonal()),
+            postselected_probs(psi, K_005, antidiagonal())), 0.0)
+       for name, psi, _ in EDGE_INPUTS},
+    **{f"channel_joint_distribution-{name},v=1,K=0.05": (
+        lambda psi=psi: largest_gap(
+            channel_joint_distribution(imperfect_channel(None, V_1), psi, K_005),
+            (abs(target_state(psi, K_005)) ** 2).ravel().tolist()), 0.0)
+       for name, psi, _ in EDGE_INPUTS},
+    # at v = 0.96 each one's own forward values invert to its <s1>, and D's P(A) fits v back
+    **{f"invert_s1-{name},v=0.96,K=0.05": (
+        lambda psi=psi: invert_s1(*forward_096(psi), V_096, K_005), s1)
+       for name, psi, s1 in EDGE_INPUTS},
+    "fit_visibility-D,v=0.96,K=0.05": (
+        lambda: fit_visibility(forward_096(diagonal())[1], diagonal(), K_005).visibility, 0.96),
     # a diagonal input meets post A only through K: at K = 0 the ideal channel leaves
     # rounding residue (1.7e-32), not a probability to condition on
     "channel_postselected_probs-diagonal,post=A,K=0": (
@@ -408,6 +461,15 @@ ROWS = {
         lambda: np.sum(abs(TwoQubitState(math.sqrt(NORM_IN) * H_H, 0.5).amplitudes) ** 2), NORM_IN),
     "TwoQubitState-norm=1+1.1e-9": (lambda: TwoQubitState(math.sqrt(NORM_OUT) * H_H, 0.5),
                                     (ValueError, "not normalized")),
+    "FockState-norm=1+0.9e-9": (
+        lambda: FockState(ONE_MODE, {(1,): math.sqrt(NORM_IN)}).norm_sq(), NORM_IN),
+    "FockState-norm=1+1.1e-9": (lambda: FockState(ONE_MODE, {(1,): math.sqrt(NORM_OUT)}),
+                                (ValueError, "exceeds 1")),
+    "create_photon-norm=1+0.9e-9": (
+        lambda: create_photon(vacuum(ONE_MODE), {"a": math.sqrt(NORM_IN)}).norm_sq(), NORM_IN),
+    "create_photon-norm=1+1.1e-9": (
+        lambda: create_photon(vacuum(ONE_MODE), {"a": math.sqrt(NORM_OUT)}),
+        (ValueError, "exceeds 1")),
     "_poisson_means-total=1+0.9e-9": (
         lambda: _poisson_means([[NORM_IN, 0.0]], ("H", "V"), 1.0, 1.0).sum(), NORM_IN),
     "_poisson_means-total=1+1.1e-9": (
