@@ -181,7 +181,8 @@ def run_device(signal: Polarization, meter: MeterSetting, cfg: DeviceConfig = De
     """
     a, b, g, gb = signal.alpha, signal.beta, meter.gamma, meter.gammabar
     amps = cfg.gate @ np.array([a * g, a * gb, b * g, b * gb], dtype=complex)
-    prob = nonzero_weight(float((np.abs(amps) ** 2).sum()),
+    m0, m1, m2, m3 = np.abs(amps).tolist()  # np.abs: Python's complex abs rounds apart
+    prob = nonzero_weight(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3,
                           "coincidence probability is zero: the gate never fires")
     return TwoQubitState(amps / math.sqrt(prob), prob)
 

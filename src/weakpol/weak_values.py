@@ -88,7 +88,8 @@ def postselect_state(label: str) -> Polarization:
 class MeterSetting:
     """Meter preparation gamma|H> + gammabar|V> with real gamma in [0, 1].
 
-    gammabar = sqrt(1 - gamma^2) by construction, so gamma^2 + gammabar^2
+    gammabar = sqrt(1 - gamma^2), set once at construction and not a field
+    (``==``, ``hash`` and ``repr`` see only gamma), so gamma^2 + gammabar^2
     = 1 identically. The strength K = 2 gamma^2 - 1 lies in [-1, 1];
     gamma < 1/sqrt(2) gives negative strength, which is legal.
     """
@@ -98,16 +99,13 @@ class MeterSetting:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        object.__setattr__(self, "gammabar", math.sqrt(max(0.0, 1.0 - self.gamma * self.gamma)))
 
     @classmethod
     def from_strength(cls, strength: float) -> "MeterSetting":
         if not -1.0 <= strength <= 1.0:
             raise ValueError(f"strength must lie in [-1, 1], got {strength}")
         return cls(math.sqrt((1.0 + strength) / 2.0))
-
-    @property
-    def gammabar(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.gamma * self.gamma))
 
     @property
     def strength(self) -> float:

@@ -501,6 +501,31 @@ def test_device_config_keeps_its_value_semantics_and_carries_a_read_only_gate():
             setattr(cfg, name, np.zeros((4, 4)))
 
 
+def test_meter_setting_keeps_its_value_semantics_and_carries_gammabar():
+    import copy
+    import dataclasses
+    import pickle
+
+    def gammabar(gamma):
+        return math.sqrt(max(0.0, 1.0 - gamma * gamma))
+
+    meter = MeterSetting(0.8)
+    assert [f.name for f in dataclasses.fields(meter)] == ["gamma"]
+    assert dataclasses.asdict(meter) == {"gamma": 0.8}
+    assert repr(meter) == "MeterSetting(gamma=0.8)"
+    assert meter == MeterSetting(0.8) and meter != MeterSetting(0.6)
+    assert hash(meter) == hash((0.8,))  # the generated hash of the one field
+    assert meter.gammabar.hex() == gammabar(0.8).hex()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        meter.gammabar = 0.6
+    for twin in (copy.copy(meter), copy.deepcopy(meter), pickle.loads(pickle.dumps(meter))):
+        assert twin == meter and twin.gammabar.hex() == gammabar(0.8).hex()
+    assert dataclasses.replace(meter, gamma=0.3).gammabar.hex() == gammabar(0.3).hex()
+    for k in (-1.0, -0.5, 0.0, 1e-12, 0.006, math.nextafter(1.0, 0.0), 1.0):
+        m = MeterSetting.from_strength(k)
+        assert m.gammabar.hex() == gammabar(m.gamma).hex()
+
+
 def test_kernel_and_fock_oracle_flag_zero_coincidence_weight():
     # no balancing transmission and no interference: an H signal photon is
     # always lost, so no coincidence is possible; the kernel refuses to condition

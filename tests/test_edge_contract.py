@@ -28,8 +28,10 @@ from weakpol import (
     TwoQubitState,
     ZeroStrengthError,
     antidiagonal,
+    concurrence,
     create_photon,
     diagonal,
+    equivalence_fidelity,
     expectation_decomposition,
     expectation_s1,
     fit_visibility,
@@ -268,6 +270,22 @@ ROWS = {
        for name, psi, s1 in EDGE_INPUTS},
     "fit_visibility-D,v=0.96,K=0.05": (
         lambda: fit_visibility(forward_096(diagonal())[1], diagonal(), K_005).visibility, 0.96),
+    # the default device on each: success 1/9 whatever the input, the contract's product
+    # states (gamma, gammabar; 0, 0) for H and (0, 0; gammabar, gamma) for V, with gamma^2 =
+    # (1 + K) / 2 = 0.525, and a D input entangled by the strength alone, concurrence
+    # 2 |ad - bc| = |K| (0.04999999999999988)
+    **{f"run_device-{name},K=0.05": (lambda psi=psi: run_device(psi, K_005).success_prob,
+                                     1.0 / 9.0) for name, psi, _ in EDGE_INPUTS},
+    **{f"run_device-{name},K=0.05,amplitudes": (
+        lambda psi=psi, want=want: largest_gap(run_device(psi, K_005).amplitudes.ravel().tolist(),
+                                               want), 0.0)
+       for (name, psi, _), want in zip(EDGE_INPUTS, ((math.sqrt(0.525), math.sqrt(0.475), 0, 0),
+                                                     (0, 0, math.sqrt(0.475), math.sqrt(0.525))))},
+    **{f"equivalence_fidelity-{name},K=0.05": (
+        lambda psi=psi: equivalence_fidelity(run_device(psi, K_005), psi, K_005), 1.0)
+       for name, psi, _ in EDGE_INPUTS},
+    **{f"concurrence-{name},K=0.05": (lambda psi=psi: concurrence(run_device(psi, K_005)), want)
+       for (name, psi, _), want in zip(EDGE_INPUTS, (0.0, 0.0, abs(K)))},
     # a diagonal input meets post A only through K: at K = 0 the ideal channel leaves
     # rounding residue (1.7e-32), not a probability to condition on
     "channel_postselected_probs-diagonal,post=A,K=0": (
