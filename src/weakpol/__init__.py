@@ -80,4 +80,5 @@ from .weak_values import (
     weak_value_analytic,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())  # the names, not the submodules
+           if not name.startswith("_") and not isinstance(value, type(errors))]

@@ -12,8 +12,8 @@ A strength sweep is counted on the whole grid at once. The model
 probabilities of both runs come as arrays from one call of the model
 kernel of :mod:`weakpol.imperfection` and are validated once per grid,
 the Poisson means are one array expression, and the estimators are
-array expressions whose masks mark the rows with nothing to estimate
-from. Only the draws loop: one Philox generator, re-keyed before each
+array expressions whose one verdict per row marks the rows with nothing
+to estimate from. Only the draws loop: one Philox generator, re-keyed before each
 run through one state mapping per run type, draws the run's outcomes
 with scalar ``poisson`` calls. The calibration run of grid point ``i``
 is exactly ``stream_for(seed, i, K_RUN)`` and its postselected run
@@ -204,6 +204,8 @@ MAX_MEAN_COUNT = 1e15
 
 _CAL_OUTCOMES = ("HH", "HV", "VH", "VV")
 _METER_OUTCOMES = ("H", "V")
+# why a Fig. 2 row has nothing to estimate from, as the sidecar's no_data_rows names it
+_NO_DATA_REASONS = ("no_calibration_counts", "no_postselected_counts", "zero_strength_estimate")
 _NEGATIVE_ROUNDING = 1e-12  # how far below 0 a probability may fall by rounding, counted as 0
 
 
@@ -255,8 +257,7 @@ def _draw(means: np.ndarray, streams) -> np.ndarray:
 def _knowledge_columns(counts):
     """K_hat and its delta-method sigma per row of (G, 4) counts (HH, HV, VH, VV).
 
-    Returns ``(k_hat, k_sigma, empty)``; rows without counts are marked in
-    ``empty`` and hold NaN.
+    Returns ``(k_hat, k_sigma)``; rows without counts hold NaN.
     """
     c = np.asarray(counts, dtype=float)
     n = c[:, 0] + c[:, 1] + c[:, 2] + c[:, 3]
@@ -267,21 +268,22 @@ def _knowledge_columns(counts):
     k_sq = np.array([k**2 for k in k_hat.tolist()])
     sigma = np.sqrt(np.maximum(1.0 - k_sq, 0.0) / n)
     k_hat[empty] = sigma[empty] = np.nan
-    return k_hat, sigma, empty
+    return k_hat, sigma
 
 
 def _weak_value_columns(counts, k_hat, k_sigma):
     """Postselected values per row of (G, 2) meter counts (H, V) and strength estimates.
 
-    Returns ``(value, sigma, worst_case, unbounded, empty)``; rows without
-    counts are marked in ``empty``. Those rows and rows with ``k_hat``
-    exactly 0 hold NaN and are never unbounded.
+    Returns ``(value, sigma, worst_case, unbounded, code)``; ``code`` is the one no-data verdict,
+    0 for a row with a value, else 1 plus the index in ``_NO_DATA_REASONS`` of the first reason
+    (``k_hat`` NaN, no meter counts, ``k_hat`` exactly 0). Those rows hold NaN, never unbounded.
     """
     c = np.asarray(counts, dtype=float)
     n_h, n_v = c[:, 0], c[:, 1]
     n = n_h + n_v
     empty = n <= 0
-    valid = ~empty & (k_hat != 0.0)
+    code = np.select([np.isnan(k_hat), empty, k_hat == 0.0], [1, 2, 3], 0)
+    valid = code == 0
     n[empty] = 1.0
     k = np.where(valid, k_hat, 1.0)
     asym = (n_h - n_v) / n
@@ -294,7 +296,7 @@ def _weak_value_columns(counts, k_hat, k_sigma):
     worst = asym / (k + np.copysign(k_sigma, k))
     unbounded = valid & (np.abs(k) - k_sigma <= 0.0)
     value[~valid] = sigma[~valid] = worst[~valid] = np.nan
-    return value, sigma, worst, unbounded, empty
+    return value, sigma, worst, unbounded, code
 
 
 def sample_counts(true_probs: dict, rate: float, duration: float, seed) -> CountSample:
@@ -336,8 +338,8 @@ def estimate_knowledge(sample: CountSample) -> Estimate:
     the counts may total at most 2**53, where float64 stops holding every
     integer. Any other count raises ValueError naming the run and the outcome.
     """
-    k_hat, sigma, empty = _knowledge_columns(_count_row(sample, _CAL_OUTCOMES, "calibration"))
-    if empty[0]:
+    k_hat, sigma = _knowledge_columns(_count_row(sample, _CAL_OUTCOMES, "calibration"))
+    if math.isnan(k_hat[0]):
         raise ZeroCountsError("no calibration counts recorded")
     k_hat, sigma = float(k_hat[0]), float(sigma[0])
     return Estimate(value=k_hat, sigma=sigma, lower=k_hat - sigma, upper=k_hat + sigma)
@@ -357,11 +359,11 @@ def estimate_weak_value(sample: CountSample, k_est: Estimate) -> Estimate:
     if not (math.isfinite(k_est.value) and math.isfinite(k_est.sigma) and k_est.sigma >= 0):
         raise ValueError(f"strength estimate {k_est.value} +- {k_est.sigma}: need finite, sigma >= 0")
     counts = _count_row(sample, _METER_OUTCOMES, "weak-value")
-    value, sigma, worst, unbounded, empty = _weak_value_columns(
+    value, sigma, worst, unbounded, code = _weak_value_columns(
         counts, np.array([k_est.value], dtype=float), np.array([k_est.sigma], dtype=float))
-    if empty[0]:
+    if code[0] == 2:
         raise ZeroCountsError("no postselected counts recorded")
-    if k_est.value == 0.0:  # exact: the estimate is a ratio of integers
+    if code[0] == 3:
         raise ZeroStrengthError("estimated strength is exactly zero")
     value, sigma, unbounded = float(value[0]), float(sigma[0]), bool(unbounded[0])
     return Estimate(
@@ -430,14 +432,11 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
 
     cal = _draw(cal_means, streams(K_RUN))
     meter = _draw(meter_means, streams(WV_RUN))
-    k_hat, k_sigma, no_cal = _knowledge_columns(cal)
-    wv, wv_sigma, wv_worst, unbounded, no_meter = _weak_value_columns(meter, k_hat, k_sigma)
-    no_meter &= ~no_cal
-    zero_k = (k_hat == 0.0) & ~no_meter
-    no_data = no_cal | no_meter | zero_k
+    k_hat, k_sigma = _knowledge_columns(cal)
+    wv, wv_sigma, wv_worst, unbounded, code = _weak_value_columns(meter, k_hat, k_sigma)
     rows = [Fig2Row(*fields) for fields in zip(
         k_grid, k_hat.tolist(), k_sigma.tolist(), wv.tolist(), wv_sigma.tolist(),
-        wv_worst.tolist(), unbounded.tolist(), no_data.tolist())]
+        wv_worst.tolist(), unbounded.tolist(), (code > 0).tolist())]
 
     metadata = {
         "seed": plan.seed,
@@ -450,11 +449,8 @@ def run_fig2(plan: RunPlan, psi: Polarization, params: ImperfectionParams, k_gri
         "rng": RNG_ALGORITHM,
         "package": {"name": "weakpol", "version": _pkg_version},
         "numpy_version": np.__version__,
-        "no_data_rows": {
-            "no_calibration_counts": np.flatnonzero(no_cal).tolist(),
-            "no_postselected_counts": np.flatnonzero(no_meter).tolist(),
-            "zero_strength_estimate": np.flatnonzero(zero_k).tolist(),
-        },
+        "no_data_rows": {reason: np.flatnonzero(code == i).tolist()
+                         for i, reason in enumerate(_NO_DATA_REASONS, 1)},
     }
     return Fig2Result(rows=rows, metadata=metadata)
 

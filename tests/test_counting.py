@@ -695,6 +695,9 @@ EQUIVALENCE_PLANS = {
     "no_meter_run": dict(duration_wv=0.0),
     # a few counts per run: all three no_data reasons occur
     "sparse": dict(duration_k=0.05, duration_wv=2.0),
+    # no row has meter counts, and some also lack calibration counts or read K_hat = 0:
+    # each such row is listed under its first reason alone
+    "sparse_no_meter": dict(duration_k=0.05, duration_wv=0.0),
 }
 
 
@@ -704,7 +707,7 @@ EQUIVALENCE_PLANS = {
 def test_grid_counting_matches_scalar_reference(seed, model, plan_name):
     plan = RunPlan(seed=seed, **EQUIVALENCE_PLANS[plan_name])
     params = ImperfectionParams(model[0], depol=model[1])
-    seen, largest = set(), 0
+    seen, largest, overlaps = set(), 0, [0, 0]
     for grid in (DENSE_GRID, SIGNED_GRID):
         want, reasons, max_meter = ref_fig2(plan, params, grid)
         result = run_fig2(plan, PSI_42, params, grid)
@@ -719,10 +722,20 @@ def test_grid_counting_matches_scalar_reference(seed, model, plan_name):
         largest = max(largest, max_meter)
         if plan_name == "no_meter_run":
             assert reasons == {i: "no_postselected_counts" for i in range(len(grid))}
+        if plan_name == "sparse_no_meter":
+            listed = result.metadata["no_data_rows"]
+            no_cal = [i for i, r in enumerate(result.rows) if math.isnan(r.k_hat)]
+            zero_k = [i for i, r in enumerate(result.rows) if r.k_hat == 0.0]
+            assert listed["no_calibration_counts"] == no_cal
+            assert set(zero_k) <= set(listed["no_postselected_counts"])
+            assert listed["zero_strength_estimate"] == []
+            overlaps = [overlaps[0] + len(no_cal), overlaps[1] + len(zero_k)]
     if plan_name == "high_rate":
         assert largest > 2**18
     if plan_name == "sparse":
         assert len(seen) == 3
+    if plan_name == "sparse_no_meter":
+        assert min(overlaps) > 0  # both overlaps occur
 
 
 def test_sidecar_names_why_rows_are_no_data(tmp_path):

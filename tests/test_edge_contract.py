@@ -31,6 +31,7 @@ from weakpol import (
     concurrence,
     create_photon,
     diagonal,
+    distinguishable_device,
     equivalence_fidelity,
     expectation_decomposition,
     expectation_s1,
@@ -146,6 +147,24 @@ def beyond_extreme(miss):
     """
     t = miss * math.sqrt(1.0 + ROOT ** 2)
     return (t + math.sqrt(t * t * ROOT ** 2 + K * K)) / (K * K)
+
+
+# the s1 eigenstates and A, orthogonal to post D, with |beta|^2
+NO_INTERFERENCE_INPUTS = (("H", horizontal(), 0.0), ("V", vertical(), 1.0),
+                          ("A", antidiagonal(), 0.5))
+
+
+def no_interference(beta_sq):
+    """(joint_hv, success) of distinguishable_device at K_005 for an input with |beta|^2 = beta_sq.
+
+    The default device's direct term is I/3 and its exchange term maps a V signal's meter
+    (g, gb) onto (gb - g, g - gb) / 3, so without their interference the two add as
+    probabilities: the V signal's meter H and V weights each gain (g - gb)^2 = 1 - ROOT.
+    """
+    weights = ((1.0 - beta_sq) * (1.0 + K) / 2.0, (1.0 - beta_sq) * (1.0 - K) / 2.0,
+               beta_sq * ((1.0 + K) / 2.0 + 1.0 - ROOT), beta_sq * ((1.0 - K) / 2.0 + 1.0 - ROOT))
+    total = sum(weights)
+    return [w / total for w in weights], total / 9.0
 
 
 def with_entry(shape, value):
@@ -286,6 +305,26 @@ ROWS = {
        for name, psi, _ in EDGE_INPUTS},
     **{f"concurrence-{name},K=0.05": (lambda psi=psi: concurrence(run_device(psi, K_005)), want)
        for (name, psi, _), want in zip(EDGE_INPUTS, (0.0, 0.0, abs(K)))},
+    # with the photons distinguishable the success is 1/9 for H alone: (1 + 2 |beta|^2 (1 -
+    # ROOT)) / 9, 0.11138906 for V and 0.11125009 for A; H keeps the product weights (0.525,
+    # 0.475, 0, 0), and V's are (0, 0, 0.52494, 0.47506)
+    **{f"distinguishable_device-{name},K=0.05": (
+        lambda psi=psi: distinguishable_device(psi, K_005).success_prob, no_interference(b)[1])
+       for name, psi, b in NO_INTERFERENCE_INPUTS},
+    **{f"distinguishable_device-{name},K=0.05,joint_hv": (
+        lambda psi=psi, b=b: largest_gap(distinguishable_device(psi, K_005).joint_hv,
+                                         no_interference(b)[0]), 0.0)
+       for name, psi, b in NO_INTERFERENCE_INPUTS},
+    # each term of <s1> is d = |A|^2 - |B|^2 of its post, whatever K: (1/2, 1/2, 1) for H,
+    # the negatives for V, and 0 for A, orthogonal to post D; at K = 0 A never passes post D
+    **{f"expectation_decomposition-{name},K=0.05": (
+        lambda psi=psi, want=want: largest_gap(expectation_decomposition(psi, K_005), want), 0.0)
+       for name, psi, want in (("H", horizontal(), (0.5, 0.5, 1.0)),
+                               ("V", vertical(), (-0.5, -0.5, -1.0)),
+                               ("A", antidiagonal(), (0.0, 0.0, 0.0)))},
+    "expectation_decomposition-A,K=0": (
+        lambda: expectation_decomposition(antidiagonal(), MeterSetting.from_strength(0.0)),
+        (PostselectionImpossibleError, "zero")),
     # a diagonal input meets post A only through K: at K = 0 the ideal channel leaves
     # rounding residue (1.7e-32), not a probability to condition on
     "channel_postselected_probs-diagonal,post=A,K=0": (

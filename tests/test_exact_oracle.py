@@ -17,6 +17,7 @@ K = 0, its weak limit, where the product-ket model read a diagonal input at
 -235.5 for K = 1e-9 against an exact 0.
 """
 
+import cmath
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -34,7 +35,7 @@ from weakpol import (
     model_weak_value_curve,
     weak_value_analytic,
 )
-from weakpol.errors import PostselectionImpossibleError
+from weakpol.errors import PostselectionImpossibleError, WeakpolError
 from weakpol.imperfection import _model_harmonics, channel_postselected_probs
 from weakpol.weak_values import antidiagonal, diagonal, horizontal, vertical
 
@@ -231,3 +232,64 @@ def test_closed_form_matches_the_truth_at_the_strength_its_meter_encodes(post_na
     # D meets post A, and A post D, only through K: P(post) = K^2 / 4 at K = 1e-12 and 0,
     # and the doubles of +-45 degrees lie one rounding from them
     assert refused == {"A": 4, "D": 4}.get(post_name, 0)
+
+
+# --- a seeded sweep of the closed form against the coherent model ------------------------
+#
+# The seed was chosen and recorded before the first run; neither it nor the sampling may be
+# changed to pass a case. Each case draws an input angle, uniform or within 10^-u degrees
+# of 0, +-45 or 90 degrees, a real or random-phase input, K log-uniform in [1e-12, 1] with
+# either sign, and one of the posts A, D, H and V.
+
+ROUTE_SEED = 20261020
+ROUTE_CASES = 3000
+ROUTE_POSTS = {"A": antidiagonal(), "D": diagonal(), "H": horizontal(), "V": vertical()}
+
+
+def route_cases():
+    """(input, K, post label) of each case, from one generator keyed by ROUTE_SEED."""
+    rng = np.random.default_rng(ROUTE_SEED)
+    for _ in range(ROUTE_CASES):
+        if rng.random() < 0.5:
+            degrees = rng.uniform(-90.0, 90.0)
+        else:
+            offset = 10.0 ** -rng.uniform(0.0, 16.0)
+            degrees = rng.choice([0.0, 45.0, -45.0, 90.0]) + rng.choice([-1.0, 1.0]) * offset
+        theta = math.radians(degrees)
+        phase = 1.0 if rng.random() < 0.5 else cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        k = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, 0.0)
+        yield Polarization(math.cos(theta), phase * math.sin(theta)), k, "ADHV"[rng.integers(4)]
+
+
+def outcome(call):
+    """The value of ``call()``, or the type of the weakpol error it raised."""
+    try:
+        return call()
+    except WeakpolError as exc:
+        return type(exc)
+
+
+def test_closed_form_matches_the_coherent_model_over_a_seeded_sweep():
+    # a case passes if both routes raise the same typed error, or if both return within
+    # 4 eps max(1, cond_d), cond_d = (|A|^2 + |B|^2) / ||A|^2 - |B|^2|: the model forms d
+    # from rounded products, a few eps of |A|^2 + |B|^2 off, and cond_d carries that to d
+    v_1, failures, returned = ImperfectionParams(1.0), [], 0
+    for i, (psi, k, label) in enumerate(route_cases()):
+        post = ROUTE_POSTS[label]
+        closed = outcome(lambda: weak_value_analytic(psi, MeterSetting.from_strength(k), post))
+        model = outcome(lambda: model_weak_value_curve(v_1, psi, [k], post=post)[0][1])
+        if isinstance(closed, type) or isinstance(model, type):
+            if closed is not model:
+                failures.append((i, psi, k, label, closed, model))
+            continue
+        returned += 1
+        if closed == model:
+            continue
+        a, b = post.alpha.conjugate() * psi.alpha, post.beta.conjugate() * psi.beta
+        d = abs(a) ** 2 - abs(b) ** 2
+        cond = (abs(a) ** 2 + abs(b) ** 2) / abs(d) if d else math.inf
+        rel = abs(closed - model) / abs(closed) if closed else math.inf
+        if not rel <= 4.0 * np.finfo(float).eps * max(1.0, cond):
+            failures.append((i, psi, k, label, closed, model))
+    assert returned > ROUTE_CASES // 2
+    assert not failures, failures[:5]
